@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .egraph import EGraph, ENode, LitNode, MISSING, OpNode, refresh_analysis
+from .egraph import EGraph, ENode, LitNode, MISSING
 from .errors import AnalysisDiverged, Unextractable
 from .terms import Atom, Compound, Lit, Term
 
@@ -24,14 +24,25 @@ class Analysis:
 
 
 def analyze(g: EGraph, analysis: Analysis) -> None:
-    """On-demand fixpoint computation of an analysis over the whole graph.
+    """Register an analysis on the graph and compute it for every class.
 
-    Recomputes from scratch: stale data under the same name is discarded
-    first, unlike the monotonic refresh used for registered analyses.
+    Any old value under its name is dropped first. Every node is queued for
+    `make` and the graph is rebuilt; from then on the graph keeps the
+    analysis up to date as it grows. If it does not settle, the analysis is
+    unregistered, its values are dropped and `AnalysisDiverged` is raised.
     """
-    for cls in g.classes.values():
+    g.analyses[analysis.name] = analysis
+    for cid, cls in g.classes.items():
         cls.data.pop(analysis.name, None)
-    refresh_analysis(g, analysis)
+        g.analysis_worklist.extend((n, cid) for n in cls.nodes)
+    try:
+        g.rebuild()
+    except AnalysisDiverged:
+        del g.analyses[analysis.name]
+        for cls in g.classes.values():
+            cls.data.pop(analysis.name, None)
+        g.rebuild()  # the other analyses' queued nodes
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -81,12 +92,8 @@ def sign_analysis(assumptions: Optional[dict[str, float]] = None) -> Analysis:
                 return -math.inf
             return _sign(float(v))
         if n.op in ("*", "/", "+", "-") and len(n.children) == 2:
-            lcls = g.classes.get(g.find(n.children[0]))
-            rcls = g.classes.get(g.find(n.children[1]))
-            if lcls is None or rcls is None:
-                return MISSING
-            l = lcls.data.get(SIGN_ANALYSIS_NAME, MISSING)
-            r = rcls.data.get(SIGN_ANALYSIS_NAME, MISSING)
+            l = g.getdata(n.children[0], SIGN_ANALYSIS_NAME, MISSING)
+            r = g.getdata(n.children[1], SIGN_ANALYSIS_NAME, MISSING)
             if l is MISSING or r is MISSING:
                 return MISSING
             if l is None or r is None:
@@ -107,12 +114,10 @@ def sign_analysis(assumptions: Optional[dict[str, float]] = None) -> Analysis:
 
 
 def class_sign(g: EGraph, cid: int):
-    """Sign value of an e-class, recomputing lazily when the graph changed."""
-    assumptions = g.sign_assumptions
-    key = ("sign", g.version, id(assumptions))
-    if g._caches.get("sign_version") != key:
-        analyze(g, sign_analysis(assumptions))
-        g._caches["sign_version"] = key
+    """Sign value of an e-class. The first call registers the sign analysis
+    with the default assumptions unless one is registered already."""
+    if SIGN_ANALYSIS_NAME not in g.analyses:
+        analyze(g, sign_analysis())
     return g.getdata(cid, SIGN_ANALYSIS_NAME, None)
 
 

@@ -26,8 +26,6 @@ from .terms import Atom, Compound, Lit, Term, eval_builtin, UnknownBuiltin
 Substitution = dict[int, Union[Term, tuple[Term, ...]]]
 Rewriter = Callable[[Term], Optional[Term]]
 
-_matcher_cache: dict[int, tuple[Rule, Callable]] = {}
-
 
 def compile_matcher(lhs: Pattern) -> Callable[[Term], Optional[Substitution]]:
     """Compile a pattern into a root matcher returning the first substitution."""
@@ -203,25 +201,29 @@ def eval_dynamic(rhs: Pattern, s: Substitution) -> Term:
 
 
 def apply_rule(rule: Rule, t: Term) -> Optional[Term]:
-    """Apply a rewrite or dynamic rule at the root; None when not matching."""
+    """Apply a rewrite or dynamic rule at the root; None when not matching.
+
+    Compiles the rule's matcher on each call: to apply one rule many times,
+    build its rewriter once with `rule_rewriter`."""
+    return rule_rewriter(rule)(t)
+
+
+def rule_rewriter(rule: Rule) -> Rewriter:
+    """Rewriter applying a rewrite or dynamic rule at the root. The rule's
+    matcher is compiled once and lives as long as the rewriter."""
     if rule.kind not in (RuleKind.REWRITE, RuleKind.DYNAMIC):
         raise UnsupportedRuleKind(
             f"{rule.kind.value} rules are not supported by the classical backend"
         )
-    cached = _matcher_cache.get(id(rule))
-    if cached is None or cached[0] is not rule:
-        cached = (rule, compile_matcher(rule.lhs))
-        _matcher_cache[id(rule)] = cached
-    sub = cached[1](t)
-    if sub is None:
-        return None
-    if rule.kind is RuleKind.DYNAMIC:
-        return eval_dynamic(rule.rhs, sub)
-    return instantiate(rule.rhs, sub)
+    match = compile_matcher(rule.lhs)
+    build = eval_dynamic if rule.kind is RuleKind.DYNAMIC else instantiate
+    rhs = rule.rhs
 
+    def rewrite(t: Term) -> Optional[Term]:
+        sub = match(t)
+        return None if sub is None else build(rhs, sub)
 
-def rule_rewriter(rule: Rule) -> Rewriter:
-    return lambda t: apply_rule(rule, t)
+    return rewrite
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +279,7 @@ def PassThrough(rw: Rewriter) -> Rewriter:
     return passthrough
 
 
-def Postwalk(rw: Rewriter, threaded: bool = False, thread_cutoff: int = 100) -> Rewriter:
-    # threaded is accepted for interface parity; the walk is serial and the
-    # contract is result-equality with the serial traversal.
+def Postwalk(rw: Rewriter) -> Rewriter:
     def walk(t):
         changed = False
         if isinstance(t, Compound):
@@ -301,7 +301,7 @@ def Postwalk(rw: Rewriter, threaded: bool = False, thread_cutoff: int = 100) -> 
     return walk
 
 
-def Prewalk(rw: Rewriter, threaded: bool = False, thread_cutoff: int = 100) -> Rewriter:
+def Prewalk(rw: Rewriter) -> Rewriter:
     def walk(t):
         r = rw(t)
         changed = r is not None

@@ -17,7 +17,6 @@ from typing import Optional
 from .analysis import (
     COST_FUNCTIONS,
     analyze,
-    class_sign,
     extract,
     format_sign,
     sign_analysis,
@@ -59,7 +58,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eclasslimit", type=int, default=None)
     p.add_argument("--enodelimit", type=int, default=None)
     p.add_argument("--scheduler", choices=["simple", "backoff"], default=None)
-    p.add_argument("--threaded", action="store_true")
     p.add_argument("--cost", choices=sorted(COST_FUNCTIONS), default="astsize")
     p.add_argument("--strategy", default=DEFAULT_STRATEGY)
     p.add_argument("--assume", nargs="*", default=None, metavar="SYM=SIGN")
@@ -93,8 +91,6 @@ def _params(args) -> SaturationParams:
         params.enodelimit = args.enodelimit
     if args.scheduler is not None:
         params.scheduler = args.scheduler
-    params.threaded = args.threaded
-    params.timer = True
     params.printiter = args.verbose
     return params
 
@@ -143,7 +139,7 @@ def cmd_simplify(args) -> int:
     g = EGraph()
     assumptions = _assumptions(args)
     if assumptions is not None:
-        g.sign_assumptions = assumptions
+        analyze(g, sign_analysis(assumptions))
     root = g.add_term(term)
     report = saturate(g, theory, params)
     best = extract(g, COST_FUNCTIONS[args.cost], root)
@@ -211,12 +207,8 @@ def cmd_analyze(args) -> int:
         return 1
     term = parse_term(exprs[0])
     g = EGraph()
-    assumptions = _assumptions(args)
-    if assumptions is not None:
-        g.sign_assumptions = assumptions
     root = g.add_term(term)
-    g.rebuild()
-    analyze(g, sign_analysis(g.sign_assumptions))
+    analyze(g, sign_analysis(_assumptions(args)))
     value = g.getdata(root, "sign", None)
     text = f"sign = {format_sign(value)}"
     if args.json:

@@ -4,15 +4,19 @@ Congruence repair is deferred: merges enqueue dirty classes on a worklist and
 `rebuild` restores the congruence and hashcons invariants in batch, egg-style.
 Parent back-edges ((parent e-node, parent class) pairs) stored on child
 classes drive the upward propagation.
+
+Registered analyses are kept up to date the same way: `make` runs when a node
+is added, `join` when two classes merge, and a merge or a repair that changes
+a class's value queues the class's parents, which `rebuild` makes again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .errors import CapacityExceeded, UnknownId
+from .errors import AnalysisDiverged, CapacityExceeded, UnknownId
 from .terms import Atom, Compound, Lit, Number, Term, num_eq, num_key, print_number
 
 # Sentinel for "analysis value not computable yet" (distinct from any domain
@@ -67,13 +71,12 @@ class EGraph:
         self._uf: list[int] = []
         self.memo: dict[ENode, int] = {}
         self.classes: dict[int, EClass] = {}
-        self.worklist: list[int] = []
+        self.worklist: list[int] = []  # classes whose parents need repair
+        self.analysis_worklist: list[tuple[ENode, int]] = []  # nodes to make again
         self.root: Optional[int] = None
         self.node_limit = node_limit
         self.version = 0
-        self.analyses: dict[str, object] = {}  # registered (eager) analyses
-        self.sign_assumptions: Optional[dict[str, float]] = None
-        self._caches: dict[str, tuple] = {}
+        self.analyses: dict[str, object] = {}  # registered analyses, by name
 
     # -- union-find --------------------------------------------------------
 
@@ -81,7 +84,9 @@ class EGraph:
         uf = self._uf
         if not 0 <= i < len(uf):
             raise UnknownId(i)
-        root = i
+        root = uf[i]
+        if root == i:
+            return i
         while uf[root] != root:
             root = uf[root]
         while uf[i] != root:  # path compression
@@ -97,7 +102,9 @@ class EGraph:
 
     def canonicalize(self, n: ENode) -> ENode:
         if isinstance(n, OpNode):
-            return OpNode(n.op, tuple(self.find(c) for c in n.children))
+            children = tuple(map(self.find, n.children))
+            if children != n.children:
+                return OpNode(n.op, children)
         return n
 
     def add_enode(self, n: ENode) -> int:
@@ -168,12 +175,21 @@ class EGraph:
         if (len(cb.parents), -b) > (len(ca.parents), -a):
             a, b, ca, cb = b, a, cb, ca
         self._uf[b] = a
-        ca.nodes.update(cb.nodes)
-        ca.parents.extend(cb.parents)
+        changed_a = changed_b = False
         for an in self.analyses.values():
             da, db = ca.data.get(an.name, MISSING), cb.data.get(an.name, MISSING)
-            if db is not MISSING:
-                ca.data[an.name] = db if da is MISSING else an.join(da, db)
+            d = da if db is MISSING else db if da is MISSING else an.join(da, db)
+            if d is not MISSING:
+                ca.data[an.name] = d
+            changed_a = changed_a or not _data_eq(da, d)
+            changed_b = changed_b or not _data_eq(db, d)
+        # a side's parents were made from its old value
+        if changed_a:
+            self.analysis_worklist.extend(ca.parents)
+        if changed_b:
+            self.analysis_worklist.extend(cb.parents)
+        ca.nodes.update(cb.nodes)
+        ca.parents.extend(cb.parents)
         del self.classes[b]
         self.worklist.append(a)
         self.version += 1
@@ -183,7 +199,8 @@ class EGraph:
         return a
 
     def rebuild(self) -> None:
-        while True:
+        # a modify hook may merge classes, so repair and propagation alternate
+        while self.worklist or self.analysis_worklist:
             while self.worklist:
                 todo = []
                 seen = set()
@@ -195,12 +212,31 @@ class EGraph:
                 self.worklist = []
                 for cid in todo:
                     self._repair(cid)
-            if not self.analyses:
-                return
+            self._propagate()
+
+    def _propagate(self) -> None:
+        """Make each queued node again and join the value into its class; a
+        class whose value changes queues its parents and runs `modify`."""
+        work = self.analysis_worklist
+        budget = 10 * max(1, len(self.classes))
+        while work:
+            n, cid = work.pop()
             for an in self.analyses.values():
-                refresh_analysis(self, an)
-            if not self.worklist:  # a modify hook may have merged classes
-                return
+                v = an.make(self, n)
+                if v is MISSING:
+                    continue
+                cls = self.classes[self.find(cid)]
+                old = cls.data.get(an.name, MISSING)
+                new = v if old is MISSING else an.join(old, v)
+                if _data_eq(old, new):
+                    continue
+                budget -= 1
+                if budget < 0:
+                    raise AnalysisDiverged(f"analysis {an.name} did not stabilize")
+                cls.data[an.name] = new
+                work.extend(cls.parents)
+                if an.modify is not None:
+                    an.modify(self, cls.id)
 
     def _repair(self, cid: int) -> None:
         cls = self.classes.get(self.find(cid))
@@ -281,39 +317,6 @@ def _node_str(n: ENode) -> str:
         return n.value if isinstance(n.value, str) else print_number(n.value)
     inner = " ".join(f"c{c}" for c in n.children)
     return f"({n.op} {inner})" if inner else f"({n.op})"
-
-
-def refresh_analysis(g: EGraph, analysis, max_passes: Optional[int] = None) -> None:
-    """Run make/join (and modify) to fixpoint over the whole graph."""
-    from .errors import AnalysisDiverged
-
-    limit = max_passes if max_passes is not None else 10 * max(1, g.n_eclasses)
-    name = analysis.name
-    for _ in range(limit):
-        changed = False
-        for cid in g.canonical_ids():
-            cls = g.classes.get(cid)
-            if cls is None:  # merged away by a modify hook
-                continue
-            acc = MISSING
-            for n in list(cls.nodes):
-                v = analysis.make(g, n)
-                if v is MISSING:
-                    continue
-                acc = v if acc is MISSING else analysis.join(acc, v)
-            if acc is MISSING:
-                continue
-            old = cls.data.get(name, MISSING)
-            if old is not MISSING:
-                acc = analysis.join(old, acc)
-            if old is MISSING or not _data_eq(old, acc):
-                cls.data[name] = acc
-                changed = True
-                if analysis.modify is not None:
-                    analysis.modify(g, cid)
-        if not changed:
-            return
-    raise AnalysisDiverged(f"analysis {name} did not stabilize in {limit} passes")
 
 
 def _data_eq(a, b) -> bool:

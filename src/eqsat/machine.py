@@ -7,7 +7,7 @@ only, never growing the graph) and checked with a single instruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .egraph import EGraph, LitNode, OpNode
@@ -15,14 +15,13 @@ from .errors import InconsistentClass, SegmentUnsupported
 from .rules import (
     PatLit,
     PatSegment,
-    PatTerm,
     PatVar,
     Pattern,
     PredicateRef,
     class_literals,
     resolve_predicate,
 )
-from .terms import Atom, Compound, Lit, Number, Term, num_eq, print_term
+from .terms import Atom, Compound, Lit, Number, Term, print_term
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ class EMatchProgram:
     ground_subterms: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EMatch:
     class_id: int
     bindings: tuple[tuple[int, int], ...]  # (var index, class id), sorted
@@ -185,39 +184,49 @@ def run_program(
         ground_ids = resolve_grounds(g, prog)
         if ground_ids is None:
             return []
+    find = g.find
     regs: list[Optional[int]] = [None] * prog.n_regs
-    regs[0] = g.find(root)
+    regs[0] = find(root)
     lit_regs: dict[int, Union[Number, str]] = {}
     out: list[EMatch] = []
     instrs = prog.instructions
+    # matches share equal (var, class) pairs: fewer objects for the collector
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}
 
     def step(pc: int):
         ins = instrs[pc]
-        if isinstance(ins, Bind):
-            cls_nodes = list(g.class_nodes(regs[ins.reg]))
-            for node in cls_nodes:
-                if (
-                    isinstance(node, OpNode)
-                    and node.op == ins.op
-                    and len(node.children) == ins.arity
-                ):
-                    for k, ch in enumerate(node.children):
-                        regs[ins.out_base + k] = g.find(ch)
-                    step(pc + 1)
-            return
-        if isinstance(ins, CheckLit):
-            want = LitNode(ins.value)
-            if any(n == want for n in g.class_nodes(regs[ins.reg])):
+        kind = type(ins)
+        if kind is Bind:
+            op, arity, base = ins.op, ins.arity, ins.out_base
+            matching = [
+                n.children
+                for n in g.class_nodes(regs[ins.reg])
+                if type(n) is OpNode and n.op == op and len(n.children) == arity
+            ]
+            for children in matching:
+                regs[base : base + arity] = children  # each reader canonicalizes
                 step(pc + 1)
             return
-        if isinstance(ins, CheckPredicate):
-            cid = g.find(regs[ins.reg])
+        if kind is Yield:
+            ids = enumerate([find(regs[r]) for r in ins.var_regs])
+            bindings = tuple([pairs.setdefault(p, p) for p in ids])
+            lits = tuple(
+                (i, lit_regs[r]) for i, r in enumerate(ins.var_regs) if r in lit_regs
+            )
+            out.append(EMatch(find(root), bindings, lits))
+            return
+        if kind is CheckLit:
+            # a literal node has no children, so it is always canonical
+            if LitNode(ins.value) in g.class_nodes(regs[ins.reg]):
+                step(pc + 1)
+            return
+        if kind is CheckPredicate:
+            cid = find(regs[ins.reg])
             pred = resolve_predicate(ins.pred)
             if not pred.egraph(g, cid, ins.pred.params):
                 return
             if ins.bindlit:
-                kind = pred.lift or "number"
-                lits = class_literals(g, cid, kind)
+                lits = class_literals(g, cid, pred.lift or "number")
                 if len(lits) > 1:
                     raise InconsistentClass(
                         f"class c{cid} holds distinct literals {lits}"
@@ -229,24 +238,16 @@ def run_program(
                     return
             step(pc + 1)
             return
-        if isinstance(ins, Compare):
-            if g.find(regs[ins.reg_i]) == g.find(regs[ins.reg_j]):
+        if kind is Compare:
+            if find(regs[ins.reg_i]) == find(regs[ins.reg_j]):
                 step(pc + 1)
             return
-        if isinstance(ins, LookupGround):
-            if g.find(regs[ins.reg]) == g.find(ground_ids[ins.ground]):
-                step(pc + 1)
-            return
-        # Yield
-        bindings = tuple(
-            (i, g.find(regs[r])) for i, r in enumerate(ins.var_regs)
-        )
-        lits = tuple(
-            (i, lit_regs[r]) for i, r in enumerate(ins.var_regs) if r in lit_regs
-        )
-        out.append(EMatch(g.find(root), bindings, lits))
+        # LookupGround
+        if find(regs[ins.reg]) == find(ground_ids[ins.ground]):
+            step(pc + 1)
 
     step(0)
+    del step  # the closure refers to itself; clearing it spares the cycle collector
     return out
 
 
@@ -274,8 +275,7 @@ def ematch_program(g: EGraph, prog: EMatchProgram) -> list[tuple[int, EMatch]]:
     seen = set()
     for cid in g.canonical_ids():
         for m in run_program(g, prog, cid, ground_ids):
-            key = (m.class_id, m.bindings, m.literal_bindings)
-            if key not in seen:
-                seen.add(key)
+            if m not in seen:
+                seen.add(m)
                 out.append((m.class_id, m))
     return out

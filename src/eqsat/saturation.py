@@ -3,18 +3,17 @@ contradiction detection and reporting."""
 
 from __future__ import annotations
 
-import json
-import math
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Optional
 
 from .egraph import EGraph, LitNode, OpNode
 from .errors import CapacityExceeded, SegmentUnsupported
 from .machine import EMatch, EMatchProgram, compile_pattern, ematch_program
 from .rules import PatLit, PatTerm, PatVar, Pattern, Rule, RuleKind, Theory
-from .terms import Lit, Number, Term, UnknownBuiltin, eval_builtin
+from .terms import Term, UnknownBuiltin, eval_builtin
 
 # -- stop reasons -----------------------------------------------------------
 
@@ -60,13 +59,12 @@ class SaturationParams:
     goal: Optional[object] = None  # callable EGraph -> bool
     scheduler: str = "backoff"  # "simple" | "backoff"
     schedulerparams: dict = field(default_factory=dict)
-    threaded: bool = False
-    timer: bool = True
-    printiter: bool = False
+    printiter: bool = False  # one line per iteration on stderr
 
 
 @dataclass
 class RuleStats:
+    name: str  # a label only: unnamed rules of different theories share names
     search_s: float = 0.0
     apply_s: float = 0.0
     matches: int = 0
@@ -78,20 +76,18 @@ class Report:
     iterations: int
     n_enodes: int
     n_eclasses: int
-    per_rule: Optional[dict[str, RuleStats]] = None
+    per_rule: dict[int, RuleStats] = field(default_factory=dict)  # by rule index
 
     def to_json_dict(self) -> dict:
-        rules = []
-        if self.per_rule:
-            for name, st in self.per_rule.items():
-                rules.append(
-                    {
-                        "name": name,
-                        "search_s": st.search_s,
-                        "apply_s": st.apply_s,
-                        "matches": st.matches,
-                    }
-                )
+        rules = [
+            {
+                "name": st.name,
+                "search_s": st.search_s,
+                "apply_s": st.apply_s,
+                "matches": st.matches,
+            }
+            for st in self.per_rule.values()
+        ]
         return {
             "stop_reason": str(self.stop_reason),
             "iterations": self.iterations,
@@ -108,11 +104,11 @@ class Report:
             f"e-classes:   {self.n_eclasses}",
         ]
         if self.per_rule:
-            name_w = max([4] + [len(n) for n in self.per_rule])
+            name_w = max([4] + [len(st.name) for st in self.per_rule.values()])
             lines.append(f"{'rule':<{name_w}}  {'search_s':>10}  {'apply_s':>10}  {'matches':>8}")
-            for name, st in self.per_rule.items():
+            for st in self.per_rule.values():
                 lines.append(
-                    f"{name:<{name_w}}  {st.search_s:>10.6f}  {st.apply_s:>10.6f}  {st.matches:>8}"
+                    f"{st.name:<{name_w}}  {st.search_s:>10.6f}  {st.apply_s:>10.6f}  {st.matches:>8}"
                 )
         return "\n".join(lines)
 
@@ -247,6 +243,7 @@ def _add_pattern(g: EGraph, pat: Pattern, m: EMatch, dynamic: bool) -> int:
         return ("id", g.add_enode(OpNode(p.op, children)))
 
     k, v = go(pat)
+    del go  # the closure refers to itself; clearing it spares the cycle collector
     return v if k == "id" else lit_id(v)
 
 
@@ -280,25 +277,24 @@ def eqsat_step(
     sched,
     params: SaturationParams,
     iteration: int,
-    stats: Optional[dict[str, RuleStats]] = None,
+    stats: dict[int, RuleStats],
 ) -> tuple[bool, Optional[StopReason]]:
-    """One search/apply/rebuild cycle. Returns (changed, early stop)."""
+    """One search/apply/rebuild cycle, adding its times and matches to
+    `stats`. Returns (changed, early stop)."""
     v0 = g.version
 
     # Phase 1: search (read-only)
     found: list[list[tuple[_Direction, EMatch]]] = []
     for idx, cr in enumerate(compiled):
         matches: list[tuple[_Direction, EMatch]] = []
+        st = stats.setdefault(idx, RuleStats(cr.rule.name))
         if cr.directions and sched.can_search(idx, iteration):
             t0 = time.perf_counter()
             for d in cr.directions:
                 for _, m in ematch_program(g, d.program):
                     matches.append((d, m))
-            dt = time.perf_counter() - t0
-            if stats is not None:
-                st = stats.setdefault(cr.rule.name, RuleStats())
-                st.search_s += dt
-                st.matches += len(matches)
+            st.search_s += time.perf_counter() - t0
+            st.matches += len(matches)
             if sched.inform(idx, len(matches), iteration):
                 matches = []  # banned: this iteration's matches are dropped
         found.append(matches)
@@ -318,10 +314,7 @@ def eqsat_step(
                 dynamic = cr.rule.kind is RuleKind.DYNAMIC
                 new_id = _add_pattern(g, d.rhs, m, dynamic)
                 g.merge(m.class_id, new_id)
-            if stats is not None:
-                stats.setdefault(cr.rule.name, RuleStats()).apply_s += (
-                    time.perf_counter() - t0
-                )
+            stats[idx].apply_s += time.perf_counter() - t0
             if stop is not None:
                 break
     except CapacityExceeded:
@@ -336,7 +329,7 @@ def saturate(g: EGraph, theory: Theory, params: Optional[SaturationParams] = Non
     params = params or SaturationParams()
     compiled = compile_theory(theory)
     sched = make_scheduler(params, len(compiled))
-    stats: Optional[dict[str, RuleStats]] = {} if params.timer else None
+    stats: dict[int, RuleStats] = {}
     old_limit = g.node_limit
     g.node_limit = params.enodelimit
     t_start = time.perf_counter()
@@ -357,7 +350,8 @@ def saturate(g: EGraph, theory: Theory, params: Optional[SaturationParams] = Non
             changed, stop = eqsat_step(g, compiled, sched, params, iteration, stats)
             if params.printiter:
                 print(
-                    f"iteration {iterations}: {g.n_eclasses} classes, {g.n_enodes} nodes"
+                    f"iteration {iterations}: {g.n_eclasses} classes, {g.n_enodes} nodes",
+                    file=sys.stderr,
                 )
             if stop is not None:
                 reason = stop
@@ -392,6 +386,6 @@ def prove_equal(
     b = g.add_term(t2)
     params = replace(params or SaturationParams(), goal=AreEqual(t1, t2))
     if g.find(a) == g.find(b):
-        return True, Report(StopReason(GOAL_REACHED), 0, g.n_enodes, g.n_eclasses, {})
+        return True, Report(StopReason(GOAL_REACHED), 0, g.n_enodes, g.n_eclasses)
     report = saturate(g, theory, params)
     return g.find(a) == g.find(b), report

@@ -6,10 +6,11 @@ data structures beyond the public Term/EGraph APIs.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 from eqsat.classical import compile_matcher, instantiate
-from eqsat.egraph import EGraph, LitNode, OpNode
+from eqsat.egraph import MISSING, EGraph, LitNode, OpNode
 from eqsat.rules import PatLit, PatTerm, PatVar, Rule
 from eqsat.terms import Atom, Compound, Lit, Term
 
@@ -73,6 +74,50 @@ def congruence_closure(terms: list[Term], merges: list[tuple[Term, Term]]):
                 ):
                     changed |= union(i, j)
     return {i: find(i) for i in range(len(universe))}, universe
+
+
+# -- analysis fixpoint ------------------------------------------------------
+
+
+def same_value(a, b) -> bool:
+    """Analysis values are equal, NaN included."""
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b):
+        return True
+    return a == b
+
+
+def analysis_fixpoint(g: EGraph, analysis) -> dict[int, object]:
+    """Each canonical class's value of `analysis` (MISSING when it has none),
+    computed from nothing by passes over the whole graph until no class
+    changes. `analysis.modify` is not run. Values the graph stores under the
+    analysis's name are set aside meanwhile and put back afterwards."""
+    name = analysis.name
+    saved = {cid: cls.data.pop(name) for cid, cls in g.classes.items() if name in cls.data}
+    try:
+        changed = True
+        while changed:
+            changed = False
+            for cid in g.canonical_ids():
+                cls = g.classes[cid]
+                acc = MISSING
+                for n in cls.nodes:
+                    v = analysis.make(g, n)
+                    if v is not MISSING:
+                        acc = v if acc is MISSING else analysis.join(acc, v)
+                if acc is MISSING:
+                    continue
+                old = cls.data.get(name, MISSING)
+                if old is not MISSING:
+                    acc = analysis.join(old, acc)
+                if old is MISSING or not same_value(old, acc):
+                    cls.data[name] = acc
+                    changed = True
+        return {cid: g.getdata(cid, name, MISSING) for cid in g.canonical_ids()}
+    finally:
+        for cls in g.classes.values():
+            cls.data.pop(name, None)
+        for cid, v in saved.items():
+            g.classes[cid].data[name] = v
 
 
 # -- naive e-matching -------------------------------------------------------

@@ -313,15 +313,14 @@ def test_criterion_9_determinism():
     b_out, b_rep = run_all()
     serial_ok = a_out == b_out and a_rep == b_rep
 
-    def partition(threaded):
+    def partition():
         g = EGraph()
         g.add_term(parse_term("(/ (* a (* 2 3)) 6)"))
         g.rebuild()
-        saturate(g, four_theory(), SaturationParams(threaded=threaded))
+        saturate(g, four_theory(), SaturationParams())
         return g.dump()
 
-    threaded_ok = partition(False) == partition(True)
-    report("9 determinism", serial_ok and threaded_ok)
+    report("9 determinism", serial_ok and partition() == partition())
 
 
 # -- bundled near-zero optimizer (out-of-scope benchmarks stand-in) ---------

@@ -1,9 +1,10 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import enumerate_terms
+from oracles import analysis_fixpoint, enumerate_terms, same_value
 from eqsat.analysis import (
     Analysis,
     DEFAULT_ASSUMPTIONS,
@@ -18,7 +19,7 @@ from eqsat.analysis import (
     sign_join,
 )
 from eqsat.egraph import EGraph, LitNode, MISSING, OpNode
-from eqsat.errors import Unextractable
+from eqsat.errors import AnalysisDiverged, Unextractable
 from eqsat.terms import Atom, Compound, Lit, eval_builtin, parse_term, print_term
 
 
@@ -26,8 +27,6 @@ def sign_of(src, assumptions=None):
     g = EGraph()
     root = g.add_term(parse_term(src))
     g.rebuild()
-    if assumptions is not None:
-        g.sign_assumptions = assumptions
     analyze(g, sign_analysis(assumptions))
     return g.getdata(root, "sign")
 
@@ -100,7 +99,7 @@ def test_class_sign_tracks_graph_changes():
     q = g.add_term(parse_term("(* q q)"))
     g.rebuild()
     assert class_sign(g, q) is None
-    g.sign_assumptions = {"q": -1.0}
+    analyze(g, sign_analysis({"q": -1.0}))  # re-registering replaces the values
     assert class_sign(g, q) == 1
     # class data is the join over all nodes: an unknown symbol keeps the
     # merged class unknown even when a literal joins it
@@ -196,6 +195,70 @@ def test_modify_hook_adds_literal():
     assert any(n == LitNode(0) for n in g.class_nodes(g.find(a)))
     b = g.add_term(parse_term("0.0"))
     assert g.find(b) == g.find(a)
+
+
+def test_incremental_sign_matches_naive_fixpoint():
+    # random adds, merges and rebuilds on a graph with the sign analysis
+    # registered first; after every rebuild each class holds the value the
+    # full-graph fixpoint gives
+    rng = random.Random(7)
+    leaves = [Atom(s) for s in "xyzka"] + [
+        Lit(v) for v in (0, 1, -2, 2.5, math.inf, -math.inf, math.nan)
+    ]
+    an = sign_analysis()
+    checked = merged = 0
+
+    def check(g):
+        nonlocal checked
+        g.rebuild()
+        want = analysis_fixpoint(g, an)
+        for cid in g.canonical_ids():
+            assert same_value(g.getdata(cid, "sign", MISSING), want[cid]), g.dump()
+            checked += 1
+
+    for _ in range(300):
+        g = EGraph()
+        analyze(g, an)
+        ids = []
+        for _ in range(rng.randint(4, 30)):
+            r = rng.random()
+            if r < 0.25 or len(ids) < 2:
+                ids.append(g.add_term(rng.choice(leaves)))
+            elif r < 0.6:
+                op = rng.choice(["+", "-", "*", "/", "f"])
+                arity = 1 if op == "f" else 2
+                children = tuple(rng.choice(ids) for _ in range(arity))
+                ids.append(g.add_enode(OpNode(op, children)))
+            elif r < 0.85:
+                g.merge(rng.choice(ids), rng.choice(ids))
+                merged += 1
+            else:
+                check(g)
+        check(g)
+    assert checked > 3000 and merged > 1000
+
+
+def test_diverging_analysis_raises():
+    # a depth count around a cycle grows without bound
+    def make(g, n):
+        if isinstance(n, LitNode):
+            return 0
+        depths = [g.getdata(c, "depth", MISSING) for c in n.children]
+        return MISSING if MISSING in depths else 1 + max(depths)
+
+    g = EGraph()
+    a = g.add_term(parse_term("a"))
+    g.merge(g.add_enode(OpNode("f", (a,))), a)
+    g.rebuild()
+    analyze(g, sign_analysis())
+    with pytest.raises(AnalysisDiverged):
+        analyze(g, Analysis("depth", make, max))
+    # the failed analysis leaves the graph usable, with the others kept up
+    assert "depth" not in g.analyses
+    assert all("depth" not in cls.data for cls in g.classes.values())
+    b = g.add_term(parse_term("(* 2 x)"))
+    g.rebuild()
+    assert g.getdata(b, "sign") == 1
 
 
 # -- cost functions ---------------------------------------------------------

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -130,6 +133,15 @@ def test_apply_rule_rejects_egraph_kinds():
         rule = parse_rule(line, set())
         with pytest.raises(UnsupportedRuleKind):
             apply_rule(rule, parse_term("(* x y)"))
+
+
+def test_apply_rule_keeps_no_rule_alive():
+    rule = parse_rule("(f ~x) --> (g ~x)", set())
+    assert apply_rule(rule, parse_term("(f a)")) == parse_term("(g a)")
+    ref = weakref.ref(rule)
+    del rule
+    gc.collect()
+    assert ref() is None
 
 
 # -- combinators ------------------------------------------------------------

@@ -79,6 +79,26 @@ def test_simplify_verbose_report_on_stderr(capsys):
     assert "a" != err.strip()  # stderr never carries the result term
 
 
+def test_simplify_json_verbose_stdout_is_json(capsys):
+    code, out, err = run(
+        capsys, "simplify", "--theory", "@comm_monoid", "--expr", "(* a 1)",
+        "--json", "--verbose",
+    )
+    assert code == 0
+    assert json.loads(out)["term"] == "a"
+    assert "iteration 1:" in err
+
+
+@pytest.mark.parametrize("assume,expect", [(["q=+"], "1"), (["q=0"], "(/ q q)"), (None, "(/ q q)")])
+def test_simplify_assume_guards_sign_rules(capsys, assume, expect):
+    argv = ["simplify", "--theory", "@div_sim", "--expr", "(/ q q)"]
+    if assume is not None:
+        argv += ["--assume", *assume]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.strip() == expect
+
+
 def test_simplify_expr_from_file(tmp_path, capsys):
     f = tmp_path / "e.sexp"
     f.write_text("(* q 1)\n")

@@ -17,6 +17,7 @@ from eqsat.saturation import (
     saturate,
 )
 from eqsat.terms import Lit, parse_term
+from eqsat.theories import load_bundled
 
 
 def sat(src, theory_src, **kw):
@@ -112,7 +113,7 @@ def test_saturated_is_fixed_point():
     assert report.stop_reason.kind == "saturated"
     compiled = compile_theory(parse_theory("(* ~a ~b) == (* ~b ~a)"))
     sched = SimpleScheduler()
-    changed, stop = eqsat_step(g, compiled, sched, SaturationParams(), 0, None)
+    changed, stop = eqsat_step(g, compiled, sched, SaturationParams(), 0, {})
     assert not changed and stop is None
 
 
@@ -181,7 +182,8 @@ def test_backoff_banned_rule_contributes_zero_matches():
     report = saturate(g, theory, params)
     # both directions of one node exceed limit 1 immediately; matches of the
     # banning iteration are discarded
-    assert report.per_rule["comm"].matches == 0 or report.stop_reason.kind
+    assert report.per_rule[0].name == "comm"
+    assert report.per_rule[0].matches == 0 or report.stop_reason.kind
 
 
 def test_make_scheduler():
@@ -206,6 +208,18 @@ def test_report_json_schema():
     assert d["rules"][0]["name"] == "comm"
     assert set(d["rules"][0]) == {"name", "search_s", "apply_s", "matches"}
     json.dumps(d)  # serializable
+
+
+def test_per_rule_keyed_by_rule_index():
+    # unnamed rules are r0, r1, ... in each theory, so names repeat here
+    theory = load_bundled("fold") + load_bundled("near_zero_opt")
+    g = EGraph()
+    g.add_term(parse_term("(* 1e-20 (cos b))"))
+    report = saturate(g, theory, SaturationParams())
+    assert len(theory.rules) == 15
+    assert list(report.per_rule) == list(range(15))
+    assert [st.name for st in report.per_rule.values()] == [r.name for r in theory.rules]
+    assert len(report.to_json_dict()["rules"]) == 15
 
 
 def test_report_render_table():
