@@ -77,6 +77,7 @@ class EGraph:
         self.node_limit = node_limit
         self.version = 0
         self.analyses: dict[str, object] = {}  # registered analyses, by name
+        self._by_op: tuple[int, dict[str, list[int]]] = (-1, {})  # (version, index)
 
     # -- union-find --------------------------------------------------------
 
@@ -275,6 +276,23 @@ class EGraph:
 
     def canonical_ids(self) -> list[int]:
         return sorted(self.classes.keys())
+
+    def classes_by_op(self) -> dict[str, list[int]]:
+        """Operator -> sorted canonical ids of the classes holding an `OpNode`
+        with that operator. Built again only after the graph has changed
+        (every add and merge moves `version`), so the read-only search phase
+        of an iteration shares one build."""
+        version, index = self._by_op
+        if version != self.version:
+            index = {}
+            for cid in self.canonical_ids():
+                for n in self.classes[cid].nodes:
+                    if isinstance(n, OpNode):
+                        ids = index.setdefault(n.op, [])
+                        if not ids or ids[-1] != cid:  # ids arrive in order
+                            ids.append(cid)
+            self._by_op = (self.version, index)
+        return index
 
     def class_nodes(self, cid: int) -> Iterable[ENode]:
         return self.classes[self.find(cid)].nodes.keys()

@@ -173,22 +173,29 @@ def disassemble(prog: EMatchProgram) -> str:
     return "\n".join(lines)
 
 
+class _Full(Exception):
+    """Ends a run that holds as many matches as it was asked for."""
+
+
 def run_program(
     g: EGraph,
     prog: EMatchProgram,
     root: int,
     ground_ids: Optional[dict[Term, int]] = None,
+    limit: Optional[int] = None,
 ) -> list[EMatch]:
-    """Depth-first execution; enumeration follows class-node insertion order."""
+    """Depth-first execution; enumeration follows class-node insertion order.
+    Each distinct match comes once, and with a `limit` the run stops as soon
+    as it holds that many."""
     if ground_ids is None:
         ground_ids = resolve_grounds(g, prog)
-        if ground_ids is None:
-            return []
+    if ground_ids is None or limit == 0:
+        return []
     find = g.find
     regs: list[Optional[int]] = [None] * prog.n_regs
     regs[0] = find(root)
     lit_regs: dict[int, Union[Number, str]] = {}
-    out: list[EMatch] = []
+    found: dict[EMatch, None] = {}  # insertion-ordered set
     instrs = prog.instructions
     # matches share equal (var, class) pairs: fewer objects for the collector
     pairs: dict[tuple[int, int], tuple[int, int]] = {}
@@ -213,7 +220,9 @@ def run_program(
             lits = tuple(
                 (i, lit_regs[r]) for i, r in enumerate(ins.var_regs) if r in lit_regs
             )
-            out.append(EMatch(find(root), bindings, lits))
+            found[EMatch(find(root), bindings, lits)] = None
+            if len(found) == limit:
+                raise _Full
             return
         if kind is CheckLit:
             # a literal node has no children, so it is always canonical
@@ -246,9 +255,12 @@ def run_program(
         if find(regs[ins.reg]) == find(ground_ids[ins.ground]):
             step(pc + 1)
 
-    step(0)
+    try:
+        step(0)
+    except _Full:
+        pass
     del step  # the closure refers to itself; clearing it spares the cycle collector
-    return out
+    return list(found)
 
 
 def resolve_grounds(g: EGraph, prog: EMatchProgram) -> Optional[dict[Term, int]]:
@@ -262,20 +274,31 @@ def resolve_grounds(g: EGraph, prog: EMatchProgram) -> Optional[dict[Term, int]]
     return ids
 
 
-def ematch(g: EGraph, p: Pattern) -> list[tuple[int, EMatch]]:
+def ematch(g: EGraph, p: Pattern) -> list[EMatch]:
     prog = compile_pattern(p)
     return ematch_program(g, prog)
 
 
-def ematch_program(g: EGraph, prog: EMatchProgram) -> list[tuple[int, EMatch]]:
+def ematch_program(
+    g: EGraph, prog: EMatchProgram, limit: Optional[int] = None
+) -> list[EMatch]:
+    """Every match of `prog`, root classes in id order; with a `limit`, the
+    first `limit` of them. A program that starts by binding an operator runs
+    only on the classes holding that operator."""
     ground_ids = resolve_grounds(g, prog)
     if ground_ids is None:
         return []
-    out: list[tuple[int, EMatch]] = []
-    seen = set()
-    for cid in g.canonical_ids():
-        for m in run_program(g, prog, cid, ground_ids):
-            if m not in seen:
-                seen.add(m)
-                out.append((m.class_id, m))
+    first = prog.instructions[0]
+    if type(first) is Bind:
+        roots = g.classes_by_op().get(first.op, ())
+    else:
+        roots = g.canonical_ids()
+    out: list[EMatch] = []
+    for cid in roots:
+        # matches of different roots differ in their class, so runs cannot
+        # repeat one another's
+        left = None if limit is None else limit - len(out)
+        out += run_program(g, prog, cid, ground_ids, left)
+        if len(out) == limit:
+            break
     return out

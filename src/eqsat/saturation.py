@@ -67,7 +67,7 @@ class RuleStats:
     name: str  # a label only: unnamed rules of different theories share names
     search_s: float = 0.0
     apply_s: float = 0.0
-    matches: int = 0
+    matches: int = 0  # a search stops at search_limit: a ban counts match_limit + 1
 
 
 @dataclass
@@ -120,6 +120,10 @@ class SimpleScheduler:
     def can_search(self, rule_index: int, iteration: int) -> bool:
         return True
 
+    def search_limit(self, rule_index: int) -> Optional[int]:
+        """How many matches a search may stop at; None searches for all."""
+        return None
+
     def inform(self, rule_index: int, n_matches: int, iteration: int) -> bool:
         """Returns True when the rule got banned by this report."""
         return False
@@ -147,6 +151,11 @@ class BackoffScheduler:
 
     def can_search(self, rule_index: int, iteration: int) -> bool:
         return iteration > self.states[rule_index].banned_until
+
+    def search_limit(self, rule_index: int) -> Optional[int]:
+        # one match over the limit bans the rule and drops every match, so a
+        # search need not find more (egg searches up to threshold + 1 too)
+        return self.states[rule_index].match_limit + 1
 
     def inform(self, rule_index: int, n_matches: int, iteration: int) -> bool:
         st = self.states[rule_index]
@@ -290,8 +299,12 @@ def eqsat_step(
         st = stats.setdefault(idx, RuleStats(cr.rule.name))
         if cr.directions and sched.can_search(idx, iteration):
             t0 = time.perf_counter()
+            limit = sched.search_limit(idx)
             for d in cr.directions:
-                for _, m in ematch_program(g, d.program):
+                left = None if limit is None else limit - len(matches)
+                if left == 0:
+                    break
+                for m in ematch_program(g, d.program, left):
                     matches.append((d, m))
             st.search_s += time.perf_counter() - t0
             st.matches += len(matches)

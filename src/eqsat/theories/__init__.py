@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
 from typing import Optional
 
 from ..analysis import astsize, extract
-from ..classical import Chain, Fixpoint, Postwalk, rule_rewriter
+from ..classical import Chain, Fixpoint, Postwalk, Rewriter, rule_rewriter
 from ..egraph import EGraph
 from ..rules import RuleKind, Theory, parse_theory
 from ..saturation import Report, SaturationParams, saturate
@@ -41,23 +42,32 @@ def stream_optimize(
 ) -> tuple[Term, Report]:
     """Saturate with the stream theory, extract by astsize, then clean up the
     result classically (lambda inlining, helper lowering, constant folding)."""
+    stream, cleanup = _stream_pipeline()
     g = EGraph()
     root = g.add_term(t)
-    report = saturate(g, load_bundled("stream"), params)
+    report = saturate(g, stream, params)
     best = extract(g, astsize, root)
-    classical_rules = [
-        rule_rewriter(r)
-        for th in (load_bundled("normalize"), load_bundled("fold"))
-        for r in th.rules
-        if r.kind in (RuleKind.REWRITE, RuleKind.DYNAMIC)
-    ]
-    cleanup = Fixpoint(Postwalk(Chain([inline_anonymous] + classical_rules)))
     out = cleanup(best)
     if out is None or _astsize(out) > _astsize(best):
         # helper lowering (fand -> lambda) can bloat a term whose functions
         # stay opaque; keep the extracted form unless cleanup paid off
         return best, report
     return out, report
+
+
+@functools.cache
+def _stream_pipeline() -> tuple[Theory, Rewriter]:
+    """The parsed stream theory and the classical cleanup rewriter, built
+    once. Neither is handed out: saturation only reads the theory, and the
+    rewriter combinators keep no state between calls."""
+    stream = load_bundled("stream")
+    classical_rules = [
+        rule_rewriter(r)
+        for th in (load_bundled("normalize"), load_bundled("fold"))
+        for r in th.rules
+        if r.kind in (RuleKind.REWRITE, RuleKind.DYNAMIC)
+    ]
+    return stream, Fixpoint(Postwalk(Chain([inline_anonymous] + classical_rules)))
 
 
 def _astsize(t: Term) -> int:

@@ -12,6 +12,7 @@ from collections import deque
 from eqsat.classical import compile_matcher, instantiate
 from eqsat.egraph import MISSING, EGraph, LitNode, OpNode
 from eqsat.rules import PatLit, PatTerm, PatVar, Rule
+from eqsat.saturation import BackoffScheduler
 from eqsat.terms import Atom, Compound, Lit, Term
 
 
@@ -165,6 +166,18 @@ def naive_ematch(g: EGraph, pattern) -> set[tuple[int, tuple[tuple[int, int], ..
         for b in match_in_class(pattern, cid, {}):
             results.add((g.find(cid), tuple(sorted(b.items()))))
     return results
+
+
+# -- unbounded backoff search -------------------------------------------------
+
+
+class UnboundedBackoffScheduler(BackoffScheduler):
+    """Backoff that lets every search find all its matches. A search that
+    stops one match over the limit must ban the same rules and leave the
+    same graph."""
+
+    def search_limit(self, rule_index):
+        return None
 
 
 # -- BFS prover over classical rewriting ------------------------------------

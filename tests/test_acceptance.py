@@ -18,7 +18,8 @@ from oracles import (
 )
 from eqsat.analysis import analyze, astsize, extract, sign_analysis
 from eqsat.egraph import EGraph, OpNode
-from eqsat.machine import ematch
+from eqsat import machine
+from eqsat.machine import Bind, ematch
 from eqsat.rules import parse_rule, parse_theory
 from eqsat.saturation import (
     BackoffScheduler,
@@ -61,6 +62,27 @@ def test_criterion_1_paper_pipeline():
         "1 paper-pipeline",
         best == Atom("a") and elapsed < 1.0,
     )
+
+
+def test_criterion_1_search_work(monkeypatch):
+    # the work bound does not depend on the machine's load, as the time does
+    runs = 0
+    run_program = machine.run_program
+
+    def counted(g, prog, root, *args):
+        nonlocal runs
+        runs += 1
+        first = prog.instructions[0]
+        if isinstance(first, Bind):
+            assert any(
+                isinstance(n, OpNode) and n.op == first.op for n in g.class_nodes(root)
+            )
+        return run_program(g, prog, root, *args)
+
+    monkeypatch.setattr(machine, "run_program", counted)
+    g, best, rep = run_pipeline("(/ (* a (* 2 3)) 6)", four_theory())
+    assert best == Atom("a")
+    assert runs <= 6000, runs
 
 
 # -- criterion 2: sign analysis ---------------------------------------------
@@ -176,7 +198,7 @@ def test_criterion_5_ematcher_oracle():
     for _ in range(200):
         g = _random_graph(rng, max_nodes=30)
         pattern = parse_rule(f"{_random_pattern_src(rng, 4)} --> 0", set()).lhs
-        got = {(c, m.bindings) for c, m in ematch(g, pattern)}
+        got = {(m.class_id, m.bindings) for m in ematch(g, pattern)}
         if got != naive_ematch(g, pattern):
             ok = False
     report("5 ematcher-oracle", ok)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from eqsat.machine import (
     compile_pattern,
     disassemble,
     ematch,
+    ematch_program,
     run_program,
 )
 from eqsat.rules import parse_rule
@@ -94,8 +97,8 @@ def test_run_simple_match():
     g, (i,) = build("(* x 1)")
     matches = ematch(g, lhs("(* ~a 1) --> ~a"))
     assert len(matches) == 1
-    cid, m = matches[0]
-    assert cid == g.find(i)
+    m = matches[0]
+    assert m.class_id == g.find(i)
     assert m.binding_dict() == {0: g.lookup_term(Atom("x"))}
 
 
@@ -107,7 +110,7 @@ def test_bare_variable_matches_every_class():
 def test_ground_pattern():
     g, (i, _) = build("(f a)", "(g b)")
     matches = ematch(g, lhs("(f a) --> done"))
-    assert [c for c, _ in matches] == [g.find(i)]
+    assert [m.class_id for m in matches] == [g.find(i)]
     assert ematch(g, lhs("(f zzz) --> done")) == []
 
 
@@ -124,8 +127,7 @@ def test_literal_lifting():
     g, (i,) = build("(+ 2 x)")
     matches = ematch(g, lhs("(+ ~a::number ~b) --> ~b"))
     assert len(matches) == 1
-    _, m = matches[0]
-    assert m.literal_dict() == {0: 2}
+    assert matches[0].literal_dict() == {0: 2}
 
 
 def test_literal_lifting_after_merge():
@@ -135,7 +137,7 @@ def test_literal_lifting_after_merge():
     g.rebuild()
     matches = ematch(g, lhs("(f ~a::number) --> ~a"))
     assert len(matches) == 1
-    assert matches[0][1].literal_dict() == {0: 2}
+    assert matches[0].literal_dict() == {0: 2}
 
 
 def test_inconsistent_class_detected():
@@ -163,10 +165,10 @@ def test_determinism():
 
 def test_match_soundness_by_enumeration():
     g, _ = build("(* (sin q) (cos q))", "(* x 1)")
-    for cid, m in ematch(g, lhs("(* ~a ~b) --> (* ~b ~a)")):
+    for m in ematch(g, lhs("(* ~a ~b) --> (* ~b ~a)")):
         a_terms = enumerate_terms(g, m.binding_dict()[0], 4)
         b_terms = enumerate_terms(g, m.binding_dict()[1], 4)
-        rep = enumerate_terms(g, cid, 5)
+        rep = enumerate_terms(g, m.class_id, 5)
         assert any(
             Compound("*", (ta, tb)) in rep for ta in a_terms for tb in b_terms
         )
@@ -210,7 +212,104 @@ def pattern_lines(draw, depth=3):
 @given(graphs(), pattern_lines())
 def test_vm_matches_naive_oracle(g, line):
     pattern = lhs(line)
-    got = {
-        (c, m.bindings) for c, m in ematch(g, pattern)
-    }
+    got = {(m.class_id, m.bindings) for m in ematch(g, pattern)}
     assert got == naive_ematch(g, pattern)
+
+
+# -- operator index ---------------------------------------------------------
+
+
+def _random_unrebuilt_graph(rng):
+    """A random graph whose last merges may not be rebuilt yet."""
+    g = EGraph()
+    pool = [g.add_term(t) for t in _leaves]
+    for _ in range(rng.randint(1, 10)):
+        args = tuple(rng.choice(pool) for _ in range(rng.randint(1, 2)))
+        pool.append(g.add_enode(OpNode(rng.choice(_ops), args)))
+    for _ in range(rng.randint(0, 3)):
+        g.merge(rng.choice(pool), rng.choice(pool))
+    if rng.random() < 0.5:
+        g.rebuild()
+    return g, pool
+
+
+def _random_pattern(rng, depth):
+    if depth == 0 or rng.random() < 0.4:
+        return rng.choice(["~v", "~w", "a", "b", "1", "2"])
+    args = " ".join(_random_pattern(rng, depth - 1) for _ in range(rng.randint(1, 2)))
+    return f"({rng.choice(_ops)} {args})"
+
+
+def test_classes_by_op_lists_holding_classes_in_id_order():
+    rng = random.Random(11)
+    for _ in range(50):
+        g, _ = _random_unrebuilt_graph(rng)
+        expected = {}
+        for cid in g.canonical_ids():
+            for op in sorted({n.op for n in g.class_nodes(cid) if isinstance(n, OpNode)}):
+                expected.setdefault(op, []).append(cid)
+        assert g.classes_by_op() == expected
+
+
+# rooted at a variable, a literal, a symbol, a ground term, and an operator
+_FIXED_PATTERNS = ["~v", "1", "a", "(f a)", "(+ ~v ~v)", "(g (f ~v))"]
+
+
+def test_indexed_ematch_matches_naive_oracle():
+    rng = random.Random(12)
+    for _ in range(150):
+        g, pool = _random_unrebuilt_graph(rng)
+        srcs = _FIXED_PATTERNS + [_random_pattern(rng, 3) for _ in range(4)]
+        for step in range(3):  # as built; grown and merged; rebuilt
+            if step == 1:
+                pool.append(g.add_enode(OpNode(rng.choice(_ops), (rng.choice(pool),))))
+                g.merge(rng.choice(pool), rng.choice(pool))
+            if step == 2:
+                g.rebuild()
+            for src in srcs:
+                p = lhs(f"{src} --> 0")
+                # ground subterms are found through the hashcons, which only
+                # a rebuild makes whole again
+                if g.worklist and compile_pattern(p).ground_subterms:
+                    continue
+                got = ematch(g, p)
+                assert [m.class_id for m in got] == sorted(m.class_id for m in got)
+                assert len(set(got)) == len(got)
+                assert {(m.class_id, m.bindings) for m in got} == naive_ematch(g, p), src
+
+
+def test_ematch_after_growth_sees_new_classes():
+    g, _ = build("(f a)")
+    pattern = lhs("(h ~x) --> ~x")
+    assert ematch(g, pattern) == []
+    assert len(ematch(g, lhs("(f ~x) --> ~x"))) == 1
+    hb = g.add_term(parse_term("(h b)"))
+    (m,) = ematch(g, pattern)
+    assert m.class_id == hb
+    g.add_term(parse_term("(f b)"))
+    assert len(ematch(g, lhs("(f ~x) --> ~x"))) == 2
+
+
+def test_ematch_program_stops_at_limit():
+    g, _ = build("(+ (f a) (f b))", "(f (f 1))", "(g (f 2))")
+    g.merge(g.lookup_term(parse_term("(f a)")), g.lookup_term(parse_term("(f b)")))
+    g.rebuild()  # the first root class now holds two matches
+    prog = compile_pattern(lhs("(f ~x) --> ~x"))
+    every = ematch_program(g, prog)
+    assert len(every) == 5
+    assert every[0].class_id == every[1].class_id
+    for limit in range(7):
+        assert ematch_program(g, prog, limit) == every[:limit]
+    root = every[0].class_id
+    assert run_program(g, prog, root, limit=1) == every[:1]
+    assert run_program(g, prog, root, limit=0) == []
+
+
+def test_run_program_yields_each_match_once():
+    g, _ = build("(f a)", "(f b)", "(g a)", "(h a)")
+    a, b = g.lookup_term(Atom("a")), g.lookup_term(Atom("b"))
+    fa, fb = g.lookup_term(parse_term("(f a)")), g.lookup_term(parse_term("(f b)"))
+    g.merge(a, b)
+    root = g.merge(fa, fb)  # not rebuilt: both f nodes match with ~x = a
+    prog = compile_pattern(lhs("(f ~x) --> ~x"))
+    assert run_program(g, prog, root) == [EMatch(root, ((0, g.find(a)),), ())]

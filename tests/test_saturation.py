@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from oracles import UnboundedBackoffScheduler
+from eqsat import saturation
 from eqsat.egraph import EGraph
 from eqsat.rules import parse_theory
 from eqsat.saturation import (
@@ -247,3 +249,63 @@ def test_two_runs_identical():
         return d, g.dump()
 
     assert run() == run()
+
+
+# -- ban-bounded search -----------------------------------------------------
+
+SUM_12 = "(+ a0 (+ a1 (+ a2 (+ a3 (+ a4 (+ a5 (+ a6 (+ a7 (+ a8 (+ a9 (+ a10 a11)))))))))))"
+
+
+def _saturate_with(monkeypatch, scheduler_cls, src, theory):
+    made = []
+
+    def make(params, n_rules):
+        made.append(scheduler_cls(n_rules, match_limit=params.matchlimit))
+        return made[-1]
+
+    monkeypatch.setattr(saturation, "make_scheduler", make)
+    g = EGraph()
+    g.add_term(parse_term(src))
+    g.rebuild()
+    report = saturate(g, theory)
+    return g.dump(), str(report.stop_reason), report.iterations, made[0]
+
+
+@pytest.mark.parametrize("case", ["headline", "sum12"])
+def test_bounded_search_leaves_graph_as_unbounded(monkeypatch, case):
+    if case == "headline":
+        src = "(/ (* a (* 2 3)) 6)"
+        theory = load_bundled("comm_monoid")
+        for n in ("comm_group", "folder", "div_sim"):
+            theory = theory + load_bundled(n)
+    else:
+        src = SUM_12
+        theory = parse_theory(COMM_ASSOC)
+    *want, ref = _saturate_with(monkeypatch, UnboundedBackoffScheduler, src, theory)
+    *got, sched = _saturate_with(monkeypatch, BackoffScheduler, src, theory)
+    assert got == want
+    # the bound was reached, so the comparison covers a ban
+    assert any(st.times_banned for st in sched.states)
+    assert [st.times_banned for st in sched.states] == [
+        st.times_banned for st in ref.states
+    ]
+
+
+@pytest.mark.parametrize("match_limit", [1, 2, 3, 4, 6])
+def test_rule_match_count_stops_one_over_limit(match_limit):
+    # three products: each direction of commutativity matches three times
+    g, root, report = sat(
+        "(* (* (* a b) c) d)", "(* ~a ~b) == (* ~b ~a)",
+        timeout=0, schedulerparams={"match_limit": match_limit},
+    )
+    banned = match_limit < 6
+    assert report.per_rule[0].matches == (match_limit + 1 if banned else 6)
+    assert (report.n_enodes == 7) == banned  # a ban drops every match
+
+
+def test_search_limits():
+    assert SimpleScheduler().search_limit(0) is None
+    s = BackoffScheduler(1, match_limit=10)
+    assert s.search_limit(0) == 11
+    s.inform(0, 11, 0)
+    assert s.search_limit(0) == 21

@@ -6,6 +6,7 @@ from eqsat.analysis import astsize, extract
 from eqsat.egraph import EGraph
 from eqsat.rules import RuleKind, parse_theory, print_rule
 from eqsat.saturation import SaturationParams, saturate
+from eqsat import theories
 from eqsat.terms import Atom, Compound, Lit, parse_term, print_term
 from eqsat.theories import (
     BUNDLED,
@@ -169,3 +170,22 @@ def test_stream_theory_kinds():
     th = load_bundled("stream")
     kinds = {r.kind for r in th.rules}
     assert RuleKind.EQUALITY in kinds and RuleKind.REWRITE in kinds
+
+
+def test_stream_optimize_parses_its_theories_once(monkeypatch):
+    parses = []
+    parse = theories.parse_theory
+
+    def counted(*args, **kwargs):
+        parses.append(kwargs.get("name"))
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(theories, "parse_theory", counted)
+    t = parse_term("(map (lambda x (* 7 x)) (fill 3 4))")
+    out1, _ = stream_optimize(t)
+    first = len(parses)
+    out2, _ = stream_optimize(t)
+    assert len(parses) == first
+    assert out1 == out2 == parse_term("(fill 21 4)")
+    # loaded theories stay the caller's own to change
+    assert load_bundled("stream").rules is not load_bundled("stream").rules
