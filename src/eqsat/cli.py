@@ -254,6 +254,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (EqsatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -7,13 +7,13 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 from .egraph import EGraph, LitNode, OpNode
 from .errors import CapacityExceeded, SegmentUnsupported
 from .machine import EMatch, EMatchProgram, compile_pattern, ematch_program
 from .rules import PatLit, PatTerm, PatVar, Pattern, Rule, RuleKind, Theory
-from .terms import Term, UnknownBuiltin, eval_builtin
+from .terms import BUILTIN_OPS, Term, eval_builtin
 
 # -- stop reasons -----------------------------------------------------------
 
@@ -188,6 +188,9 @@ class _Direction:
     lhs: Pattern
     rhs: Pattern
     program: EMatchProgram
+    # adds the right-hand side under a match and returns its class; for an
+    # UNEQUAL rule, only looks it up (None when it is absent)
+    instantiate: Callable[[EGraph, EMatch], Optional[int]]
 
 
 @dataclass
@@ -205,7 +208,12 @@ def compile_theory(theory: Theory) -> list[_CompiledRule]:
             pairs.append((rule.rhs, rule.lhs))
         try:
             for lhs, rhs in pairs:
-                dirs.append(_Direction(lhs, rhs, compile_pattern(lhs)))
+                program = compile_pattern(lhs)
+                if rule.kind is RuleKind.UNEQUAL:
+                    instantiate = _compile_lookup(rhs)
+                else:
+                    instantiate = _compile_builder(rhs, rule.kind is RuleKind.DYNAMIC)
+                dirs.append(_Direction(lhs, rhs, program, instantiate))
         except SegmentUnsupported as exc:
             warnings.warn(f"rule {rule.name!r} skipped in e-graph mode: {exc}")
             dirs = []
@@ -214,67 +222,114 @@ def compile_theory(theory: Theory) -> list[_CompiledRule]:
 
 
 # -- instantiation into the graph ------------------------------------------
+#
+# A right-hand side compiles once into closures over (graph, bindings,
+# literal bindings), the `EMatch.bindings` and `EMatch.literal_bindings`
+# tuples. Bound variables map directly to their e-class ids; no term is
+# reconstructed from the graph. A closure returns a class id (an int), or a
+# literal not yet added to the graph as a 1-tuple: a literal child is added
+# after all of its siblings, and a literal folded into its parent never is.
+# The graph's methods are looked up on each call, so wrappers put on them
+# later see every call. As in the matcher (see `machine.py`), closures get
+# what they need as default arguments, which spares the cycle collector.
 
 
-def _add_pattern(g: EGraph, pat: Pattern, m: EMatch, dynamic: bool) -> int:
-    """Add the instantiation of `pat` under match `m`, returning its class.
-
-    Bound variables map directly to their e-class ids; no term is
-    reconstructed from the graph. Dynamic RHS nodes fold builtins over
-    literal bindings bottom-up.
-    """
-    bindings = m.binding_dict()
-    lits = m.literal_dict()
-
-    def lit_id(v) -> int:
-        return g.add_enode(LitNode(v))
-
-    def go(p: Pattern):
-        # returns ("lit", value) or ("id", class id)
-        if isinstance(p, PatVar):
-            if dynamic and p.index in lits:
-                return ("lit", lits[p.index])
-            return ("id", bindings[p.index])
-        if isinstance(p, PatLit):
-            return ("lit", p.value)
-        assert isinstance(p, PatTerm) and isinstance(p.op, str)
-        vals = [go(a) for a in p.args]
-        if (
-            dynamic
-            and len(vals) == 2
-            and all(k == "lit" and not isinstance(v, str) for k, v in vals)
-        ):
-            try:
-                return ("lit", eval_builtin(p.op, [v for _, v in vals]))
-            except UnknownBuiltin:
-                pass
-        children = tuple(v if k == "id" else lit_id(v) for k, v in vals)
-        return ("id", g.add_enode(OpNode(p.op, children)))
-
-    k, v = go(pat)
-    del go  # the closure refers to itself; clearing it spares the cycle collector
-    return v if k == "id" else lit_id(v)
+def _operator(p: Pattern) -> str:
+    if not isinstance(p, PatTerm) or not isinstance(p.op, str):
+        raise SegmentUnsupported(
+            "segment and operation-position variables cannot be instantiated"
+            " in an e-graph"
+        )
+    return p.op
 
 
-def _lookup_pattern(g: EGraph, pat: Pattern, m: EMatch) -> Optional[int]:
-    """Resolve a pattern instantiation by lookup only (no graph growth)."""
-    bindings = m.binding_dict()
+def _compile_builder(pat: Pattern, dynamic: bool) -> Callable[[EGraph, EMatch], int]:
+    """Adds the instantiation of `pat` under a match and returns its class.
+    With `dynamic`, a literal-bound variable stands for its literal, and a
+    builtin over two numeric literals folds into one."""
+    f = _build_node(pat, dynamic)
 
-    def go(p: Pattern) -> Optional[int]:
-        if isinstance(p, PatVar):
-            return g.find(bindings[p.index])
-        if isinstance(p, PatLit):
-            return g.lookup(LitNode(p.value))
-        assert isinstance(p, PatTerm) and isinstance(p.op, str)
+    def instantiate(g: EGraph, m: EMatch, f=f) -> int:
+        r = f(g, m.bindings, m.literal_bindings)
+        return r if type(r) is int else g.add_enode(LitNode(r[0]))
+
+    return instantiate
+
+
+def _build_node(p: Pattern, dynamic: bool):
+    if isinstance(p, PatVar):
+        idx = p.index
+        if dynamic:
+
+            def var_or_literal(g, binds, lits, idx=idx):
+                for i, v in lits:
+                    if i == idx:
+                        return (v,)
+                return binds[idx][1]
+
+            return var_or_literal
+        return lambda g, binds, lits, idx=idx: binds[idx][1]
+    if isinstance(p, PatLit):
+        lit = (p.value,)
+        return lambda g, binds, lits, lit=lit: lit
+    op = _operator(p)
+    fs = [_build_node(a, dynamic) for a in p.args]
+    if len(fs) == 2:
+        f0, f1 = fs
+        # a builtin folds when both arguments turn out numeric literals, which
+        # a symbol never is
+        symbol = any(isinstance(a, PatLit) and isinstance(a.value, str) for a in p.args)
+        can_fold = dynamic and op in BUILTIN_OPS and not symbol
+
+        def node2(g, binds, lits, f0=f0, f1=f1, can_fold=can_fold, op=op):
+            x = f0(g, binds, lits)
+            y = f1(g, binds, lits)
+            if type(x) is not int:
+                if can_fold and type(y) is not int:
+                    return (eval_builtin(op, (x[0], y[0])),)
+                x = g.add_enode(LitNode(x[0]))
+            if type(y) is not int:
+                y = g.add_enode(LitNode(y[0]))
+            return g.add_enode(OpNode(op, (x, y)))
+
+        return node2
+
+    def node(g, binds, lits, fs=fs, op=op):
+        vals = [f(g, binds, lits) for f in fs]
+        children = tuple(
+            [v if type(v) is int else g.add_enode(LitNode(v[0])) for v in vals]
+        )
+        return g.add_enode(OpNode(op, children))
+
+    return node
+
+
+def _compile_lookup(pat: Pattern) -> Callable[[EGraph, EMatch], Optional[int]]:
+    """Resolves the instantiation of `pat` by lookup only (no graph growth)."""
+    f = _lookup_node(pat)
+    return lambda g, m, f=f: f(g, m.bindings)
+
+
+def _lookup_node(p: Pattern):
+    if isinstance(p, PatVar):
+        idx = p.index
+        return lambda g, binds, idx=idx: g.find(binds[idx][1])
+    if isinstance(p, PatLit):
+        node = LitNode(p.value)
+        return lambda g, binds, node=node: g.lookup(node)
+    op = _operator(p)
+    fs = [_lookup_node(a) for a in p.args]
+
+    def lookup(g, binds, fs=fs, op=op):
         children = []
-        for a in p.args:
-            cid = go(a)
+        for f in fs:
+            cid = f(g, binds)
             if cid is None:
                 return None
             children.append(cid)
-        return g.lookup(OpNode(p.op, tuple(children)))
+        return g.lookup(OpNode(op, tuple(children)))
 
-    return go(pat)
+    return lookup
 
 
 # -- the driver -------------------------------------------------------------
@@ -287,16 +342,24 @@ def eqsat_step(
     params: SaturationParams,
     iteration: int,
     stats: dict[int, RuleStats],
+    deadline: Optional[float] = None,
 ) -> tuple[bool, Optional[StopReason]]:
     """One search/apply/rebuild cycle, adding its times and matches to
-    `stats`. Returns (changed, early stop)."""
+    `stats`. Returns (changed, early stop). Once `time.perf_counter()` is
+    past `deadline`, no further rule is searched or applied, and the step
+    rebuilds the graph and stops with `time-limit`."""
     v0 = g.version
+    stop: Optional[StopReason] = None
+    for idx, cr in enumerate(compiled):
+        stats.setdefault(idx, RuleStats(cr.rule.name))
 
     # Phase 1: search (read-only)
     found: list[list[tuple[_Direction, EMatch]]] = []
     for idx, cr in enumerate(compiled):
+        if idx and _past(deadline):
+            stop = StopReason(TIME_LIMIT)
+            break
         matches: list[tuple[_Direction, EMatch]] = []
-        st = stats.setdefault(idx, RuleStats(cr.rule.name))
         if cr.directions and sched.can_search(idx, iteration):
             t0 = time.perf_counter()
             limit = sched.search_limit(idx)
@@ -306,6 +369,7 @@ def eqsat_step(
                     break
                 for m in ematch_program(g, d.program, left):
                     matches.append((d, m))
+            st = stats[idx]
             st.search_s += time.perf_counter() - t0
             st.matches += len(matches)
             if sched.inform(idx, len(matches), iteration):
@@ -313,29 +377,34 @@ def eqsat_step(
         found.append(matches)
 
     # Phase 2: apply
-    stop: Optional[StopReason] = None
     try:
-        for idx, cr in enumerate(compiled):
+        for idx, matches in enumerate(found):
+            if stop is None and _past(deadline):
+                stop = StopReason(TIME_LIMIT)
+            if stop is not None:
+                break
+            cr = compiled[idx]
             t0 = time.perf_counter()
-            for d, m in found[idx]:
-                if cr.rule.kind is RuleKind.UNEQUAL:
-                    rid = _lookup_pattern(g, d.rhs, m)
+            if cr.rule.kind is RuleKind.UNEQUAL:
+                for d, m in matches:
+                    rid = d.instantiate(g, m)
                     if rid is not None and g.find(rid) == g.find(m.class_id):
                         stop = StopReason(CONTRADICTION, cr.rule.name)
                         break
-                    continue
-                dynamic = cr.rule.kind is RuleKind.DYNAMIC
-                new_id = _add_pattern(g, d.rhs, m, dynamic)
-                g.merge(m.class_id, new_id)
+            else:
+                for d, m in matches:
+                    g.merge(m.class_id, d.instantiate(g, m))
             stats[idx].apply_s += time.perf_counter() - t0
-            if stop is not None:
-                break
     except CapacityExceeded:
         stop = StopReason(ENODE_LIMIT)
 
     # Phase 3: rebuild
     g.rebuild()
     return g.version != v0, stop
+
+
+def _past(deadline: Optional[float]) -> bool:
+    return deadline is not None and time.perf_counter() > deadline
 
 
 def saturate(g: EGraph, theory: Theory, params: Optional[SaturationParams] = None) -> Report:
@@ -345,7 +414,9 @@ def saturate(g: EGraph, theory: Theory, params: Optional[SaturationParams] = Non
     stats: dict[int, RuleStats] = {}
     old_limit = g.node_limit
     g.node_limit = params.enodelimit
-    t_start = time.perf_counter()
+    deadline = None
+    if params.timelimit_s is not None:
+        deadline = time.perf_counter() + params.timelimit_s
     reason: Optional[StopReason] = None
     iterations = 0
     try:
@@ -353,14 +424,13 @@ def saturate(g: EGraph, theory: Theory, params: Optional[SaturationParams] = Non
         # run, so a fixpoint reached on the last budgeted step is still
         # detected as saturation rather than reported as an iteration limit.
         for iteration in range(params.timeout + 1):
-            if (
-                params.timelimit_s is not None
-                and time.perf_counter() - t_start > params.timelimit_s
-            ):
+            if _past(deadline):
                 reason = StopReason(TIME_LIMIT)
                 break
             iterations = iteration + 1
-            changed, stop = eqsat_step(g, compiled, sched, params, iteration, stats)
+            changed, stop = eqsat_step(
+                g, compiled, sched, params, iteration, stats, deadline
+            )
             if params.printiter:
                 print(
                     f"iteration {iterations}: {g.n_eclasses} classes, {g.n_enodes} nodes",

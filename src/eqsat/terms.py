@@ -186,12 +186,23 @@ def print_number(v: Number) -> str:
 
 
 def print_term(t: Term) -> str:
-    if isinstance(t, Atom):
-        return t.name
-    if isinstance(t, Lit):
-        return print_number(t.value)
-    parts = " ".join(print_term(a) for a in t.args)
-    return f"({t.op} {parts})" if parts else f"({t.op})"
+    # iterative, so that nesting depth is not bounded by the recursion limit
+    out: list[str] = []
+    todo: list[Union[Term, str]] = [t]  # terms still to print, and text
+    while todo:
+        x = todo.pop()
+        if isinstance(x, str):
+            out.append(x)
+        elif isinstance(x, Atom):
+            out.append(x.name)
+        elif isinstance(x, Lit):
+            out.append(print_number(x.value))
+        else:
+            out.append(f"({x.op}")
+            todo.append(")")
+            for a in reversed(x.args):
+                todo += (a, " ")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

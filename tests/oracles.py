@@ -13,7 +13,7 @@ from eqsat.classical import compile_matcher, instantiate
 from eqsat.egraph import MISSING, EGraph, LitNode, OpNode
 from eqsat.rules import PatLit, PatTerm, PatVar, Rule
 from eqsat.saturation import BackoffScheduler
-from eqsat.terms import Atom, Compound, Lit, Term
+from eqsat.terms import Atom, Compound, Lit, Term, UnknownBuiltin, eval_builtin
 
 
 # -- congruence closure -----------------------------------------------------
@@ -166,6 +166,67 @@ def naive_ematch(g: EGraph, pattern) -> set[tuple[int, tuple[tuple[int, int], ..
         for b in match_in_class(pattern, cid, {}):
             results.add((g.find(cid), tuple(sorted(b.items()))))
     return results
+
+
+# -- right-hand-side instantiation --------------------------------------------
+
+
+def add_pattern(g: EGraph, pat, m, dynamic: bool) -> int:
+    """Add the instantiation of `pat` under match `m`, returning its class,
+    by walking the pattern on every call. Operator children are added left to
+    right, and literal children after all of their siblings. Dynamic RHS
+    nodes fold builtins over literal bindings bottom-up."""
+    bindings = m.binding_dict()
+    lits = m.literal_dict()
+
+    def lit_id(v) -> int:
+        return g.add_enode(LitNode(v))
+
+    def go(p):
+        # returns ("lit", value) or ("id", class id)
+        if isinstance(p, PatVar):
+            if dynamic and p.index in lits:
+                return ("lit", lits[p.index])
+            return ("id", bindings[p.index])
+        if isinstance(p, PatLit):
+            return ("lit", p.value)
+        assert isinstance(p, PatTerm) and isinstance(p.op, str)
+        vals = [go(a) for a in p.args]
+        if (
+            dynamic
+            and len(vals) == 2
+            and all(k == "lit" and not isinstance(v, str) for k, v in vals)
+        ):
+            try:
+                return ("lit", eval_builtin(p.op, [v for _, v in vals]))
+            except UnknownBuiltin:
+                pass
+        children = tuple(v if k == "id" else lit_id(v) for k, v in vals)
+        return ("id", g.add_enode(OpNode(p.op, children)))
+
+    k, v = go(pat)
+    return v if k == "id" else lit_id(v)
+
+
+def lookup_pattern(g: EGraph, pat, m):
+    """Resolve a pattern instantiation by lookup only (no graph growth)."""
+    bindings = m.binding_dict()
+
+    def go(p):
+        if isinstance(p, PatVar):
+            return g.find(bindings[p.index])
+        if isinstance(p, PatLit):
+            return g.lookup(LitNode(p.value))
+        assert isinstance(p, PatTerm) and isinstance(p.op, str)
+        children = []
+        for a in p.args:
+            cid = go(a)
+            if cid is None:
+                return None
+            children.append(cid)
+        return g.lookup(OpNode(p.op, tuple(children)))
+
+    return go(pat)
 
 
 # -- unbounded backoff search -------------------------------------------------

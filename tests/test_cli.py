@@ -200,6 +200,29 @@ def test_analyze_bad_assume(capsys):
     assert code == 1 and err
 
 
+def _nested_sum(depth):
+    return "(+ " * depth + "a" + " 1)" * depth
+
+
+def test_simplify_deeply_nested_term(capsys):
+    code, out, err = run(
+        capsys, "simplify", "--theory", "@comm_monoid", "--expr", _nested_sum(400)
+    )
+    assert code in (0, 2)
+    assert out.count("(+") == 400
+    assert "Traceback" not in err
+
+
+def test_too_deep_input_is_a_clean_error(capsys):
+    code, out, err = run(
+        capsys, "simplify", "--theory", "@comm_monoid", "--expr", _nested_sum(1200)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 # -- optimize-stream --------------------------------------------------------
 
 

@@ -130,6 +130,15 @@ def test_literal_lifting():
     assert matches[0].literal_dict() == {0: 2}
 
 
+@pytest.mark.parametrize(
+    "kind, lifted", [("number", [2, 2.5]), ("int", [2]), ("real", [2.5])]
+)
+def test_literal_kind_predicates(kind, lifted):
+    g, _ = build("(f 2)", "(f 2.5)", "(f x)")
+    matches = ematch(g, lhs(f"(f ~a::{kind}) --> ~a"))
+    assert [m.literal_dict()[0] for m in matches] == lifted
+
+
 def test_literal_lifting_after_merge():
     # a symbolic class that also holds a literal lifts the literal
     g, (fx, two) = build("(f x)", "2")
@@ -260,6 +269,11 @@ def test_indexed_ematch_matches_naive_oracle():
     for _ in range(150):
         g, pool = _random_unrebuilt_graph(rng)
         srcs = _FIXED_PATTERNS + [_random_pattern(rng, 3) for _ in range(4)]
+        # a pattern with a ground subterm rebuilds a graph with pending
+        # merges, so the others search the graph as it is first
+        srcs.sort(
+            key=lambda src: bool(compile_pattern(lhs(f"{src} --> 0")).ground_subterms)
+        )
         for step in range(3):  # as built; grown and merged; rebuilt
             if step == 1:
                 pool.append(g.add_enode(OpNode(rng.choice(_ops), (rng.choice(pool),))))
@@ -268,14 +282,19 @@ def test_indexed_ematch_matches_naive_oracle():
                 g.rebuild()
             for src in srcs:
                 p = lhs(f"{src} --> 0")
-                # ground subterms are found through the hashcons, which only
-                # a rebuild makes whole again
-                if g.worklist and compile_pattern(p).ground_subterms:
-                    continue
                 got = ematch(g, p)
                 assert [m.class_id for m in got] == sorted(m.class_id for m in got)
                 assert len(set(got)) == len(got)
                 assert {(m.class_id, m.bindings) for m in got} == naive_ematch(g, p), src
+
+
+def test_ground_pattern_on_unrebuilt_graph():
+    g, _ = build("(f b)", "(g a)", "(h a)")
+    g.merge(g.lookup_term(Atom("a")), g.lookup_term(Atom("b")))  # not rebuilt
+    assert len(ematch(g, lhs("(f ~x) --> 0"))) == 1
+    (m,) = ematch(g, lhs("(f a) --> 0"))
+    assert m.class_id == g.find(g.lookup_term(parse_term("(f b)")))
+    assert not g.worklist
 
 
 def test_ematch_after_growth_sees_new_classes():

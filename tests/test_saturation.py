@@ -1,11 +1,15 @@
+import gc
 import json
+import random
+import weakref
 
 import pytest
 
-from oracles import UnboundedBackoffScheduler
+from oracles import UnboundedBackoffScheduler, add_pattern, lookup_pattern
 from eqsat import saturation
-from eqsat.egraph import EGraph
-from eqsat.rules import parse_theory
+from eqsat.egraph import EGraph, OpNode
+from eqsat.machine import EMatch
+from eqsat.rules import PatLit, PatTerm, PatVar, Rule, RuleKind, Theory, parse_theory
 from eqsat.saturation import (
     BackoffScheduler,
     Report,
@@ -19,7 +23,7 @@ from eqsat.saturation import (
     saturate,
 )
 from eqsat.terms import Lit, parse_term
-from eqsat.theories import load_bundled
+from eqsat.theories import load_bundled, stream_optimize
 
 
 def sat(src, theory_src, **kw):
@@ -110,6 +114,48 @@ def test_timelimit():
     assert report.stop_reason.kind == "time-limit"
 
 
+def _clock_passing_deadline_on(monkeypatch, target, attr):
+    """A fake `perf_counter` standing still until `target.attr` is first
+    called, and past any deadline from then on."""
+    clock = [0.0]
+    monkeypatch.setattr(saturation.time, "perf_counter", lambda: clock[0])
+    real = getattr(target, attr)
+
+    def call(*args, **kwargs):
+        clock[0] = 100.0
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(target, attr, call)
+
+
+TWO_RULES = "@vars x\n(f x) --> (g x)\n(f x) --> (h x)\n"
+
+
+def test_timelimit_checked_between_searches(monkeypatch):
+    _clock_passing_deadline_on(monkeypatch, saturation, "ematch_program")
+    g = EGraph()
+    g.add_term(parse_term("(f a)"))
+    report = saturate(g, parse_theory(TWO_RULES), SaturationParams(timelimit_s=1.0))
+    assert report.stop_reason.kind == "time-limit"
+    assert report.iterations == 1
+    # both rules match (f a); rule 1 was never searched
+    assert [st.matches for st in report.per_rule.values()] == [1, 0]
+    assert g.lookup_term(parse_term("(g a)")) is None  # nothing applied
+
+
+def test_timelimit_checked_between_applications(monkeypatch):
+    g = EGraph()
+    fa = g.add_term(parse_term("(f a)"))
+    _clock_passing_deadline_on(monkeypatch, g, "merge")
+    report = saturate(g, parse_theory(TWO_RULES), SaturationParams(timelimit_s=1.0))
+    assert report.stop_reason.kind == "time-limit"
+    assert report.iterations == 1
+    assert [st.matches for st in report.per_rule.values()] == [1, 1]
+    assert g.find(g.lookup_term(parse_term("(g a)"))) == g.find(fa)
+    assert g.lookup_term(parse_term("(h a)")) is None  # rule 1 not applied
+    assert not g.worklist  # rebuilt
+
+
 def test_saturated_is_fixed_point():
     g, root, report = sat("(* x y)", "(* ~a ~b) == (* ~b ~a)")
     assert report.stop_reason.kind == "saturated"
@@ -197,6 +243,127 @@ def test_make_scheduler():
     assert s.states[0].match_limit == 5000
     with pytest.raises(ValueError):
         make_scheduler(SaturationParams(scheduler="bogus"), 1)
+
+
+# -- compiled right-hand sides ----------------------------------------------
+
+_RHS_VARS = (PatVar("x", 0), PatVar("y", 1), PatVar("z", 2))
+_RHS_LEAVES = _RHS_VARS + (PatLit(0), PatLit(2), PatLit(2.5), PatLit("a"))
+
+
+def _random_rhs(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(_RHS_LEAVES)
+    op = rng.choice(["+", "*", "/", "-", "f", "g"])
+    n = 2 if rng.random() < 0.7 else rng.randint(0, 3)
+    return PatTerm(op, tuple(_random_rhs(rng, depth - 1) for _ in range(n)))
+
+
+def _random_graph(seed):
+    """The same graph for the same seed; its last merges may be pending."""
+    rng = random.Random(seed)
+    g = EGraph()
+    pool = [g.add_term(parse_term(s)) for s in ("a", "b", "0", "2", "2.5", "(f a)")]
+    for _ in range(rng.randint(2, 12)):
+        args = tuple(rng.choice(pool) for _ in range(rng.randint(1, 2)))
+        pool.append(g.add_enode(OpNode(rng.choice(["+", "*", "f", "g"]), args)))
+    for _ in range(rng.randint(0, 3)):
+        g.merge(rng.choice(pool), rng.choice(pool))
+    if rng.random() < 0.5:
+        g.rebuild()
+    return g, pool
+
+
+def _random_match(rng, pool):
+    lits = [(i, rng.choice([0, 1, -3, 0.5, 2])) for i in range(3) if rng.random() < 0.5]
+    binds = tuple((i, rng.choice(pool)) for i in range(3))
+    return EMatch(rng.choice(pool), binds, tuple(lits))
+
+
+def _instantiator(kind, rhs):
+    rule = Rule(kind, PatTerm("q", _RHS_VARS), rhs, "r", ("x", "y", "z"))
+    (d,) = compile_theory(Theory("t", [rule]))[0].directions
+    return d.instantiate
+
+
+@pytest.mark.parametrize("kind", [RuleKind.REWRITE, RuleKind.DYNAMIC])
+def test_compiled_builder_matches_interpreted(kind):
+    rng = random.Random(21)
+    dynamic = kind is RuleKind.DYNAMIC
+    for trial in range(300):
+        want_g, pool = _random_graph(trial)
+        got_g, _ = _random_graph(trial)
+        rhs = _random_rhs(rng, 3)
+        build = _instantiator(kind, rhs)
+        for _ in range(3):  # each merge leaves the next one a graph to repair
+            m = _random_match(rng, pool)
+            want = add_pattern(want_g, rhs, m, dynamic)
+            got = build(got_g, m)
+            assert got == want, rhs
+            assert got_g.dump() == want_g.dump(), rhs
+            want_g.merge(m.class_id, want)
+            got_g.merge(m.class_id, got)
+
+
+def test_compiled_builder_folds_nested_literals():
+    rhs = PatTerm("+", (PatTerm("*", (PatVar("x", 0), PatLit(2))),
+                        PatTerm("/", (PatVar("y", 1), PatLit(4)))))
+    g, pool = _random_graph(0)
+    n = g.n_enodes
+    m = EMatch(pool[0], ((0, pool[0]), (1, pool[1]), (2, pool[2])), ((0, 3), (1, 2)))
+    cid = _instantiator(RuleKind.DYNAMIC, rhs)(g, m)
+    assert g.n_enodes == n + 1  # the folded 6.5 alone
+    assert g.lookup_term(Lit(6.5)) == cid
+
+
+def test_compiled_lookup_matches_interpreted():
+    rng = random.Random(22)
+    found = 0
+    for trial in range(300):
+        g, pool = _random_graph(trial)
+        rhs = _random_rhs(rng, 2)
+        lookup = _instantiator(RuleKind.UNEQUAL, rhs)
+        before = g.dump()
+        for _ in range(3):
+            m = _random_match(rng, pool)
+            want = lookup_pattern(g, rhs, m)
+            assert lookup(g, m) == want, rhs
+            found += want is not None
+        assert g.dump() == before
+    assert found > 50  # the comparison covers lookups that succeed
+
+
+def test_rhs_operator_variable_skips_rule():
+    theory = parse_theory("@vars x\n(f x) --> (x a)\n")
+    with pytest.warns(UserWarning, match="skipped in e-graph mode"):
+        (cr,) = compile_theory(theory)
+    assert cr.directions == []
+
+
+def test_compiled_rules_die_with_the_run(monkeypatch):
+    refs = []
+    real = saturation.compile_theory
+
+    def compile_and_watch(theory):
+        compiled = real(theory)
+        for cr in compiled:
+            for d in cr.directions:
+                for obj in (d.program, d.program.start, d.instantiate):
+                    refs.append(weakref.ref(obj))
+        return compiled
+
+    monkeypatch.setattr(saturation, "compile_theory", compile_and_watch)
+    gc.disable()  # reference counting alone must free them
+    try:
+        sat(
+            "(/ (* a (* 2 3)) 6)",
+            "(* ~a ~b) == (* ~b ~a)\n(* ~p::number ~q::number) => (* ~p ~q)\n",
+        )
+        stream_optimize(parse_term("(map (lambda x (* 7 x)) (fill 3 4))"))
+        assert refs
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
 
 
 # -- report -----------------------------------------------------------------

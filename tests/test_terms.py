@@ -87,6 +87,18 @@ def test_print_parse_roundtrip(t):
     assert parse_term(print_term(t)) == t
 
 
+def test_print_term_deep_nesting():
+    depth = 5000
+    t = Atom("a")
+    for k in range(depth):
+        t = Compound("f", (t, Lit(k))) if k % 2 else Compound("g", (t,))
+    expected = "a"
+    for k in range(depth):
+        expected = f"(f {expected} {k})" if k % 2 else f"(g {expected})"
+    assert print_term(t) == expected
+    assert print_term(Compound("h", ())) == "(h)"
+
+
 # -- equality and hashing ---------------------------------------------------
 
 
