@@ -1,13 +1,17 @@
 """Union-find e-graph with hash-consing and delayed rebuilding.
 
-Congruence repair is deferred: merges enqueue dirty classes on a worklist and
-`rebuild` restores the congruence and hashcons invariants in batch, egg-style.
-Parent back-edges ((parent e-node, parent class) pairs) stored on child
-classes drive the upward propagation.
+Congruence repair is deferred, as in egg: each class keeps its parents as
+(parent e-node, parent class) pairs, and a merge queues the merged-away
+class's parents on `pending`. `rebuild` makes each queued parent canonical
+and merges it with the class the hashcons already holds for it, until no
+congruence is left. One pass over the classes then makes every node set
+canonical and free of duplicates and builds the hashcons `memo` again, so
+after a rebuild `memo` holds exactly the canonical e-nodes.
 
 Registered analyses are kept up to date the same way: `make` runs when a node
-is added, `join` when two classes merge, and a merge or a repair that changes
-a class's value queues the class's parents, which `rebuild` makes again.
+is added, `join` when two classes merge, and a merge or a node made again
+that changes a class's value queues the class's parents, which `rebuild`
+makes again.
 """
 
 from __future__ import annotations
@@ -69,9 +73,9 @@ class EClass:
 class EGraph:
     def __init__(self, node_limit: Optional[int] = None):
         self._uf: list[int] = []
-        self.memo: dict[ENode, int] = {}
+        self.memo: dict[ENode, int] = {}  # the e-node set: canonical after rebuild
         self.classes: dict[int, EClass] = {}
-        self.worklist: list[int] = []  # classes whose parents need repair
+        self.pending: list[tuple[ENode, int]] = []  # parents to make canonical
         self.analysis_worklist: list[tuple[ENode, int]] = []  # nodes to make again
         self.root: Optional[int] = None
         self.node_limit = node_limit
@@ -191,8 +195,8 @@ class EGraph:
             self.analysis_worklist.extend(cb.parents)
         ca.nodes.update(cb.nodes)
         ca.parents.extend(cb.parents)
+        self.pending.extend(cb.parents)  # their nodes name b, no longer canonical
         del self.classes[b]
-        self.worklist.append(a)
         self.version += 1
         for an in self.analyses.values():
             if an.modify is not None and an.name in ca.data:
@@ -200,20 +204,19 @@ class EGraph:
         return a
 
     def rebuild(self) -> None:
-        # a modify hook may merge classes, so repair and propagation alternate
-        while self.worklist or self.analysis_worklist:
-            while self.worklist:
-                todo = []
-                seen = set()
-                for i in self.worklist:
-                    c = self.find(i)
-                    if c not in seen:
-                        seen.add(c)
-                        todo.append(c)
-                self.worklist = []
-                for cid in todo:
-                    self._repair(cid)
+        # a modify hook may merge classes, so congruence and propagation alternate
+        while self.pending or self.analysis_worklist:
+            while self.pending:
+                n, cid = self.pending.pop()
+                other = self.memo.setdefault(self.canonicalize(n), cid)
+                if other != cid:
+                    self.merge(other, cid)
             self._propagate()
+        memo = {}
+        for cid, cls in self.classes.items():
+            cls.nodes = dict.fromkeys(map(self.canonicalize, cls.nodes))
+            memo.update(dict.fromkeys(cls.nodes, cid))
+        self.memo = memo
 
     def _propagate(self) -> None:
         """Make each queued node again and join the value into its class; a
@@ -239,31 +242,6 @@ class EGraph:
                 if an.modify is not None:
                     an.modify(self, cls.id)
 
-    def _repair(self, cid: int) -> None:
-        cls = self.classes.get(self.find(cid))
-        if cls is None:
-            return
-        for pnode, pid in cls.parents:
-            self.memo.pop(pnode, None)
-        new_parents: dict[ENode, int] = {}
-        for pnode, pid in cls.parents:
-            pnode2 = self.canonicalize(pnode)
-            pid = self.find(pid)
-            if pnode2 in new_parents:
-                pid = self.merge(new_parents[pnode2], pid)
-            new_parents[pnode2] = self.find(pid)
-        cls = self.classes[self.find(cid)]
-        cls.parents = list(new_parents.items())
-        for pnode, pid in cls.parents:
-            self.memo[pnode] = pid
-        # re-canonicalize own node set
-        nodes: dict[ENode, None] = {}
-        for n in cls.nodes:
-            nodes[self.canonicalize(n)] = None
-        cls.nodes = nodes
-        for n in nodes:
-            self.memo[n] = self.find(cid)
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -272,7 +250,8 @@ class EGraph:
 
     @property
     def n_enodes(self) -> int:
-        return sum(len(c.nodes) for c in self.classes.values())
+        """Distinct canonical e-nodes once the graph is rebuilt."""
+        return len(self.memo)
 
     def canonical_ids(self) -> list[int]:
         return sorted(self.classes.keys())

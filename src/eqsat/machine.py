@@ -363,7 +363,7 @@ def resolve_grounds(g: EGraph, prog: EMatchProgram) -> Optional[dict[Term, int]]
     """Lookup-only pre-resolution; None when any ground subterm is absent.
     Lookups read the hashcons, which only a rebuild makes whole after a
     merge, so pending merges are rebuilt first."""
-    if prog.ground_subterms and g.worklist:
+    if prog.ground_subterms and g.pending:
         g.rebuild()
     ids: dict[Term, int] = {}
     for gt in prog.ground_subterms:

@@ -436,7 +436,8 @@ def parse_theory(text: str, name: str = "theory") -> Theory:
             pending_name = None
             rule = parse_rule(line, declared, name=rule_name)
         except RuleSyntaxError as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
+            exc.args = (f"line {lineno}: {exc}",)  # keeps the type and its fields
+            raise
         if rule.name in seen_names:
             raise RuleSyntaxError(f"line {lineno}: duplicate rule name {rule.name!r}")
         seen_names.add(rule.name)

@@ -58,7 +58,6 @@ class SaturationParams:
     enodelimit: int = 15000
     goal: Optional[object] = None  # callable EGraph -> bool
     scheduler: str = "backoff"  # "simple" | "backoff"
-    schedulerparams: dict = field(default_factory=dict)
     printiter: bool = False  # one line per iteration on stderr
 
 
@@ -172,11 +171,7 @@ def make_scheduler(params: SaturationParams, n_rules: int):
     if params.scheduler == "simple":
         return SimpleScheduler()
     if params.scheduler == "backoff":
-        return BackoffScheduler(
-            n_rules,
-            match_limit=params.schedulerparams.get("match_limit", params.matchlimit),
-            ban_length=params.schedulerparams.get("ban_length", 5),
-        )
+        return BackoffScheduler(n_rules, match_limit=params.matchlimit)
     raise ValueError(f"unknown scheduler {params.scheduler!r}")
 
 
@@ -441,9 +436,6 @@ def saturate(g: EGraph, theory: Theory, params: Optional[SaturationParams] = Non
                 break
             if g.n_eclasses > params.eclasslimit:
                 reason = StopReason(ECLASS_LIMIT)
-                break
-            if g.n_enodes > params.enodelimit:
-                reason = StopReason(ENODE_LIMIT)
                 break
             if params.goal is not None and params.goal(g):
                 reason = StopReason(GOAL_REACHED)

@@ -119,6 +119,18 @@ def test_simplify_theory_from_path(tmp_path, capsys):
     assert out.strip() == "v"
 
 
+def test_bad_rule_reported_once_with_its_line(tmp_path, capsys):
+    th = tmp_path / "t.theory"
+    th.write_text("(f ~x) --> (g ~z)\n")
+    code, out, err = run(
+        capsys, "simplify", "--theory", str(th), "--expr", "(f a)"
+    )
+    assert code == 1 and out == ""
+    assert err.strip() == (
+        "error: line 1: variable ~z appears on the RHS but not on the LHS"
+    )
+
+
 def test_simplify_wrong_arity(capsys):
     code, _, err = run(capsys, "simplify", "--expr", "a", "--expr", "b")
     assert code == 1 and err

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import congruence_closure, enumerate_terms
 from eqsat.egraph import EGraph, LitNode, OpNode
 from eqsat.errors import CapacityExceeded, UnknownId
+from eqsat.saturation import SaturationParams, saturate
 from eqsat.terms import Atom, Compound, Lit, parse_term
+from eqsat.theories import load_bundled
 
 
 def build(*srcs):
@@ -211,3 +215,61 @@ def test_congruence_closure_matches_oracle(pool, data):
             same_oracle = rep[i] == rep[j]
             same_graph = uidx[i] == uidx[j]
             assert same_oracle == same_graph
+
+
+# -- rebuild: canonical node sets and an exact hashcons --------------------
+
+
+def assert_rebuilt(g):
+    """Every class node is canonical and in one class only, and `memo` holds
+    exactly those nodes, each mapped to its class."""
+    owner = {}
+    for cid, cls in g.classes.items():
+        for n in cls.nodes:
+            assert g.canonicalize(n) == n
+            assert owner.setdefault(n, cid) == cid
+    distinct = {g.canonicalize(n) for c in g.classes.values() for n in c.nodes}
+    assert len(g.memo) == g.n_enodes == len(distinct)
+    for n, cid in g.memo.items():
+        assert g.canonicalize(n) == n
+        assert g.find(cid) == owner[n]
+
+
+def test_rebuild_matches_oracle_on_random_graphs():
+    rng = random.Random(6)
+    for _ in range(120):
+        g = EGraph()
+        pool = list(_leaves[: rng.randint(2, 4)])
+        ids = {t: g.add_term(t) for t in pool}  # lookups miss until a rebuild
+        merges = []
+        for _ in range(3):  # add, merge, rebuild, and again on the result
+            for _ in range(rng.randint(2, 6)):
+                op = rng.choice(["f", "g", "+"])
+                args = tuple(rng.choice(pool) for _ in range(rng.randint(1, 2)))
+                t = Compound(op, args)
+                if t not in ids:
+                    pool.append(t)
+                    ids[t] = g.add_term(t)
+            for _ in range(rng.randint(1, 3)):
+                a, b = rng.choice(pool), rng.choice(pool)
+                merges.append((a, b))
+                g.merge(ids[a], ids[b])
+            g.rebuild()
+            assert_rebuilt(g)
+            rep, universe = congruence_closure(pool, merges)
+            found = [g.lookup_term(t) for t in universe]
+            assert None not in found
+            for i in range(len(universe)):
+                for j in range(len(universe)):
+                    assert (rep[i] == rep[j]) == (found[i] == found[j])
+
+
+def test_headline_ends_with_distinct_canonical_enodes():
+    theory = load_bundled("comm_monoid")
+    for name in ("comm_group", "folder", "div_sim"):
+        theory = theory + load_bundled(name)
+    g = EGraph()
+    g.add_term(parse_term("(/ (* a (* 2 3)) 6)"))
+    report = saturate(g, theory, SaturationParams())
+    assert_rebuilt(g)
+    assert report.n_enodes == g.n_enodes == 1662

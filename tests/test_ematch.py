@@ -294,7 +294,7 @@ def test_ground_pattern_on_unrebuilt_graph():
     assert len(ematch(g, lhs("(f ~x) --> 0"))) == 1
     (m,) = ematch(g, lhs("(f a) --> 0"))
     assert m.class_id == g.find(g.lookup_term(parse_term("(f b)")))
-    assert not g.worklist
+    assert not g.pending
 
 
 def test_ematch_after_growth_sees_new_classes():

@@ -78,6 +78,13 @@ def test_enodelimit_respected_eagerly():
     assert g.n_enodes <= 40
 
 
+def test_graph_over_enodelimit_saturates_when_nothing_is_added():
+    # the limit is checked when a node is added, and no rule adds one here
+    g, root, report = sat("(f (g a))", "(h ~x) --> ~x", enodelimit=2)
+    assert g.n_enodes == 3
+    assert report.stop_reason.kind == "saturated"
+
+
 def test_goal_stops_early():
     t1, t2 = parse_term("(+ a (+ b c))"), parse_term("(+ (+ a b) c)")
     theory = parse_theory(
@@ -153,7 +160,7 @@ def test_timelimit_checked_between_applications(monkeypatch):
     assert [st.matches for st in report.per_rule.values()] == [1, 1]
     assert g.find(g.lookup_term(parse_term("(g a)"))) == g.find(fa)
     assert g.lookup_term(parse_term("(h a)")) is None  # rule 1 not applied
-    assert not g.worklist  # rebuilt
+    assert not g.pending  # rebuilt
 
 
 def test_saturated_is_fixed_point():
@@ -226,7 +233,7 @@ def test_backoff_banned_rule_contributes_zero_matches():
     g = EGraph()
     g.add_term(parse_term("(* x y)"))
     g.rebuild()
-    params = SaturationParams(schedulerparams={"match_limit": 1})
+    params = SaturationParams(matchlimit=1)
     report = saturate(g, theory, params)
     # both directions of one node exceed limit 1 immediately; matches of the
     # banning iteration are discarded
@@ -463,7 +470,7 @@ def test_rule_match_count_stops_one_over_limit(match_limit):
     # three products: each direction of commutativity matches three times
     g, root, report = sat(
         "(* (* (* a b) c) d)", "(* ~a ~b) == (* ~b ~a)",
-        timeout=0, schedulerparams={"match_limit": match_limit},
+        timeout=0, matchlimit=match_limit,
     )
     banned = match_limit < 6
     assert report.per_rule[0].matches == (match_limit + 1 if banned else 6)

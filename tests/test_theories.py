@@ -90,6 +90,14 @@ def test_stream_getindex_case():
     assert out == Lit(21)
 
 
+def test_stream_composed_maps_fuse_to_a_number():
+    # extraction keeps (apply (compose f g) x); the cleanup lowers it to calls
+    out, _ = stream_optimize(parse_term(
+        "(getindex (map (lambda x (* 51 x)) (map (lambda x (- 87 x)) (fill 31 5))) 2)"
+    ))
+    assert out == Lit(2856)
+
+
 def test_stream_reverse_reverse():
     out, _ = stream_optimize(parse_term("(reverse (reverse v))"))
     assert out == Atom("v")
