@@ -209,14 +209,29 @@ def extract(g: EGraph, cf: CostFunction, root: int) -> Term:
     if root not in costs:
         raise Unextractable(f"no finite-cost term reachable from class c{root}")
 
-    def build(cid: int, active: frozenset[int]) -> Term:
-        cid = g.find(cid)
-        if cid in active:
+    # built iteratively, so that term depth is not bounded by the recursion limit
+    built: list[Term] = []  # terms of the classes built, until their parent is
+    path: set[int] = set()  # the classes from the root down to the one built
+    # a stack of classes; a class's (id, best node) sits below its children
+    todo: list = [root]
+    while todo:
+        x = todo.pop()
+        if type(x) is tuple:
+            cid, n = x
+            path.remove(cid)
+            k = len(n.children)
+            args = tuple(built[len(built) - k :])
+            del built[len(built) - k :]
+            built.append(Compound(n.op, args))
+            continue
+        cid = g.find(x)
+        if cid in path:
             raise Unextractable(f"cyclic best-node chain through class c{cid}")
         n = best[cid]
         if isinstance(n, LitNode):
-            return Atom(n.value) if isinstance(n.value, str) else Lit(n.value)
-        sub = active | {cid}
-        return Compound(n.op, tuple(build(c, sub) for c in n.children))
-
-    return build(root, frozenset())
+            built.append(Atom(n.value) if isinstance(n.value, str) else Lit(n.value))
+            continue
+        path.add(cid)
+        todo.append((cid, n))
+        todo += reversed(n.children)
+    return built[0]

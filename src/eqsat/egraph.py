@@ -137,37 +137,47 @@ class EGraph:
         return cid
 
     def add_term(self, t: Term) -> int:
-        cid = self._add_term(t)
+        cid = self._fold(t, self.add_enode)
         if self.root is None:
             self.root = cid
         return cid
-
-    def _add_term(self, t: Term) -> int:
-        if isinstance(t, Atom):
-            return self.add_enode(LitNode(t.name))
-        if isinstance(t, Lit):
-            return self.add_enode(LitNode(t.value))
-        if isinstance(t, Compound):
-            children = tuple(self._add_term(a) for a in t.args)
-            return self.add_enode(OpNode(t.op, children))
-        raise TypeError(f"not a term: {t!r}")
 
     def lookup(self, n: ENode) -> Optional[int]:
         cid = self.memo.get(self.canonicalize(n))
         return None if cid is None else self.find(cid)
 
     def lookup_term(self, t: Term) -> Optional[int]:
-        if isinstance(t, Atom):
-            return self.lookup(LitNode(t.name))
-        if isinstance(t, Lit):
-            return self.lookup(LitNode(t.value))
-        children = []
-        for a in t.args:
-            cid = self.lookup_term(a)
+        return self._fold(t, self.lookup)
+
+    def _fold(self, t: Term, place) -> Optional[int]:
+        """`place` applied to the e-node of every subterm of `t`, children
+        first and left to right; the class of `t`, or None as soon as `place`
+        gives None. Iterative, so that nesting depth is not bounded by the
+        recursion limit."""
+        ids: list[int] = []  # classes of the subterms placed, until their parent is
+        # a stack of subterms; a compound's (op, arity) sits below its arguments
+        todo: list = [t]
+        while todo:
+            x = todo.pop()
+            if type(x) is tuple:
+                op, k = x
+                n = OpNode(op, tuple(ids[len(ids) - k :]))
+                del ids[len(ids) - k :]
+            elif isinstance(x, Compound):
+                todo.append((x.op, len(x.args)))
+                todo += reversed(x.args)
+                continue
+            elif isinstance(x, Atom):
+                n = LitNode(x.name)
+            elif isinstance(x, Lit):
+                n = LitNode(x.value)
+            else:
+                raise TypeError(f"not a term: {x!r}")
+            cid = place(n)
             if cid is None:
                 return None
-            children.append(cid)
-        return self.lookup(OpNode(t.op, tuple(children)))
+            ids.append(cid)
+        return ids[0]
 
     # -- merging and rebuilding --------------------------------------------
 

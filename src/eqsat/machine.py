@@ -1,8 +1,12 @@
 """Backtracking virtual machine for e-graph pattern matching.
 
 Patterns compile to short instruction programs; machine registers hold
-e-class ids. Maximal ground subpatterns are resolved once per search (lookup
-only, never growing the graph) and checked with a single instruction.
+e-class ids. A search reads a rebuilt graph: `ematch_program` and
+`run_program` first rebuild a graph with pending merges or analysis updates,
+so every e-node's children are canonical ids, every register holds one, and
+the search itself merges nothing. A ground subpattern compiles like any other
+subpattern: on a congruence-closed graph a class holds a ground term's e-node
+exactly when a hashcons lookup would find it there.
 
 Each program is also compiled, once, into a chain of closures, one per
 instruction, each calling the next as its continuation (the idiom of the
@@ -12,6 +16,7 @@ classical matchers). The instructions stay as a view of the program, for
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -26,7 +31,7 @@ from .rules import (
     class_literals,
     resolve_predicate,
 )
-from .terms import Atom, Compound, Lit, Number, Term, print_term
+from .terms import Number
 
 
 @dataclass(frozen=True)
@@ -57,24 +62,17 @@ class Compare:
 
 
 @dataclass(frozen=True)
-class LookupGround:
-    reg: int
-    ground: Term
-
-
-@dataclass(frozen=True)
 class Yield:
     var_regs: tuple[int, ...]
 
 
-Instruction = Union[Bind, CheckLit, CheckPredicate, Compare, LookupGround, Yield]
+Instruction = Union[Bind, CheckLit, CheckPredicate, Compare, Yield]
 
 
 @dataclass(frozen=True)
 class EMatchProgram:
     instructions: tuple[Instruction, ...]
     n_regs: int
-    ground_subterms: tuple[Term, ...]
     # the first closure of the compiled chain; it lives as long as the program
     start: Callable[["_Run"], None] = field(init=False, repr=False, compare=False)
 
@@ -98,25 +96,8 @@ class EMatch:
 _LIFTING = {"number", "int", "real"}
 
 
-def _is_ground(p: Pattern) -> bool:
-    if isinstance(p, (PatVar, PatSegment)):
-        return False
-    if isinstance(p, PatLit):
-        return True
-    if isinstance(p.op, PatVar):
-        return False
-    return all(_is_ground(a) for a in p.args)
-
-
-def _ground_term(p: Pattern) -> Term:
-    if isinstance(p, PatLit):
-        return Atom(p.value) if isinstance(p.value, str) else Lit(p.value)
-    return Compound(p.op, tuple(_ground_term(a) for a in p.args))
-
-
 def compile_pattern(p: Pattern) -> EMatchProgram:
     instrs: list[Instruction] = []
-    grounds: list[Term] = []
     var_regs: dict[int, int] = {}
     next_reg = 1
 
@@ -144,11 +125,6 @@ def compile_pattern(p: Pattern) -> EMatchProgram:
             raise SegmentUnsupported(
                 "operation-position variables are not supported by the e-graph matcher"
             )
-        if _is_ground(pat):
-            gt = _ground_term(pat)
-            grounds.append(gt)
-            instrs.append(LookupGround(reg, gt))
-            return
         base = next_reg
         next_reg += len(pat.args)
         instrs.append(Bind(reg, pat.op, len(pat.args), base))
@@ -161,7 +137,7 @@ def compile_pattern(p: Pattern) -> EMatchProgram:
     yield_regs = tuple(var_regs[i] for i in sorted(var_regs))
     assert sorted(var_regs) == list(range(n_vars))
     instrs.append(Yield(yield_regs))
-    return EMatchProgram(tuple(instrs), next_reg, tuple(grounds))
+    return EMatchProgram(tuple(instrs), next_reg)
 
 
 def disassemble(prog: EMatchProgram) -> str:
@@ -176,8 +152,6 @@ def disassemble(prog: EMatchProgram) -> str:
             lines.append(f"CHECK_PRED r{ins.reg} {ins.pred.name}{lift}")
         elif isinstance(ins, Compare):
             lines.append(f"COMPARE r{ins.reg_i} r{ins.reg_j}")
-        elif isinstance(ins, LookupGround):
-            lines.append(f"LOOKUP r{ins.reg} {print_term(ins.ground)}")
         else:
             regs = " ".join(f"r{r}" for r in ins.var_regs)
             lines.append(f"YIELD {regs}")
@@ -191,24 +165,23 @@ class _Full(Exception):
 class _Run:
     """The state of one run of a program from one root class."""
 
-    __slots__ = ("g", "find", "regs", "lits", "found", "pairs", "grounds", "limit")
+    __slots__ = ("g", "classes", "regs", "lits", "found", "pairs", "limit")
 
-    def __init__(self, g, n_regs, root, grounds, limit):
+    def __init__(self, g, n_regs, root, limit):
         self.g = g
-        self.find = g.find
+        self.classes = g.classes
         self.regs: list[Optional[int]] = [None] * n_regs
-        self.regs[0] = self.find(root)
+        self.regs[0] = root
         self.lits: dict[int, Union[Number, str]] = {}  # register -> lifted literal
         self.found: dict[EMatch, None] = {}  # insertion-ordered set
         # matches share equal (var, class) pairs: fewer objects for the collector
         self.pairs: dict[tuple[int, int], tuple[int, int]] = {}
-        self.grounds = grounds
         self.limit = limit
 
 
 # One closure maker per instruction: each takes the instruction and the
-# closure of the instruction after it. A register a closure reads may hold a
-# class id that a merge has since made stale, so every reader calls `find`.
+# closure of the instruction after it. The graph is rebuilt, so every
+# register holds a canonical class id and no closure calls `find`.
 # A closure gets what it needs as default arguments, not from enclosing
 # cells: every cell is one more object for the cycle collector to track, and
 # each `saturate` call compiles a closure per instruction of every rule.
@@ -222,7 +195,7 @@ def _bind(ins: Bind, k):
         regs = r.regs
         matching = [
             n.children
-            for n in r.g.class_nodes(regs[reg])
+            for n in r.classes[regs[reg]].nodes
             if type(n) is OpNode and n.op == op and len(n.children) == arity
         ]
         for children in matching:
@@ -236,8 +209,7 @@ def _check_lit(ins: CheckLit, k):
     reg, node = ins.reg, LitNode(ins.value)
 
     def check_lit(r: _Run, reg=reg, node=node, k=k):
-        # a literal node has no children, so it is always canonical
-        if node in r.g.class_nodes(r.regs[reg]):
+        if node in r.classes[r.regs[reg]].nodes:
             k(r)
 
     return check_lit
@@ -249,7 +221,7 @@ def _check_predicate(ins: CheckPredicate, k):
     if not ins.bindlit:
 
         def check(r: _Run, pred=pred, reg=reg, params=params, k=k):
-            if pred.egraph(r.g, r.find(r.regs[reg]), params):
+            if pred.egraph(r.g, r.regs[reg], params):
                 k(r)
 
         return check
@@ -262,7 +234,7 @@ def _check_predicate(ins: CheckPredicate, k):
         r: _Run, pred=pred, reg=reg, params=params, kind=kind, by_lits=by_literals, k=k
     ):
         g = r.g
-        cid = r.find(r.regs[reg])
+        cid = r.regs[reg]
         if not by_lits and not pred.egraph(g, cid, params):
             return
         lits = class_literals(g, cid, kind)
@@ -283,22 +255,11 @@ def _compare(ins: Compare, k):
     i, j = ins.reg_i, ins.reg_j
 
     def compare(r: _Run, i=i, j=j, k=k):
-        find, regs = r.find, r.regs
-        if find(regs[i]) == find(regs[j]):
+        regs = r.regs
+        if regs[i] == regs[j]:
             k(r)
 
     return compare
-
-
-def _lookup_ground(ins: LookupGround, k):
-    reg, ground = ins.reg, ins.ground
-
-    def lookup_ground(r: _Run, reg=reg, ground=ground, k=k):
-        find = r.find
-        if find(r.regs[reg]) == find(r.grounds[ground]):
-            k(r)
-
-    return lookup_ground
 
 
 def _yield(ins: Yield, lifted: list[int]):
@@ -306,13 +267,13 @@ def _yield(ins: Yield, lifted: list[int]):
     lit_vars = [(i, reg) for i, reg in enumerate(var_regs) if reg in lifted]
 
     def yield_(r: _Run, var_regs=var_regs, lit_vars=lit_vars):
-        find, regs, pairs = r.find, r.regs, r.pairs
-        ids = enumerate([find(regs[reg]) for reg in var_regs])
+        regs, pairs = r.regs, r.pairs
+        ids = enumerate([regs[reg] for reg in var_regs])
         bindings = tuple([pairs.setdefault(p, p) for p in ids])
         lits = r.lits
         lit_bindings = tuple([(i, lits[reg]) for i, reg in lit_vars if reg in lits])
         found = r.found
-        found[EMatch(find(regs[0]), bindings, lit_bindings)] = None
+        found[EMatch(regs[0], bindings, lit_bindings)] = None
         if len(found) == r.limit:
             raise _Full
 
@@ -324,7 +285,6 @@ _CLOSURE_MAKERS = {
     CheckLit: _check_lit,
     CheckPredicate: _check_predicate,
     Compare: _compare,
-    LookupGround: _lookup_ground,
 }
 
 
@@ -338,40 +298,22 @@ def _compile_chain(instrs: tuple[Instruction, ...]):
 
 
 def run_program(
-    g: EGraph,
-    prog: EMatchProgram,
-    root: int,
-    ground_ids: Optional[dict[Term, int]] = None,
-    limit: Optional[int] = None,
+    g: EGraph, prog: EMatchProgram, root: int, limit: Optional[int] = None
 ) -> list[EMatch]:
-    """Depth-first execution; enumeration follows class-node insertion order.
-    Each distinct match comes once, and with a `limit` the run stops as soon
-    as it holds that many."""
-    if ground_ids is None:
-        ground_ids = resolve_grounds(g, prog)
-    if ground_ids is None or limit == 0:
+    """Depth-first execution from the class of `root`, on the graph rebuilt
+    first if it is not; enumeration follows class-node insertion order. Each
+    distinct match comes once, and with a `limit` the run stops as soon as it
+    holds that many."""
+    if g.pending or g.analysis_worklist:
+        g.rebuild()
+    if limit == 0:
         return []
-    run = _Run(g, prog.n_regs, root, ground_ids, limit)
+    run = _Run(g, prog.n_regs, g.find(root), limit)
     try:
         prog.start(run)
     except _Full:
         pass
     return list(run.found)
-
-
-def resolve_grounds(g: EGraph, prog: EMatchProgram) -> Optional[dict[Term, int]]:
-    """Lookup-only pre-resolution; None when any ground subterm is absent.
-    Lookups read the hashcons, which only a rebuild makes whole after a
-    merge, so pending merges are rebuilt first."""
-    if prog.ground_subterms and g.pending:
-        g.rebuild()
-    ids: dict[Term, int] = {}
-    for gt in prog.ground_subterms:
-        cid = g.lookup_term(gt)
-        if cid is None:
-            return None
-        ids[gt] = cid
-    return ids
 
 
 def ematch(g: EGraph, p: Pattern) -> list[EMatch]:
@@ -380,14 +322,18 @@ def ematch(g: EGraph, p: Pattern) -> list[EMatch]:
 
 
 def ematch_program(
-    g: EGraph, prog: EMatchProgram, limit: Optional[int] = None
+    g: EGraph,
+    prog: EMatchProgram,
+    limit: Optional[int] = None,
+    deadline: Optional[float] = None,
 ) -> list[EMatch]:
-    """Every match of `prog`, root classes in id order; with a `limit`, the
-    first `limit` of them. A program that starts by binding an operator runs
-    only on the classes holding that operator."""
-    ground_ids = resolve_grounds(g, prog)
-    if ground_ids is None:
-        return []
+    """Every match of `prog`, root classes in id order, on the graph rebuilt
+    first if it is not; with a `limit`, the first `limit` of them. A program
+    that starts by binding an operator runs only on the classes holding that
+    operator. Once `time.perf_counter()` is past `deadline`, no further root
+    is run: the matches are then those of the roots run so far."""
+    if g.pending or g.analysis_worklist:
+        g.rebuild()
     first = prog.instructions[0]
     if type(first) is Bind:
         roots = g.classes_by_op().get(first.op, ())
@@ -398,7 +344,9 @@ def ematch_program(
         # matches of different roots differ in their class, so runs cannot
         # repeat one another's
         left = None if limit is None else limit - len(out)
-        out += run_program(g, prog, cid, ground_ids, left)
+        out += run_program(g, prog, cid, left)
         if len(out) == limit:
+            break
+        if deadline is not None and time.perf_counter() > deadline:
             break
     return out

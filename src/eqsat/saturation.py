@@ -119,6 +119,11 @@ class SimpleScheduler:
     def can_search(self, rule_index: int, iteration: int) -> bool:
         return True
 
+    def can_stop(self, iteration: int) -> bool:
+        """Whether an `iteration` that changed nothing ends the run as
+        saturated; False lets the run go on."""
+        return True
+
     def search_limit(self, rule_index: int) -> Optional[int]:
         """How many matches a search may stop at; None searches for all."""
         return None
@@ -150,6 +155,14 @@ class BackoffScheduler:
 
     def can_search(self, rule_index: int, iteration: int) -> bool:
         return iteration > self.states[rule_index].banned_until
+
+    def can_stop(self, iteration: int) -> bool:
+        # a pass that skipped a banned rule proves nothing: lift every ban
+        # that was live in it, and stop only when there was none
+        live = [st for st in self.states if st.banned_until >= iteration]
+        for st in live:
+            st.banned_until = iteration
+        return not live
 
     def search_limit(self, rule_index: int) -> Optional[int]:
         # one match over the limit bans the rule and drops every match, so a
@@ -341,8 +354,9 @@ def eqsat_step(
 ) -> tuple[bool, Optional[StopReason]]:
     """One search/apply/rebuild cycle, adding its times and matches to
     `stats`. Returns (changed, early stop). Once `time.perf_counter()` is
-    past `deadline`, no further rule is searched or applied, and the step
-    rebuilds the graph and stops with `time-limit`."""
+    past `deadline`, no further root is searched and no further match
+    applied: the step rebuilds the graph and stops with `time-limit`, and a
+    search that ran past the deadline is not reported to the scheduler."""
     v0 = g.version
     stop: Optional[StopReason] = None
     for idx, cr in enumerate(compiled):
@@ -351,22 +365,23 @@ def eqsat_step(
     # Phase 1: search (read-only)
     found: list[list[tuple[_Direction, EMatch]]] = []
     for idx, cr in enumerate(compiled):
-        if idx and _past(deadline):
-            stop = StopReason(TIME_LIMIT)
-            break
         matches: list[tuple[_Direction, EMatch]] = []
         if cr.directions and sched.can_search(idx, iteration):
             t0 = time.perf_counter()
             limit = sched.search_limit(idx)
             for d in cr.directions:
                 left = None if limit is None else limit - len(matches)
-                if left == 0:
+                if left == 0 or _past(deadline):
                     break
-                for m in ematch_program(g, d.program, left):
+                for m in ematch_program(g, d.program, left, deadline):
                     matches.append((d, m))
             st = stats[idx]
             st.search_s += time.perf_counter() - t0
             st.matches += len(matches)
+            if _past(deadline):
+                # the search may have been cut off: its count decides no ban
+                stop = StopReason(TIME_LIMIT)
+                break
             if sched.inform(idx, len(matches), iteration):
                 matches = []  # banned: this iteration's matches are dropped
         found.append(matches)
@@ -374,21 +389,21 @@ def eqsat_step(
     # Phase 2: apply
     try:
         for idx, matches in enumerate(found):
-            if stop is None and _past(deadline):
-                stop = StopReason(TIME_LIMIT)
             if stop is not None:
                 break
             cr = compiled[idx]
+            unequal = cr.rule.kind is RuleKind.UNEQUAL
             t0 = time.perf_counter()
-            if cr.rule.kind is RuleKind.UNEQUAL:
-                for d, m in matches:
-                    rid = d.instantiate(g, m)
-                    if rid is not None and g.find(rid) == g.find(m.class_id):
-                        stop = StopReason(CONTRADICTION, cr.rule.name)
-                        break
-            else:
-                for d, m in matches:
-                    g.merge(m.class_id, d.instantiate(g, m))
+            for d, m in matches:
+                if _past(deadline):
+                    stop = StopReason(TIME_LIMIT)
+                    break
+                rid = d.instantiate(g, m)
+                if not unequal:
+                    g.merge(m.class_id, rid)
+                elif rid is not None and g.find(rid) == g.find(m.class_id):
+                    stop = StopReason(CONTRADICTION, cr.rule.name)
+                    break
             stats[idx].apply_s += time.perf_counter() - t0
     except CapacityExceeded:
         stop = StopReason(ENODE_LIMIT)
@@ -440,7 +455,7 @@ def saturate(g: EGraph, theory: Theory, params: Optional[SaturationParams] = Non
             if params.goal is not None and params.goal(g):
                 reason = StopReason(GOAL_REACHED)
                 break
-            if not changed:
+            if not changed and sched.can_stop(iteration):
                 reason = StopReason(SATURATED)
                 break
         if reason is None:

@@ -140,39 +140,44 @@ def classify_token(tok: str, offset: int) -> Term:
 
 
 def parse_term(text: str) -> Term:
+    # iterative, so that nesting depth is not bounded by the recursion limit
     toks = list(tokenize(text))
-    term, pos = _parse(toks, 0, text)
+    open_: list[tuple[str, list[Term], int]] = []  # (head, args, offset of "(")
+    pos = 0
+    while True:
+        if pos >= len(toks):
+            if open_:
+                raise SExprSyntaxError("unbalanced '('", open_[-1][2])
+            raise SExprSyntaxError("unexpected end of input", len(text))
+        tok, off = toks[pos]
+        pos += 1
+        if tok == "(":
+            if pos >= len(toks):
+                raise SExprSyntaxError("unbalanced '('", off)
+            op_tok, op_off = toks[pos]
+            if op_tok in ("(", ")"):
+                raise SExprSyntaxError("empty or headless compound", op_off)
+            head = classify_token(op_tok, op_off)
+            if not isinstance(head, Atom):
+                raise SExprSyntaxError(
+                    f"operation must be a symbol, got {op_tok!r}", op_off
+                )
+            pos += 1
+            open_.append((head.name, [], off))
+            continue
+        if tok != ")":
+            term = classify_token(tok, off)
+        elif open_:
+            op, args, _ = open_.pop()
+            term = Compound(op, tuple(args))
+        else:
+            raise SExprSyntaxError("unexpected ')'", off)
+        if not open_:
+            break
+        open_[-1][1].append(term)
     if pos != len(toks):
         raise SExprSyntaxError("trailing input after term", toks[pos][1])
     return term
-
-
-def _parse(toks: list[tuple[str, int]], pos: int, text: str) -> tuple[Term, int]:
-    if pos >= len(toks):
-        raise SExprSyntaxError("unexpected end of input", len(text))
-    tok, off = toks[pos]
-    if tok == ")":
-        raise SExprSyntaxError("unexpected ')'", off)
-    if tok != "(":
-        return classify_token(tok, off), pos + 1
-    pos += 1
-    if pos >= len(toks):
-        raise SExprSyntaxError("unbalanced '('", off)
-    op_tok, op_off = toks[pos]
-    if op_tok in ("(", ")"):
-        raise SExprSyntaxError("empty or headless compound", op_off)
-    head = classify_token(op_tok, op_off)
-    if not isinstance(head, Atom):
-        raise SExprSyntaxError(f"operation must be a symbol, got {op_tok!r}", op_off)
-    pos += 1
-    args: list[Term] = []
-    while True:
-        if pos >= len(toks):
-            raise SExprSyntaxError("unbalanced '('", off)
-        if toks[pos][0] == ")":
-            return Compound(head.name, tuple(args)), pos + 1
-        arg, pos = _parse(toks, pos, text)
-        args.append(arg)
 
 
 def print_number(v: Number) -> str:

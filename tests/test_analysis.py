@@ -360,3 +360,13 @@ def test_extract_optimal_vs_enumeration_small():
     def size(u):
         return 1 + sum(size(a) for a in getattr(u, "args", ()))
     assert size(t) == min(size(u) for u in rep)
+
+
+def test_extract_deep_nesting():
+    depth = 5000
+    t = Atom("a")
+    for k in range(depth):
+        t = Compound("f", (t, Lit(k))) if k % 2 else Compound("g", (t,))
+    g = EGraph()
+    root = g.add_term(t)
+    assert print_term(extract(g, astsize, root)) == print_term(t)

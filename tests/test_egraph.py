@@ -273,3 +273,18 @@ def test_headline_ends_with_distinct_canonical_enodes():
     report = saturate(g, theory, SaturationParams())
     assert_rebuilt(g)
     assert report.n_enodes == g.n_enodes == 1662
+
+
+def test_add_and_lookup_term_deep_nesting():
+    depth = 5000
+    t = Atom("a")
+    for k in range(depth):
+        t = Compound("f", (t, Lit(k))) if k % 2 else Compound("g", (t,))
+    g = EGraph()
+    root = g.add_term(t)
+    assert g.root == root
+    assert g.n_enodes == depth + 1 + depth // 2  # and a literal for each f
+    assert g.lookup_term(t) == root
+    assert g.lookup_term(Compound("h", (t,))) is None
+    assert g.lookup_term(Compound("h", (Atom("b"), t))) is None
+    assert g.add_term(t) == root

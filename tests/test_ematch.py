@@ -12,7 +12,6 @@ from eqsat.machine import (
     CheckPredicate,
     Compare,
     EMatch,
-    LookupGround,
     Yield,
     compile_pattern,
     disassemble,
@@ -66,10 +65,15 @@ def test_compile_predicate():
 
 
 def test_compile_ground_subterm():
+    # a ground subterm compiles like any other subterm
     prog = compile_pattern(lhs("(f (g 1 2) ~x) --> ~x"))
-    lookups = [i for i in prog.instructions if isinstance(i, LookupGround)]
-    assert lookups == [LookupGround(1, parse_term("(g 1 2)"))]
-    assert prog.ground_subterms == (parse_term("(g 1 2)"),)
+    assert prog.instructions == (
+        Bind(0, "f", 2, 1),
+        Bind(1, "g", 2, 3),
+        CheckLit(3, 1),
+        CheckLit(4, 2),
+        Yield((2,)),
+    )
 
 
 def test_compile_rejects_segments_and_var_ops():
@@ -269,11 +273,6 @@ def test_indexed_ematch_matches_naive_oracle():
     for _ in range(150):
         g, pool = _random_unrebuilt_graph(rng)
         srcs = _FIXED_PATTERNS + [_random_pattern(rng, 3) for _ in range(4)]
-        # a pattern with a ground subterm rebuilds a graph with pending
-        # merges, so the others search the graph as it is first
-        srcs.sort(
-            key=lambda src: bool(compile_pattern(lhs(f"{src} --> 0")).ground_subterms)
-        )
         for step in range(3):  # as built; grown and merged; rebuilt
             if step == 1:
                 pool.append(g.add_enode(OpNode(rng.choice(_ops), (rng.choice(pool),))))
@@ -292,6 +291,7 @@ def test_ground_pattern_on_unrebuilt_graph():
     g, _ = build("(f b)", "(g a)", "(h a)")
     g.merge(g.lookup_term(Atom("a")), g.lookup_term(Atom("b")))  # not rebuilt
     assert len(ematch(g, lhs("(f ~x) --> 0"))) == 1
+    assert not g.pending  # a variable pattern rebuilds first too
     (m,) = ematch(g, lhs("(f a) --> 0"))
     assert m.class_id == g.find(g.lookup_term(parse_term("(f b)")))
     assert not g.pending

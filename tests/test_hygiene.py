@@ -7,6 +7,14 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "eqsat"
 
 
+def package_sources() -> dict[str, str]:
+    """The text of every module of the package, by path below `SRC`."""
+    return {
+        path.relative_to(SRC).as_posix(): path.read_text()
+        for path in sorted(SRC.rglob("*.py"))
+    }
+
+
 def unused_imports(source: str) -> list[str]:
     """Names a module imports and never uses, as "line N: name"."""
     tree = ast.parse(source)
@@ -21,16 +29,60 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names (`_x`) that no module of `sources` reads,
+    imports or takes as an attribute, as "module line N: name"."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                used.update(alias.name for alias in n.names)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [
+                f"{module} line {node.lineno}: {name}"
+                for name in names
+                if name.startswith("_") and not name.startswith("__") and name not in used
+            ]
+    return found
+
+
 def test_unused_imports_finds_unused_names():
     source = "import os\nimport a.b\nfrom c import d, e as f\nprint(a, f)\n"
     assert unused_imports(source) == ["line 1: os", "line 3: d"]
 
 
+def test_unreferenced_private_names_finds_unread_names():
+    sources = {
+        "m.py": "def _f(): pass\nclass _C: pass\n_X = 1\n_Y: int = 2\n"
+        "__all__ = []\ndef g(): return _f\n",
+        "n.py": "from m import _C\nimport m\nprint(m._Y)\n_Z = 0\n",
+    }
+    assert unreferenced_private_names(sources) == ["m.py line 3: _X", "n.py line 4: _Z"]
+
+
 def test_no_unused_imports_in_package():
-    # __init__.py imports names only to re-export them
+    # the top-level __init__.py imports names only to re-export them
     found = {
-        path.name: unused_imports(path.read_text())
-        for path in sorted(SRC.glob("*.py"))
-        if path.name != "__init__.py"
+        name: unused_imports(source)
+        for name, source in package_sources().items()
+        if name != "__init__.py"
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_no_unreferenced_private_names_in_package():
+    assert unreferenced_private_names(package_sources()) == []

@@ -163,6 +163,75 @@ def test_timelimit_checked_between_applications(monkeypatch):
     assert not g.pending  # rebuilt
 
 
+class _RecordingScheduler(SimpleScheduler):
+    def __init__(self):
+        self.informed = []
+
+    def inform(self, rule_index, n_matches, iteration):
+        self.informed.append((rule_index, n_matches))
+        return False
+
+
+def _three_fs():
+    g = EGraph()
+    for src in ("(f a)", "(f b)", "(f c)"):
+        g.add_term(parse_term(src))
+    return g
+
+
+def test_timelimit_checked_between_search_roots(monkeypatch):
+    g = _three_fs()
+    _clock_passing_deadline_on(monkeypatch, g, "classes_by_op")
+    sched, stats = _RecordingScheduler(), {}
+    compiled = compile_theory(parse_theory(TWO_RULES))
+    changed, stop = eqsat_step(g, compiled, sched, SaturationParams(), 0, stats, 1.0)
+    assert stop.kind == "time-limit" and not changed
+    # rule 0 ran on one root of three, and rule 1 not at all
+    assert [st.matches for st in stats.values()] == [1, 0]
+    assert sched.informed == []  # a cut-off search decides no ban
+    assert g.lookup_term(parse_term("(g a)")) is None  # nothing applied
+
+
+def test_timelimit_checked_between_matches(monkeypatch):
+    g = _three_fs()
+    _clock_passing_deadline_on(monkeypatch, g, "merge")
+    report = saturate(g, parse_theory(TWO_RULES), SaturationParams(timelimit_s=1.0))
+    assert report.stop_reason.kind == "time-limit"
+    assert report.iterations == 1
+    assert [st.matches for st in report.per_rule.values()] == [3, 3]
+    ga = g.lookup_term(parse_term("(g a)"))
+    assert ga is not None and ga == g.lookup_term(parse_term("(f a)"))
+    assert g.lookup_term(parse_term("(g b)")) is None  # the second match waits
+    assert not g.pending  # rebuilt
+
+
+def test_every_search_reads_a_rebuilt_graph_and_merges_nothing(monkeypatch):
+    searches = []
+    real = saturation.ematch_program
+
+    def checked(g, *args):
+        assert not g.pending and not g.analysis_worklist
+        version = g.version
+        found = real(g, *args)
+        assert g.version == version
+        searches.append(len(found))
+        return found
+
+    monkeypatch.setattr(saturation, "ematch_program", checked)
+    theory = load_bundled("comm_monoid")
+    for name in ("comm_group", "folder", "div_sim"):
+        theory = theory + load_bundled(name)
+    g = EGraph()
+    g.add_term(parse_term("(/ (* a (* 2 3)) 6)"))
+    saturate(g, theory)
+    stream_optimize(parse_term("(getindex (map (lambda x (* 7 x)) (fill 3 4)) 1)"))
+    equal, _ = prove_equal(
+        parse_term("(+ a (+ b c))"), parse_term("(+ c (+ b a))"), parse_theory(COMM_ASSOC)
+    )
+    assert equal
+    assert len(searches) > 100 and sum(searches) > 1000
+
+
 def test_saturated_is_fixed_point():
     g, root, report = sat("(* x y)", "(* ~a ~b) == (* ~b ~a)")
     assert report.stop_reason.kind == "saturated"
@@ -220,6 +289,31 @@ def test_backoff_documented_trace():
     assert st.match_limit == 20
     assert st.ban_length == 10
     assert st.times_banned == 1
+
+
+def test_can_stop_lifts_the_bans_of_the_pass():
+    assert SimpleScheduler().can_stop(0)
+    s = BackoffScheduler(2, match_limit=10, ban_length=5)
+    assert s.can_stop(0)
+    assert s.inform(0, 11, 0)  # banned through iteration 5
+    assert not s.can_stop(3)
+    assert s.can_search(0, 4)  # the ban is lifted
+    assert s.can_stop(4)
+    assert s.inform(1, 11, 4)  # banned through iteration 9
+    assert not s.can_stop(9)  # the rule was not searched in iteration 9
+    assert s.can_stop(10)
+
+
+# (+ a0 (+ a1 ... (+ a8 a9)))
+SUM_10 = "(+ a0 (+ a1 (+ a2 (+ a3 (+ a4 (+ a5 (+ a6 (+ a7 (+ a8 a9)))))))))"
+
+
+def test_no_saturated_while_a_rule_is_banned():
+    # at the fifth iteration nothing changes only because rules are banned
+    g = EGraph()
+    g.add_term(parse_term(SUM_10))
+    report = saturate(g, load_bundled("comm_group"), SaturationParams(timeout=50))
+    assert report.stop_reason.kind != "saturated"
 
 
 def test_backoff_under_limit_no_ban():

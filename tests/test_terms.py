@@ -99,6 +99,16 @@ def test_print_term_deep_nesting():
     assert print_term(Compound("h", ())) == "(h)"
 
 
+def test_parse_term_deep_nesting():
+    depth = 5000
+    text = "(g " * depth + "a" + " 1)" * depth
+    t = parse_term(text)
+    for _ in range(depth):
+        assert t.op == "g" and t.args[1] == Lit(1)
+        t = t.args[0]
+    assert t == Atom("a")
+
+
 # -- equality and hashing ---------------------------------------------------
 
 
