@@ -62,6 +62,7 @@ from .saturation import (
     SaturationParams,
     SimpleScheduler,
     StopReason,
+    compile_theory,
     eqsat_step,
     prove_equal,
     saturate,

@@ -280,46 +280,71 @@ def PassThrough(rw: Rewriter) -> Rewriter:
 
 
 def Postwalk(rw: Rewriter) -> Rewriter:
+    """Applies `rw` to every subterm, children left to right before their
+    parent, which it sees with the children's results in place."""
+
     def walk(t):
-        changed = False
-        if isinstance(t, Compound):
-            new_args = []
-            for a in t.args:
-                r = walk(a)
-                if r is not None:
-                    changed = True
-                    new_args.append(r)
+        # open compounds, innermost last: [term, results of its arguments
+        # walked so far, whether one of them changed]
+        stack = []
+        while True:
+            while isinstance(t, Compound) and t.args:
+                stack.append([t, [], False])
+                t = t.args[0]
+            r = rw(t)  # t has no arguments left to walk
+            while stack:
+                node, args, changed = frame = stack[-1]
+                if r is None:
+                    args.append(node.args[len(args)])
                 else:
-                    new_args.append(a)
-            if changed:
-                t = Compound(t.op, tuple(new_args))
-        r = rw(t)
-        if r is not None:
-            return r
-        return t if changed else None
+                    args.append(r)
+                    changed = frame[2] = True
+                if len(args) < len(node.args):
+                    t = node.args[len(args)]
+                    break
+                stack.pop()
+                t = Compound(node.op, tuple(args)) if changed else node
+                r = rw(t)
+                if r is None and changed:
+                    r = t
+            else:
+                return r
 
     return walk
 
 
 def Prewalk(rw: Rewriter) -> Rewriter:
+    """Applies `rw` to every subterm, a parent before its children, which
+    are taken from the parent's result."""
+
     def walk(t):
-        r = rw(t)
-        changed = r is not None
-        cur = r if changed else t
-        if isinstance(cur, Compound):
-            new_args = []
-            child_changed = False
-            for a in cur.args:
-                ra = walk(a)
-                if ra is not None:
-                    child_changed = True
-                    new_args.append(ra)
+        # open compounds, innermost last: [term after its own rewrite,
+        # results of its arguments walked so far, whether it was rewritten,
+        # whether one of its arguments changed]
+        stack = []
+        while True:
+            r = rw(t)
+            cur = t if r is None else r
+            if isinstance(cur, Compound) and cur.args:
+                stack.append([cur, [], r is not None, False])
+                t = cur.args[0]
+                continue
+            while stack:
+                node, args, rewritten, child_changed = frame = stack[-1]
+                if r is None:
+                    args.append(node.args[len(args)])
                 else:
-                    new_args.append(a)
-            if child_changed:
-                cur = Compound(cur.op, tuple(new_args))
-                changed = True
-        return cur if changed else None
+                    args.append(r)
+                    child_changed = frame[3] = True
+                if len(args) < len(node.args):
+                    t = node.args[len(args)]
+                    break
+                stack.pop()
+                if child_changed:
+                    node = Compound(node.op, tuple(args))
+                r = node if rewritten or child_changed else None
+            else:
+                return r
 
     return walk
 

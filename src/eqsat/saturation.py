@@ -7,7 +7,7 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from .egraph import EGraph, LitNode, OpNode
 from .errors import CapacityExceeded, SegmentUnsupported
@@ -191,7 +191,7 @@ def make_scheduler(params: SaturationParams, n_rules: int):
 # -- compiled search plan ---------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Direction:
     lhs: Pattern
     rhs: Pattern
@@ -201,13 +201,22 @@ class _Direction:
     instantiate: Callable[[EGraph, EMatch], Optional[int]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class _CompiledRule:
     rule: Rule
-    directions: list[_Direction]
+    directions: tuple[_Direction, ...]
 
 
-def compile_theory(theory: Theory) -> list[_CompiledRule]:
+# What `compile_theory` returns: one compiled rule per rule of the theory, in
+# the theory's order.
+CompiledTheory = tuple[_CompiledRule, ...]
+
+
+def compile_theory(theory: Theory) -> CompiledTheory:
+    """Compiles every rule of `theory`, both sides, for `saturate` and
+    `prove_equal`. The result holds no per-run state, so one compiled theory
+    can serve any number of runs. A rule that cannot run in an e-graph is
+    kept with no directions and warned about here, once."""
     compiled = []
     for rule in theory.rules:
         dirs = []
@@ -225,8 +234,8 @@ def compile_theory(theory: Theory) -> list[_CompiledRule]:
         except SegmentUnsupported as exc:
             warnings.warn(f"rule {rule.name!r} skipped in e-graph mode: {exc}")
             dirs = []
-        compiled.append(_CompiledRule(rule, dirs))
-    return compiled
+        compiled.append(_CompiledRule(rule, tuple(dirs)))
+    return tuple(compiled)
 
 
 # -- instantiation into the graph ------------------------------------------
@@ -345,7 +354,7 @@ def _lookup_node(p: Pattern):
 
 def eqsat_step(
     g: EGraph,
-    compiled: list[_CompiledRule],
+    compiled: CompiledTheory,
     sched,
     params: SaturationParams,
     iteration: int,
@@ -360,7 +369,8 @@ def eqsat_step(
     v0 = g.version
     stop: Optional[StopReason] = None
     for idx, cr in enumerate(compiled):
-        stats.setdefault(idx, RuleStats(cr.rule.name))
+        if idx not in stats:
+            stats[idx] = RuleStats(cr.rule.name)
 
     # Phase 1: search (read-only)
     found: list[list[tuple[_Direction, EMatch]]] = []
@@ -417,9 +427,16 @@ def _past(deadline: Optional[float]) -> bool:
     return deadline is not None and time.perf_counter() > deadline
 
 
-def saturate(g: EGraph, theory: Theory, params: Optional[SaturationParams] = None) -> Report:
+def saturate(
+    g: EGraph,
+    theory: Union[Theory, CompiledTheory],
+    params: Optional[SaturationParams] = None,
+) -> Report:
+    """Saturates `g` with a theory, or with the result of `compile_theory`
+    on one. A `Theory` is compiled for this call alone; a compiled theory
+    is only read, so it can be passed again to later calls."""
     params = params or SaturationParams()
-    compiled = compile_theory(theory)
+    compiled = compile_theory(theory) if isinstance(theory, Theory) else theory
     sched = make_scheduler(params, len(compiled))
     stats: dict[int, RuleStats] = {}
     old_limit = g.node_limit
@@ -468,9 +485,11 @@ def saturate(g: EGraph, theory: Theory, params: Optional[SaturationParams] = Non
 def prove_equal(
     t1: Term,
     t2: Term,
-    theory: Theory,
+    theory: Union[Theory, CompiledTheory],
     params: Optional[SaturationParams] = None,
 ) -> tuple[bool, Report]:
+    """Whether saturating a graph of `t1` and `t2` with `theory` (a `Theory`
+    or a compiled one, as for `saturate`) puts them in one e-class."""
     g = EGraph()
     a = g.add_term(t1)
     b = g.add_term(t2)

@@ -10,7 +10,13 @@ from ..analysis import astsize, extract
 from ..classical import Chain, Fixpoint, Postwalk, Rewriter, rule_rewriter
 from ..egraph import EGraph
 from ..rules import RuleKind, Theory, parse_theory
-from ..saturation import Report, SaturationParams, saturate
+from ..saturation import (
+    CompiledTheory,
+    Report,
+    SaturationParams,
+    compile_theory,
+    saturate,
+)
 from ..terms import Term, inline_anonymous
 
 BUNDLED = (
@@ -56,11 +62,14 @@ def stream_optimize(
 
 
 @functools.cache
-def _stream_pipeline() -> tuple[Theory, Rewriter]:
-    """The parsed stream theory and the classical cleanup rewriter, built
-    once. Neither is handed out: saturation only reads the theory, and the
-    rewriter combinators keep no state between calls."""
-    stream = load_bundled("stream")
+def _stream_pipeline() -> tuple[CompiledTheory, Rewriter]:
+    """The compiled stream theory and the classical cleanup rewriter, built
+    on the first call (not at import) and reused by every later one.
+    Neither is handed out, and neither keeps state between calls: `saturate`
+    only reads a compiled theory, each run keeping its own backoff states
+    and rule statistics, and the rewriter combinators hold only their
+    rules."""
+    stream = compile_theory(load_bundled("stream"))
     classical_rules = [
         rule_rewriter(r)
         for th in (load_bundled("normalize"), load_bundled("fold"))
@@ -71,4 +80,8 @@ def _stream_pipeline() -> tuple[Theory, Rewriter]:
 
 
 def _astsize(t: Term) -> int:
-    return 1 + sum(_astsize(a) for a in getattr(t, "args", ()))
+    n, todo = 0, [t]
+    while todo:
+        n += 1
+        todo.extend(getattr(todo.pop(), "args", ()))
+    return n

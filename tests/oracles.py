@@ -241,6 +241,44 @@ class UnboundedBackoffScheduler(BackoffScheduler):
         return None
 
 
+# -- recursive walks, the reference for the classical combinators ----------
+
+
+def postwalk(rw, t: Term):
+    """`classical.Postwalk(rw)(t)`, by recursion on the term."""
+    changed = False
+    if isinstance(t, Compound):
+        new_args = []
+        for a in t.args:
+            r = postwalk(rw, a)
+            changed = changed or r is not None
+            new_args.append(a if r is None else r)
+        if changed:
+            t = Compound(t.op, tuple(new_args))
+    r = rw(t)
+    if r is not None:
+        return r
+    return t if changed else None
+
+
+def prewalk(rw, t: Term):
+    """`classical.Prewalk(rw)(t)`, by recursion on the term."""
+    r = rw(t)
+    changed = r is not None
+    cur = r if changed else t
+    if isinstance(cur, Compound):
+        new_args = []
+        child_changed = False
+        for a in cur.args:
+            ra = prewalk(rw, a)
+            child_changed = child_changed or ra is not None
+            new_args.append(a if ra is None else ra)
+        if child_changed:
+            cur = Compound(cur.op, tuple(new_args))
+            changed = True
+    return cur if changed else None
+
+
 # -- BFS prover over classical rewriting ------------------------------------
 
 

@@ -4,6 +4,8 @@ import weakref
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
+
 from eqsat.classical import (
     Chain,
     Empty,
@@ -220,6 +222,60 @@ def test_prewalk_vs_postwalk_order():
     order.clear()
     Postwalk(spy)(t)
     assert order == ["x", "(g x)", "(f (g x))"]
+
+
+def _spy_rewriter(seen):
+    """Records each term it is given and rewrites x to y, (g t) to (f t 1)
+    and 2 to the nullary (h)."""
+
+    def rw(t):
+        seen.append(print_term(t))
+        if t == Atom("x"):
+            return Atom("y")
+        if isinstance(t, Compound) and t.op == "g" and len(t.args) == 1:
+            return Compound("f", (t.args[0], Lit(1)))
+        if t == Lit(2):
+            return Compound("h", ())
+        return None
+
+    return rw
+
+
+walk_terms = st.recursive(
+    st.sampled_from([Atom("x"), Atom("y"), Lit(1), Lit(2), Compound("h", ())]),
+    lambda ch: st.builds(
+        lambda op, args: Compound(op, tuple(args)),
+        st.sampled_from(["f", "g", "+"]),
+        st.lists(ch, min_size=1, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+@given(walk_terms)
+def test_walks_match_the_recursive_reference(t):
+    for walk, reference in ((Postwalk, oracles.postwalk), (Prewalk, oracles.prewalk)):
+        seen, want_seen = [], []
+        got = walk(_spy_rewriter(seen))(t)
+        want = reference(_spy_rewriter(want_seen), t)
+        assert got == want
+        assert seen == want_seen
+
+
+def _deep_g(depth, leaf):
+    t = leaf
+    for _ in range(depth):
+        t = Compound("g", (t, Lit(1)))
+    return t
+
+
+@pytest.mark.parametrize("walk", [Postwalk, Prewalk])
+def test_walks_deep_nesting(walk):
+    depth = 5000
+    rw = lambda t: Atom("b") if t == Atom("a") else None
+    out = walk(rw)(_deep_g(depth, Atom("a")))
+    assert print_term(out) == print_term(_deep_g(depth, Atom("b")))
+    assert walk(rw)(_deep_g(depth, Atom("c"))) is None
 
 
 def test_fixpoint_is_fixed_point():

@@ -60,6 +60,25 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     return found
 
 
+def argument_keyed_caches(source: str) -> list[str]:
+    """Functions that take parameters and are decorated with
+    `functools.cache` or `lru_cache`, as "line N: name". Such a cache keeps
+    every argument and result alive for the life of the process."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        if not (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg):
+            continue
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = getattr(target, "attr", None) or getattr(target, "id", None)
+            if name in ("cache", "lru_cache"):
+                found.append(f"line {node.lineno}: {node.name}")
+    return found
+
+
 def test_unused_imports_finds_unused_names():
     source = "import os\nimport a.b\nfrom c import d, e as f\nprint(a, f)\n"
     assert unused_imports(source) == ["line 1: os", "line 3: d"]
@@ -74,6 +93,22 @@ def test_unreferenced_private_names_finds_unread_names():
     assert unreferenced_private_names(sources) == ["m.py line 3: _X", "n.py line 4: _Z"]
 
 
+def test_argument_keyed_caches_finds_cached_functions_with_parameters():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@functools.cache\ndef a(): pass\n"
+        "@functools.cache\ndef b(x): pass\n"
+        "@functools.lru_cache(maxsize=8)\ndef c(*xs): pass\n"
+        "@lru_cache\ndef d(*, k): pass\n"
+        "@cache\ndef e(): pass\n"
+        "class C:\n    @cache\n    def f(self): pass\n"
+        "@staticmethod\ndef g(x): pass\n"
+    )
+    assert argument_keyed_caches(source) == [
+        "line 6: b", "line 8: c", "line 10: d", "line 15: f",
+    ]
+
+
 def test_no_unused_imports_in_package():
     # the top-level __init__.py imports names only to re-export them
     found = {
@@ -86,3 +121,10 @@ def test_no_unused_imports_in_package():
 
 def test_no_unreferenced_private_names_in_package():
     assert unreferenced_private_names(package_sources()) == []
+
+
+def test_no_argument_keyed_caches_in_package():
+    found = {
+        name: argument_keyed_caches(source) for name, source in package_sources().items()
+    }
+    assert {name: names for name, names in found.items() if names} == {}

@@ -6,9 +6,9 @@ import weakref
 import pytest
 
 from oracles import UnboundedBackoffScheduler, add_pattern, lookup_pattern
-from eqsat import saturation
+from eqsat import saturation, theories
 from eqsat.egraph import EGraph, OpNode
-from eqsat.machine import EMatch
+from eqsat.machine import EMatch, EMatchProgram
 from eqsat.rules import PatLit, PatTerm, PatVar, Rule, RuleKind, Theory, parse_theory
 from eqsat.saturation import (
     BackoffScheduler,
@@ -22,7 +22,7 @@ from eqsat.saturation import (
     prove_equal,
     saturate,
 )
-from eqsat.terms import Lit, parse_term
+from eqsat.terms import Lit, parse_term, print_term
 from eqsat.theories import load_bundled, stream_optimize
 
 
@@ -241,6 +241,31 @@ def test_saturated_is_fixed_point():
     assert not changed and stop is None
 
 
+def test_eqsat_step_adds_to_the_callers_stats(monkeypatch):
+    made = []
+    rule_stats = saturation.RuleStats
+
+    def counted(name):
+        made.append(name)
+        return rule_stats(name)
+
+    monkeypatch.setattr(saturation, "RuleStats", counted)
+    g = EGraph()
+    g.add_term(parse_term("(* (* a b) c)"))
+    g.rebuild()
+    compiled = compile_theory(
+        parse_theory("@vars a b c\n(* a b) == (* b a)\n(* a (* b c)) == (* (* a b) c)\n")
+    )
+    sched, stats = SimpleScheduler(), {}
+    eqsat_step(g, compiled, sched, SaturationParams(), 0, stats)
+    first = dict(stats)
+    assert [st.matches for st in stats.values()] == [4, 1]
+    eqsat_step(g, compiled, sched, SaturationParams(), 1, stats)
+    assert made == ["r0", "r1"]  # one RuleStats per rule, made in the first step
+    assert all(stats[i] is first[i] for i in stats)
+    assert [st.matches for st in stats.values()] == [4 + 12, 1 + 5]
+
+
 # -- prove_equal ------------------------------------------------------------
 
 COMM_ASSOC = "@vars a b c\n(+ a b) == (+ b a)\n(+ a (+ b c)) == (+ (+ a b) c)\n"
@@ -438,14 +463,17 @@ def test_rhs_operator_variable_skips_rule():
     theory = parse_theory("@vars x\n(f x) --> (x a)\n")
     with pytest.warns(UserWarning, match="skipped in e-graph mode"):
         (cr,) = compile_theory(theory)
-    assert cr.directions == []
+    assert cr.directions == ()
 
 
 def test_compiled_rules_die_with_the_run(monkeypatch):
     refs = []
+    calls = 0
     real = saturation.compile_theory
 
     def compile_and_watch(theory):
+        nonlocal calls
+        calls += 1
         compiled = real(theory)
         for cr in compiled:
             for d in cr.directions:
@@ -453,18 +481,105 @@ def test_compiled_rules_die_with_the_run(monkeypatch):
                     refs.append(weakref.ref(obj))
         return compiled
 
+    def live_programs():
+        return sum(isinstance(o, EMatchProgram) for o in gc.get_objects())
+
     monkeypatch.setattr(saturation, "compile_theory", compile_and_watch)
+    monkeypatch.setattr(theories, "compile_theory", compile_and_watch)
     gc.disable()  # reference counting alone must free them
     try:
+        # a Theory is compiled for the call and freed when it returns
         sat(
             "(/ (* a (* 2 3)) 6)",
             "(* ~a ~b) == (* ~b ~a)\n(* ~p::number ~q::number) => (* ~p ~q)\n",
         )
-        stream_optimize(parse_term("(map (lambda x (* 7 x)) (fill 3 4))"))
         assert refs
         assert all(r() is None for r in refs)
+        # stream_optimize compiles its theory once; later calls neither
+        # compile nor leave a program behind (the cycle collector is off, so
+        # gc.get_objects() also lists any garbage in cycles)
+        t = parse_term("(map (lambda x (* 7 x)) (fill 3 4))")
+        stream_optimize(t)
+        calls = 0
+        before = live_programs()
+        for _ in range(50):
+            stream_optimize(t)
+        assert calls == 0
+        assert live_programs() == before
     finally:
         gc.enable()
+
+
+def _untimed(report: Report) -> dict:
+    d = report.to_json_dict()
+    for r in d["rules"]:
+        r.pop("search_s"), r.pop("apply_s")
+    return d
+
+
+def _saturated(t, theory) -> tuple:
+    g = EGraph()
+    g.add_term(t)
+    g.rebuild()
+    report = saturate(g, theory)
+    return g.dump(), _untimed(report)
+
+
+# The stream-fuse benchmark's pipelines and the tops it puts over them.
+STREAM_TEMPLATES = (
+    "(map {F} (fill {X} {N}))",
+    "(map {F} (reverse (fill {X} {N})))",
+    "(map {F} (cat (fill {X} {N}) (fill {X} {M})))",
+    "(reverse (map {F} (map {G} (fill {X} {N}))))",
+    "(cat (map {F} (fill {X} {N})) (map {F} (fill {Y} {M})))",
+    "(map {F} (reverse (cat (fill {X} {N}) (fill {Y} {M}))))",
+    "(reverse (reverse (map {F} (fill {X} {N}))))",
+    "(map {F} (map {G} (reverse (cat (fill {X} {N}) (fill {X} {M})))))",
+)
+STREAM_TOPS = ("(getindex {S} {I})", "(sum {S})", "(length {S})", "{S}")
+
+
+def test_reused_stream_theory_matches_a_fresh_compile(monkeypatch):
+    terms = []
+    for i, template in enumerate(STREAM_TEMPLATES):
+        for j, top in enumerate(STREAM_TOPS):
+            s = template.format(
+                F="(lambda x (* 51 x))", G="(lambda x (- 62 x))",
+                X=21 + i, Y=33, N=11 + j, M=17,
+            )
+            terms.append(parse_term(top.format(S=s, I=1 + i)))
+    compiled, cleanup = theories._stream_pipeline()
+    for t in terms:
+        assert _saturated(t, compiled) == _saturated(t, load_bundled("stream"))
+    got = [stream_optimize(t) for t in terms]
+    monkeypatch.setattr(
+        theories, "_stream_pipeline", lambda: (load_bundled("stream"), cleanup)
+    )
+    for t, (out, report) in zip(terms, got):
+        want_out, want_report = stream_optimize(t)
+        assert print_term(out) == print_term(want_out)
+        assert _untimed(report) == _untimed(want_report)
+
+
+def test_compiled_theory_reused_across_backoff_runs(monkeypatch):
+    theory = load_bundled("comm_monoid")
+    for n in ("comm_group", "folder", "div_sim"):
+        theory = theory + load_bundled(n)
+    compiled = compile_theory(theory)
+    bans = []
+    inform = BackoffScheduler.inform
+
+    def watch(self, *args):
+        bans.append(inform(self, *args))
+        return bans[-1]
+
+    monkeypatch.setattr(BackoffScheduler, "inform", watch)
+    headline = parse_term("(/ (* a (* 2 3)) 6)")
+    for _ in range(2):
+        bans.clear()
+        got = _saturated(headline, compiled)
+        assert any(bans)  # backoff state lives in the run, not in `compiled`
+        assert got == _saturated(headline, theory)
 
 
 # -- report -----------------------------------------------------------------
@@ -511,10 +626,7 @@ def test_two_runs_identical():
             "(* ~p::number ~q::number) => (* ~p ~q)\n"
             "(/ (* a b) c) == (* a (/ b c))\n",
         )
-        d = report.to_json_dict()
-        for r in d["rules"]:
-            r.pop("search_s"), r.pop("apply_s")
-        return d, g.dump()
+        return _untimed(report), g.dump()
 
     assert run() == run()
 

@@ -198,3 +198,11 @@ def test_stream_optimize_parses_its_theories_once(monkeypatch):
     assert out1 == out2 == parse_term("(fill 21 4)")
     # loaded theories stay the caller's own to change
     assert load_bundled("stream").rules is not load_bundled("stream").rules
+
+
+def test_stream_optimize_deep_nesting():
+    depth = 5000
+    t = parse_term("(+ " * depth + "a" + " 1)" * depth)
+    assert theories._astsize(t) == 2 * depth + 1
+    out, _ = stream_optimize(t)
+    assert print_term(out) == print_term(t)  # nothing here to fuse or fold
