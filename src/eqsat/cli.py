@@ -1,8 +1,9 @@
 """Command-line front-end.
 
-Subcommands: simplify, prove, rewrite, analyze, optimize-stream. Theories are
-given as file paths or @name for a bundled theory. Exit codes: 0 success,
-1 parse/usage error, 2 limit-stop (result still printed), 3 prove unknown.
+Subcommands: simplify, prove, rewrite, analyze, optimize-stream; each takes
+only the options it reads. Theories are given as file paths or @name for a
+bundled theory. Exit codes: 0 success, 1 parse/usage error, 2 limit-stop
+(result still printed), 3 prove unknown.
 """
 
 from __future__ import annotations
@@ -49,31 +50,54 @@ _ASSUME_VALUES = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theory", action="append", default=[], metavar="PATH|@NAME")
-    p.add_argument("--expr", action="append", default=[], metavar="SEXP|@FILE")
-    p.add_argument("--timeout", type=int, default=None, metavar="ITERS")
-    p.add_argument("--timelimit-ms", type=float, default=None)
-    p.add_argument("--matchlimit", type=int, default=None)
-    p.add_argument("--eclasslimit", type=int, default=None)
-    p.add_argument("--enodelimit", type=int, default=None)
-    p.add_argument("--scheduler", choices=["simple", "backoff"], default=None)
-    p.add_argument("--cost", choices=sorted(COST_FUNCTIONS), default="astsize")
-    p.add_argument("--strategy", default=DEFAULT_STRATEGY)
-    p.add_argument("--assume", nargs="*", default=None, metavar="SYM=SIGN")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--verbose", action="store_true")
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, where argparse exits 2: the CLI keeps 2 for
+    a limit stop."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="eqsat", description="term rewriting and equality saturation"
-    )
+    """Each subcommand takes the option groups its `cmd_*` reads, and only
+    those."""
+
+    def group() -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False)
+
+    io = group()
+    io.add_argument("--expr", action="append", default=[], metavar="SEXP|@FILE")
+    io.add_argument("exprs", nargs="*", metavar="SEXP")
+    io.add_argument("--json", action="store_true")
+    theories = group()
+    theories.add_argument("--theory", action="append", default=[], metavar="PATH|@NAME")
+    # what `_params` reads; --verbose also prints the report
+    limits = group()
+    limits.add_argument("--timeout", type=int, default=None, metavar="ITERS")
+    limits.add_argument("--timelimit-ms", type=float, default=None)
+    limits.add_argument("--matchlimit", type=int, default=None)
+    limits.add_argument("--eclasslimit", type=int, default=None)
+    limits.add_argument("--enodelimit", type=int, default=None)
+    limits.add_argument("--scheduler", choices=["simple", "backoff"], default=None)
+    limits.add_argument("--verbose", action="store_true")
+    cost = group()
+    cost.add_argument("--cost", choices=sorted(COST_FUNCTIONS), default="astsize")
+    strategy = group()
+    strategy.add_argument("--strategy", default=DEFAULT_STRATEGY)
+    assumptions = group()
+    assumptions.add_argument("--assume", nargs="*", default=None, metavar="SYM=SIGN")
+
+    parser = _Parser(prog="eqsat", description="term rewriting and equality saturation")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simplify", "prove", "rewrite", "analyze", "optimize-stream"):
-        p = sub.add_parser(name)
-        _add_common(p)
-        p.add_argument("exprs", nargs="*", metavar="SEXP")
+    for name, groups in (
+        ("simplify", [theories, limits, cost, assumptions]),
+        ("prove", [theories, limits]),
+        ("rewrite", [theories, strategy]),
+        ("analyze", [assumptions]),
+        ("optimize-stream", [limits]),
+    ):
+        sub.add_parser(name, parents=groups + [io])
     return parser
 
 

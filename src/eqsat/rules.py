@@ -17,6 +17,7 @@ from . import terms
 from .errors import (
     DuplicatePredicate,
     RuleSyntaxError,
+    SExprSyntaxError,
     UnboundRhsVariable,
     UnknownPredicate,
 )
@@ -315,7 +316,7 @@ def _leaf_pattern(tok: str, table: _VarTable, allocate: bool) -> Pattern:
             raise RuleSyntaxError(f"predicate attached to non-variable {tok!r}")
         try:
             t = classify_token(base, 0)
-        except Exception:
+        except (SExprSyntaxError, ValueError):  # ValueError: too many digits
             raise RuleSyntaxError(f"malformed pattern token {tok!r}") from None
         return PatLit(t.value if isinstance(t, Lit) else t.name)
     if not base or not ATOM_RE.fullmatch(base):

@@ -193,8 +193,6 @@ def make_scheduler(params: SaturationParams, n_rules: int):
 
 @dataclass(frozen=True)
 class _Direction:
-    lhs: Pattern
-    rhs: Pattern
     program: EMatchProgram
     # adds the right-hand side under a match and returns its class; for an
     # UNEQUAL rule, only looks it up (None when it is absent)
@@ -230,7 +228,7 @@ def compile_theory(theory: Theory) -> CompiledTheory:
                     instantiate = _compile_lookup(rhs)
                 else:
                     instantiate = _compile_builder(rhs, rule.kind is RuleKind.DYNAMIC)
-                dirs.append(_Direction(lhs, rhs, program, instantiate))
+                dirs.append(_Direction(program, instantiate))
         except SegmentUnsupported as exc:
             warnings.warn(f"rule {rule.name!r} skipped in e-graph mode: {exc}")
             dirs = []
@@ -356,7 +354,6 @@ def eqsat_step(
     g: EGraph,
     compiled: CompiledTheory,
     sched,
-    params: SaturationParams,
     iteration: int,
     stats: dict[int, RuleStats],
     deadline: Optional[float] = None,
@@ -455,9 +452,7 @@ def saturate(
                 reason = StopReason(TIME_LIMIT)
                 break
             iterations = iteration + 1
-            changed, stop = eqsat_step(
-                g, compiled, sched, params, iteration, stats, deadline
-            )
+            changed, stop = eqsat_step(g, compiled, sched, iteration, stats, deadline)
             if params.printiter:
                 print(
                     f"iteration {iterations}: {g.n_eclasses} classes, {g.n_enodes} nodes",

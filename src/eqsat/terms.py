@@ -60,7 +60,7 @@ class Lit(Term):
         return f"Lit({self.value!r})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Compound(Term):
     op: str
     args: tuple[Term, ...]
@@ -68,6 +68,44 @@ class Compound(Term):
     def __post_init__(self):
         if not self.op:
             raise ContractViolation("compound operation must be non-empty")
+
+    # Equality and hashing are iterative, so that nesting depth is not bounded
+    # by the recursion limit. As with the tuple comparison they replace, a
+    # subterm shared by both sides compares equal without a walk.
+
+    def __eq__(self, other):
+        if not isinstance(other, Compound):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a.op != b.op or len(a.args) != len(b.args):
+                return False
+            for x, y in zip(a.args, b.args):
+                if x is y:
+                    continue
+                if isinstance(x, Compound):
+                    if not isinstance(y, Compound):
+                        return False
+                    todo.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self):
+        done: list[int] = []  # hashes of the subterms finished so far
+        todo: list[tuple[Term, bool]] = [(self, False)]
+        while todo:
+            t, children_done = todo.pop()
+            if children_done:
+                k = len(done) - len(t.args)
+                done[k:] = [hash((t.op, *done[k:]))]
+            elif isinstance(t, Compound):
+                todo.append((t, True))
+                todo += [(a, False) for a in reversed(t.args)]
+            else:
+                done.append(hash(t))
+        return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +288,20 @@ CALL_OP = "call"
 
 
 def substitute_atom(t: Term, name: str, repl: Term) -> Term:
-    if isinstance(t, Atom) and t.name == name:
-        return repl
-    if isinstance(t, Compound):
-        return Compound(t.op, tuple(substitute_atom(a, name, repl) for a in t.args))
-    return t
+    # iterative, so that nesting depth is not bounded by the recursion limit
+    done: list[Term] = []  # results for the subterms finished so far
+    todo: list[tuple[Term, bool]] = [(t, False)]
+    while todo:
+        x, children_done = todo.pop()
+        if children_done:
+            k = len(done) - len(x.args)
+            done[k:] = [Compound(x.op, tuple(done[k:]))]
+        elif isinstance(x, Compound):
+            todo.append((x, True))
+            todo += [(a, False) for a in reversed(x.args)]
+        else:
+            done.append(repl if isinstance(x, Atom) and x.name == name else x)
+    return done[0]
 
 
 def inline_anonymous(t: Term) -> Optional[Term]:

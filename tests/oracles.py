@@ -279,6 +279,40 @@ def prewalk(rw, t: Term):
     return cur if changed else None
 
 
+# -- recursive term equality, hashing and substitution, the reference for ----
+# -- Compound's and terms.substitute_atom's iterative ones ------------------
+
+
+def term_eq(a: Term, b: Term) -> bool:
+    """`a == b`, by recursion on the terms, with no identity shortcut."""
+    if isinstance(a, Compound) and isinstance(b, Compound):
+        return (
+            a.op == b.op
+            and len(a.args) == len(b.args)
+            and all(term_eq(x, y) for x, y in zip(a.args, b.args))
+        )
+    if isinstance(a, Compound) or isinstance(b, Compound):
+        return False
+    return a == b
+
+
+def term_hash(t: Term) -> int:
+    """`hash(t)`, by recursion: a compound hashes its operation together
+    with its arguments' hashes."""
+    if isinstance(t, Compound):
+        return hash((t.op, *(term_hash(a) for a in t.args)))
+    return hash(t)
+
+
+def substitute_atom(t: Term, name: str, repl: Term) -> Term:
+    """`terms.substitute_atom(t, name, repl)`, by recursion on the term."""
+    if isinstance(t, Atom) and t.name == name:
+        return repl
+    if isinstance(t, Compound):
+        return Compound(t.op, tuple(substitute_atom(a, name, repl) for a in t.args))
+    return t
+
+
 # -- BFS prover over classical rewriting ------------------------------------
 
 

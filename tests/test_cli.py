@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from eqsat.cli import main
+from eqsat.cli import build_parser, main
 from eqsat.terms import parse_term
 
 FOUR = [
@@ -241,11 +241,31 @@ def test_optimize_stream_deeper_than_the_recursion_limit(capsys):
     assert "Traceback" not in err
 
 
-def test_too_deep_input_is_a_clean_error(capsys):
+def test_rewrite_deeper_than_the_recursion_limit(capsys):
     # (* a 1) --> a rebuilds the whole spine, and Fixpoint compares the new
-    # term with the old one: Compound's generated __eq__ recurses on depth
+    # term with the old one
     expr = "(+ " * 1200 + "(* a 1)" + " 1)" * 1200
     code, out, err = run(capsys, "rewrite", "--theory", "@comm_monoid", "--expr", expr)
+    assert code == 0
+    assert out.strip() == _nested_sum(1200)
+    assert "Traceback" not in err
+
+
+def test_optimize_stream_inlines_a_deep_lambda(capsys):
+    body = "(+ " * 1200 + "x" + " 1)" * 1200
+    code, out, err = run(
+        capsys, "optimize-stream", "--expr", f"(call (lambda x {body}) 2)"
+    )
+    assert code == 0
+    assert out.strip() == "1202"
+    assert "Traceback" not in err
+
+
+def test_too_deep_input_is_a_clean_error(tmp_path, capsys):
+    # the theory parser recurses on pattern depth
+    th = tmp_path / "deep.theory"
+    th.write_text("@vars x\n" + "(g " * 1200 + "x" + ")" * 1200 + " --> x\n")
+    code, out, err = run(capsys, "rewrite", "--theory", str(th), "--expr", "a")
     assert code == 1
     assert out == ""
     assert "error: expression nested too deeply" in err
@@ -271,3 +291,88 @@ def test_output_reparseable(capsys):
     )
     assert code == 0
     assert parse_term(json.loads(out)["term"]) == parse_term("21")
+
+
+# -- usage --------------------------------------------------------------------
+
+# A value each option accepts, and whether it takes one.
+OPTIONS = {
+    "--theory": ["@comm_monoid"],
+    "--expr": ["(* x 1)"],
+    "--timeout": ["3"],
+    "--timelimit-ms": ["100"],
+    "--matchlimit": ["10"],
+    "--eclasslimit": ["10"],
+    "--enodelimit": ["100"],
+    "--scheduler": ["simple"],
+    "--cost": ["astsize"],
+    "--strategy": ["postwalk(chain(all))"],
+    "--assume": ["x=+"],
+    "--json": [],
+    "--verbose": [],
+}
+LIMITS = ["--timeout", "--timelimit-ms", "--matchlimit", "--eclasslimit",
+          "--enodelimit", "--scheduler"]
+# the options each subcommand reads
+ACCEPTED = {
+    "simplify": ["--theory", *LIMITS, "--cost", "--assume", "--json", "--verbose"],
+    "prove": ["--theory", *LIMITS, "--json", "--verbose"],
+    "rewrite": ["--theory", "--strategy", "--json"],
+    "analyze": ["--assume", "--json"],
+    "optimize-stream": [*LIMITS, "--json", "--verbose"],
+}
+ACCEPTED_PAIRS = [(c, f) for c, flags in ACCEPTED.items() for f in ["--expr", *flags]]
+REMOVED_PAIRS = [
+    (c, f) for c in ACCEPTED for f in OPTIONS if (c, f) not in ACCEPTED_PAIRS
+]
+ONE_EXPR = ["--expr", "(* x 1)"]
+
+
+def usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_every_option_is_accepted_or_removed():
+    assert len(ACCEPTED_PAIRS) == 38 and len(REMOVED_PAIRS) == 27
+
+
+@pytest.mark.parametrize("command,flag", ACCEPTED_PAIRS)
+def test_subcommand_accepts_the_options_it_reads(command, flag):
+    args = build_parser().parse_args([command, flag, *OPTIONS[flag]])
+    assert vars(args)[flag[2:].replace("-", "_")] not in (None, False, [])
+
+
+@pytest.mark.parametrize("command,flag", REMOVED_PAIRS)
+def test_subcommand_rejects_options_it_does_not_read(capsys, command, flag):
+    exprs = ONE_EXPR * (2 if command == "prove" else 1)
+    code, out, err = usage_error(capsys, command, *exprs, flag, *OPTIONS[flag])
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: {flag}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "the following arguments are required: command"),
+        (["simplify", "--bogus", *ONE_EXPR], "unrecognized arguments: --bogus"),
+        (["simplify", "--scheduler", "fifo", *ONE_EXPR], "invalid choice: 'fifo'"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv, message):
+    code, out, err = usage_error(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["simplify", "-h"], ["prove", "--help"]])
+def test_help_exits_0(capsys, argv):
+    code, out, err = usage_error(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: eqsat") and err == ""

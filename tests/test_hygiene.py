@@ -79,6 +79,28 @@ def argument_keyed_caches(source: str) -> list[str]:
     return found
 
 
+def unread_parameters(source: str) -> list[str]:
+    """Parameters of a module-level function that its body never reads, as
+    "line N: function parameter"."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs]
+        params += [p for p in (a.vararg, a.kwarg) if p is not None]
+        read = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+        }
+        found += [
+            f"line {node.lineno}: {node.name} {p.arg}" for p in params if p.arg not in read
+        ]
+    return found
+
+
 def test_unused_imports_finds_unused_names():
     source = "import os\nimport a.b\nfrom c import d, e as f\nprint(a, f)\n"
     assert unused_imports(source) == ["line 1: os", "line 3: d"]
@@ -109,6 +131,20 @@ def test_argument_keyed_caches_finds_cached_functions_with_parameters():
     ]
 
 
+def test_unread_parameters_finds_parameters_nothing_reads():
+    source = (
+        "def f(a, /, b, *args, c, d=1, **kw):\n"
+        "    def inner(): return b\n"
+        "    return [args, lambda: c, inner]\n"
+        "def g(x, y=x):\n    y = 1\n    return y\n"
+        "class C:\n    def m(self, z): pass\n"
+        "def h(): pass\n"
+    )
+    assert unread_parameters(source) == [
+        "line 1: f a", "line 1: f d", "line 1: f kw", "line 4: g x",
+    ]
+
+
 def test_no_unused_imports_in_package():
     # the top-level __init__.py imports names only to re-export them
     found = {
@@ -128,3 +164,15 @@ def test_no_argument_keyed_caches_in_package():
         name: argument_keyed_caches(source) for name, source in package_sources().items()
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_no_unread_parameters_in_package():
+    # astsize and astsize_inv take the node a CostFunction is called with
+    allowed = {("analysis.py", "astsize node"), ("analysis.py", "astsize_inv node")}
+    found = [
+        f"{name} {f}"
+        for name, source in package_sources().items()
+        for f in unread_parameters(source)
+        if (name, f.partition(": ")[2]) not in allowed
+    ]
+    assert found == []

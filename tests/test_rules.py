@@ -194,6 +194,25 @@ def test_theory_error_carries_line_number():
     assert "line 2" in str(e.value)
 
 
+def _deep_rule_theory(depth):
+    return "@vars x\n" + "(g " * depth + "x" + ")" * depth + " --> x\n"
+
+
+def test_deep_pattern_is_not_reported_as_a_syntax_error():
+    # the pattern parser recurses on depth; running out of stack is not a
+    # malformed token, and the CLI reports it as nesting too deep
+    assert len(parse_theory(_deep_rule_theory(900)).rules) == 1
+    for depth in (1200, 3000):
+        with pytest.raises(RecursionError):
+            parse_theory(_deep_rule_theory(depth))
+
+
+def test_overlong_number_in_pattern_is_a_syntax_error():
+    # int() refuses a literal of more than 4,300 digits with a ValueError
+    with pytest.raises(RuleSyntaxError, match="line 2: malformed pattern token"):
+        parse_theory("@vars x\n(f x " + "7" * 5000 + ") --> x\n")
+
+
 def test_theory_duplicate_name():
     with pytest.raises(RuleSyntaxError):
         parse_theory("@name r\n(f ~x) --> ~x\n@name r\n(g ~x) --> ~x\n")

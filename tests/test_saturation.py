@@ -184,7 +184,7 @@ def test_timelimit_checked_between_search_roots(monkeypatch):
     _clock_passing_deadline_on(monkeypatch, g, "classes_by_op")
     sched, stats = _RecordingScheduler(), {}
     compiled = compile_theory(parse_theory(TWO_RULES))
-    changed, stop = eqsat_step(g, compiled, sched, SaturationParams(), 0, stats, 1.0)
+    changed, stop = eqsat_step(g, compiled, sched, 0, stats, 1.0)
     assert stop.kind == "time-limit" and not changed
     # rule 0 ran on one root of three, and rule 1 not at all
     assert [st.matches for st in stats.values()] == [1, 0]
@@ -237,7 +237,7 @@ def test_saturated_is_fixed_point():
     assert report.stop_reason.kind == "saturated"
     compiled = compile_theory(parse_theory("(* ~a ~b) == (* ~b ~a)"))
     sched = SimpleScheduler()
-    changed, stop = eqsat_step(g, compiled, sched, SaturationParams(), 0, {})
+    changed, stop = eqsat_step(g, compiled, sched, 0, {})
     assert not changed and stop is None
 
 
@@ -257,10 +257,10 @@ def test_eqsat_step_adds_to_the_callers_stats(monkeypatch):
         parse_theory("@vars a b c\n(* a b) == (* b a)\n(* a (* b c)) == (* (* a b) c)\n")
     )
     sched, stats = SimpleScheduler(), {}
-    eqsat_step(g, compiled, sched, SaturationParams(), 0, stats)
+    eqsat_step(g, compiled, sched, 0, stats)
     first = dict(stats)
     assert [st.matches for st in stats.values()] == [4, 1]
-    eqsat_step(g, compiled, sched, SaturationParams(), 1, stats)
+    eqsat_step(g, compiled, sched, 1, stats)
     assert made == ["r0", "r1"]  # one RuleStats per rule, made in the first step
     assert all(stats[i] is first[i] for i in stats)
     assert [st.matches for st in stats.values()] == [4 + 12, 1 + 5]

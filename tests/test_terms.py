@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from eqsat.errors import ContractViolation, SExprSyntaxError, UnknownBuiltin
 from eqsat.terms import (
     Atom,
@@ -17,6 +18,7 @@ from eqsat.terms import (
     parse_term,
     print_term,
     similarterm,
+    substitute_atom,
 )
 
 # -- strategies -------------------------------------------------------------
@@ -128,6 +130,60 @@ def test_lit_hash_coherent(a, b):
         assert hash(la) == hash(lb)
 
 
+# few operations and leaves, so that random pairs are often equal
+small_terms = st.recursive(
+    st.sampled_from([Atom("a"), Atom("b"), Lit(1), Lit(1.0), Lit(2), Lit(math.nan)]),
+    lambda ch: st.builds(
+        lambda op, args: Compound(op, tuple(args)),
+        st.sampled_from(["f", "g"]),
+        st.lists(ch, max_size=2),
+    ),
+    max_leaves=6,
+)
+
+
+@given(small_terms, small_terms)
+def test_compound_eq_and_hash_match_recursive_reference(a, b):
+    assert (a == b) is oracles.term_eq(a, b)
+    assert (a != b) is not oracles.term_eq(a, b)
+    assert hash(a) == oracles.term_hash(a)
+    if a == b:
+        assert hash(a) == hash(b)
+    copy = parse_term(print_term(a))  # equal, and shares no subterm with a
+    assert copy == a and hash(copy) == hash(a)
+
+
+def _deep_g(depth, leaf):
+    return parse_term("(g " * depth + leaf + ")" * depth)
+
+
+def test_compound_eq_and_hash_deep_nesting():
+    a, b = _deep_g(5000, "a"), _deep_g(5000, "a")
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a != _deep_g(5000, "b") and not a == _deep_g(5000, "b")
+    assert _deep_g(5000, "1") == _deep_g(5000, "1.0")
+    assert hash(_deep_g(5000, "1")) == hash(_deep_g(5000, "1.0"))
+    assert a != _deep_g(4999, "a")
+
+
+def test_compound_eq_skips_shared_subterms():
+    class Opaque(Atom):
+        __hash__ = Atom.__hash__
+
+        def __eq__(self, other):
+            raise AssertionError("a shared subterm was compared")
+
+    shared = Opaque("x")
+    assert Compound("f", (shared, Lit(1))) == Compound("f", (shared, Lit(1.0)))
+
+
+def test_compound_eq_defers_to_other_types():
+    t = Compound("f", ())
+    assert t.__eq__(Atom("f")) is NotImplemented
+    assert t != Atom("f") and Atom("f") != t and t != "f"
+
+
 # -- accessors --------------------------------------------------------------
 
 
@@ -205,6 +261,16 @@ def test_inline_anonymous():
 def test_inline_anonymous_shadows_nothing_else():
     t = parse_term("(call (lambda x (+ x y)) (g x))")
     assert inline_anonymous(t) == parse_term("(+ (g x) y)")
+
+
+@given(small_terms, small_terms)
+def test_substitute_atom_matches_recursive_reference(t, repl):
+    assert substitute_atom(t, "a", repl) == oracles.substitute_atom(t, "a", repl)
+
+
+def test_substitute_atom_deep_nesting():
+    t = substitute_atom(_deep_g(5000, "x"), "x", parse_term("(h 2)"))
+    assert t == _deep_g(5000, "(h 2)")
 
 
 @pytest.mark.parametrize(
