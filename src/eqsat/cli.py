@@ -31,11 +31,12 @@ from .saturation import (
     ENODE_LIMIT,
     ITERATION_LIMIT,
     TIME_LIMIT,
+    Report,
     SaturationParams,
     prove_equal,
     saturate,
 )
-from .terms import parse_term, print_term
+from .terms import Term, parse_term, print_term
 from .theories import load_bundled, stream_optimize
 
 LIMIT_STOPS = {ITERATION_LIMIT, TIME_LIMIT, ECLASS_LIMIT, ENODE_LIMIT}
@@ -59,6 +60,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _at_least_0(convert):
+    """An argparse type for a limit: `convert`, then refuse a value that is
+    negative or NaN."""
+
+    def limit(text: str):
+        value = convert(text)
+        if not value >= 0:  # false for NaN too
+            raise argparse.ArgumentTypeError(f"expected a value >= 0, got {text!r}")
+        return value
+
+    return limit
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Each subcommand takes the option groups its `cmd_*` reads, and only
     those."""
@@ -74,11 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
     theories.add_argument("--theory", action="append", default=[], metavar="PATH|@NAME")
     # what `_params` reads; --verbose also prints the report
     limits = group()
-    limits.add_argument("--timeout", type=int, default=None, metavar="ITERS")
-    limits.add_argument("--timelimit-ms", type=float, default=None)
-    limits.add_argument("--matchlimit", type=int, default=None)
-    limits.add_argument("--eclasslimit", type=int, default=None)
-    limits.add_argument("--enodelimit", type=int, default=None)
+    count, ms = _at_least_0(int), _at_least_0(float)
+    limits.add_argument("--timeout", type=count, default=None, metavar="ITERS")
+    limits.add_argument("--timelimit-ms", type=ms, default=None)
+    limits.add_argument("--matchlimit", type=count, default=None)
+    limits.add_argument("--eclasslimit", type=count, default=None)
+    limits.add_argument("--enodelimit", type=count, default=None)
     limits.add_argument("--scheduler", choices=["simple", "backoff"], default=None)
     limits.add_argument("--verbose", action="store_true")
     cost = group()
@@ -130,14 +145,26 @@ def _load_theories(specs: list[str]) -> Theory:
     return theory
 
 
-def _read_exprs(args) -> list[str]:
-    out = []
-    for e in list(args.expr) + list(args.exprs):
-        if e.startswith("@"):
-            out.append(Path(e[1:]).read_text().strip())
-        else:
-            out.append(e)
-    return out
+def _read_terms(args, n: int) -> list[Term]:
+    """The command's `n` expressions, parsed."""
+    texts = [
+        Path(e[1:]).read_text().strip() if e.startswith("@") else e
+        for e in args.expr + args.exprs
+    ]
+    if len(texts) != n:
+        raise EqsatError(f"{args.command} expects {n} expression(s), got {len(texts)}")
+    return [parse_term(t) for t in texts]
+
+
+def _print_result(args, key: str, text: str, report: Report) -> None:
+    """`text` on stdout, with the report under --json, or on stderr under
+    --verbose."""
+    if args.json:
+        print(json.dumps({key: text, "report": report.to_json_dict()}, indent=2))
+    else:
+        print(text)
+        if args.verbose:
+            print(report.render(), file=sys.stderr)
 
 
 def _assumptions(args) -> Optional[dict[str, float]]:
@@ -153,11 +180,7 @@ def _assumptions(args) -> Optional[dict[str, float]]:
 
 
 def cmd_simplify(args) -> int:
-    exprs = _read_exprs(args)
-    if len(exprs) != 1:
-        print("simplify expects exactly one expression", file=sys.stderr)
-        return 1
-    term = parse_term(exprs[0])
+    (term,) = _read_terms(args, 1)
     theory = _load_theories(args.theory)
     params = _params(args)
     g = EGraph()
@@ -167,43 +190,20 @@ def cmd_simplify(args) -> int:
     root = g.add_term(term)
     report = saturate(g, theory, params)
     best = extract(g, COST_FUNCTIONS[args.cost], root)
-    if args.json:
-        print(
-            json.dumps(
-                {"term": print_term(best), "report": report.to_json_dict()}, indent=2
-            )
-        )
-    else:
-        print(print_term(best))
-        if args.verbose:
-            print(report.render(), file=sys.stderr)
+    _print_result(args, "term", print_term(best), report)
     return 2 if report.stop_reason.kind in LIMIT_STOPS else 0
 
 
 def cmd_prove(args) -> int:
-    exprs = _read_exprs(args)
-    if len(exprs) != 2:
-        print("prove expects exactly two expressions", file=sys.stderr)
-        return 1
-    t1, t2 = parse_term(exprs[0]), parse_term(exprs[1])
+    t1, t2 = _read_terms(args, 2)
     theory = _load_theories(args.theory)
     equal, report = prove_equal(t1, t2, theory, _params(args))
-    verdict = "equal" if equal else "unknown"
-    if args.json:
-        print(json.dumps({"result": verdict, "report": report.to_json_dict()}, indent=2))
-    else:
-        print(verdict)
-        if args.verbose:
-            print(report.render(), file=sys.stderr)
+    _print_result(args, "result", "equal" if equal else "unknown", report)
     return 0 if equal else 3
 
 
 def cmd_rewrite(args) -> int:
-    exprs = _read_exprs(args)
-    if len(exprs) != 1:
-        print("rewrite expects exactly one expression", file=sys.stderr)
-        return 1
-    term = parse_term(exprs[0])
+    (term,) = _read_terms(args, 1)
     theory = _load_theories(args.theory)
     rewriters = []
     for r in theory.rules:
@@ -225,11 +225,7 @@ def cmd_rewrite(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    exprs = _read_exprs(args)
-    if len(exprs) != 1:
-        print("analyze expects exactly one expression", file=sys.stderr)
-        return 1
-    term = parse_term(exprs[0])
+    (term,) = _read_terms(args, 1)
     g = EGraph()
     root = g.add_term(term)
     analyze(g, sign_analysis(_assumptions(args)))
@@ -243,22 +239,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_optimize_stream(args) -> int:
-    exprs = _read_exprs(args)
-    if len(exprs) != 1:
-        print("optimize-stream expects exactly one expression", file=sys.stderr)
-        return 1
-    term = parse_term(exprs[0])
+    (term,) = _read_terms(args, 1)
     out, report = stream_optimize(term, _params(args))
-    if args.json:
-        print(
-            json.dumps(
-                {"term": print_term(out), "report": report.to_json_dict()}, indent=2
-            )
-        )
-    else:
-        print(print_term(out))
-        if args.verbose:
-            print(report.render(), file=sys.stderr)
+    _print_result(args, "term", print_term(out), report)
     return 2 if report.stop_reason.kind in LIMIT_STOPS else 0
 
 
@@ -272,7 +255,10 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "matchlimit", None) is not None and args.scheduler == "simple":
+        parser.error("argument --matchlimit: not allowed with --scheduler simple")
     try:
         return _COMMANDS[args.command](args)
     except (EqsatError, ValueError, OSError) as exc:

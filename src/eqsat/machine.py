@@ -8,6 +8,12 @@ the search itself merges nothing. A ground subpattern compiles like any other
 subpattern: on a congruence-closed graph a class holds a ground term's e-node
 exactly when a hashcons lookup would find it there.
 
+A run yields each match once, with no set to deduplicate them: on a rebuilt
+graph each canonical e-node lies in exactly one class, so a match (its root
+class and the classes of its variables) fixes, bottom-up, the class of every
+pattern position and the e-node taken at every `Bind`. A search path is thus
+a function of its match, and a lifted literal is a function of its class.
+
 Each program is also compiled, once, into a chain of closures, one per
 instruction, each calling the next as its continuation (the idiom of the
 classical matchers). The instructions stay as a view of the program, for
@@ -83,11 +89,11 @@ class EMatchProgram:
 @dataclass(frozen=True, slots=True)
 class EMatch:
     class_id: int
-    bindings: tuple[tuple[int, int], ...]  # (var index, class id), sorted
+    bindings: tuple[int, ...]  # the class of variable i at position i
     literal_bindings: tuple[tuple[int, Union[Number, str]], ...]
 
     def binding_dict(self) -> dict[int, int]:
-        return dict(self.bindings)
+        return dict(enumerate(self.bindings))
 
     def literal_dict(self) -> dict[int, Union[Number, str]]:
         return dict(self.literal_bindings)
@@ -165,7 +171,7 @@ class _Full(Exception):
 class _Run:
     """The state of one run of a program from one root class."""
 
-    __slots__ = ("g", "classes", "regs", "lits", "found", "pairs", "limit")
+    __slots__ = ("g", "classes", "regs", "lits", "found", "limit")
 
     def __init__(self, g, n_regs, root, limit):
         self.g = g
@@ -173,9 +179,7 @@ class _Run:
         self.regs: list[Optional[int]] = [None] * n_regs
         self.regs[0] = root
         self.lits: dict[int, Union[Number, str]] = {}  # register -> lifted literal
-        self.found: dict[EMatch, None] = {}  # insertion-ordered set
-        # matches share equal (var, class) pairs: fewer objects for the collector
-        self.pairs: dict[tuple[int, int], tuple[int, int]] = {}
+        self.found: list[EMatch] = []
         self.limit = limit
 
 
@@ -267,13 +271,11 @@ def _yield(ins: Yield, lifted: list[int]):
     lit_vars = [(i, reg) for i, reg in enumerate(var_regs) if reg in lifted]
 
     def yield_(r: _Run, var_regs=var_regs, lit_vars=lit_vars):
-        regs, pairs = r.regs, r.pairs
-        ids = enumerate([regs[reg] for reg in var_regs])
-        bindings = tuple([pairs.setdefault(p, p) for p in ids])
-        lits = r.lits
+        regs, lits = r.regs, r.lits
+        bindings = tuple([regs[reg] for reg in var_regs])
         lit_bindings = tuple([(i, lits[reg]) for i, reg in lit_vars if reg in lits])
         found = r.found
-        found[EMatch(regs[0], bindings, lit_bindings)] = None
+        found.append(EMatch(regs[0], bindings, lit_bindings))
         if len(found) == r.limit:
             raise _Full
 
@@ -301,9 +303,9 @@ def run_program(
     g: EGraph, prog: EMatchProgram, root: int, limit: Optional[int] = None
 ) -> list[EMatch]:
     """Depth-first execution from the class of `root`, on the graph rebuilt
-    first if it is not; enumeration follows class-node insertion order. Each
-    distinct match comes once, and with a `limit` the run stops as soon as it
-    holds that many."""
+    first if it is not; enumeration follows class-node insertion order. No
+    match comes twice, as the graph is rebuilt (see the module docstring);
+    with a `limit` the run stops as soon as it holds that many."""
     if g.pending or g.analysis_worklist:
         g.rebuild()
     if limit == 0:
@@ -313,7 +315,7 @@ def run_program(
         prog.start(run)
     except _Full:
         pass
-    return list(run.found)
+    return run.found
 
 
 def ematch(g: EGraph, p: Pattern) -> list[EMatch]:

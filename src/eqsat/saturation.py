@@ -280,10 +280,10 @@ def _build_node(p: Pattern, dynamic: bool):
                 for i, v in lits:
                     if i == idx:
                         return (v,)
-                return binds[idx][1]
+                return binds[idx]
 
             return var_or_literal
-        return lambda g, binds, lits, idx=idx: binds[idx][1]
+        return lambda g, binds, lits, idx=idx: binds[idx]
     if isinstance(p, PatLit):
         lit = (p.value,)
         return lambda g, binds, lits, lit=lit: lit
@@ -328,7 +328,7 @@ def _compile_lookup(pat: Pattern) -> Callable[[EGraph, EMatch], Optional[int]]:
 def _lookup_node(p: Pattern):
     if isinstance(p, PatVar):
         idx = p.index
-        return lambda g, binds, idx=idx: g.find(binds[idx][1])
+        return lambda g, binds, idx=idx: g.find(binds[idx])
     if isinstance(p, PatLit):
         node = LitNode(p.value)
         return lambda g, binds, node=node: g.lookup(node)

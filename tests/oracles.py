@@ -124,9 +124,10 @@ def analysis_fixpoint(g: EGraph, analysis) -> dict[int, object]:
 # -- naive e-matching -------------------------------------------------------
 
 
-def naive_ematch(g: EGraph, pattern) -> set[tuple[int, tuple[tuple[int, int], ...]]]:
+def naive_ematch(g: EGraph, pattern) -> set[tuple[int, tuple[int, ...]]]:
     """All (class, bindings) pairs for a predicate-free pattern, by recursion
-    over every node of every class."""
+    over every node of every class; bindings hold the class of each variable
+    in variable order, as `EMatch.bindings` does."""
 
     results = set()
 
@@ -164,7 +165,7 @@ def naive_ematch(g: EGraph, pattern) -> set[tuple[int, tuple[tuple[int, int], ..
 
     for cid in g.canonical_ids():
         for b in match_in_class(pattern, cid, {}):
-            results.add((g.find(cid), tuple(sorted(b.items()))))
+            results.add((g.find(cid), tuple(b[i] for i in sorted(b))))
     return results
 
 

@@ -362,6 +362,15 @@ def test_subcommand_rejects_options_it_does_not_read(capsys, command, flag):
         (["simplify", "--bogus", *ONE_EXPR], "unrecognized arguments: --bogus"),
         (["simplify", "--scheduler", "fifo", *ONE_EXPR], "invalid choice: 'fifo'"),
         (["frobnicate"], "invalid choice: 'frobnicate'"),
+        (["simplify", "--timeout", "-3", *ONE_EXPR], "argument --timeout: expected"),
+        (["prove", "--matchlimit", "-1", "a", "a"], "argument --matchlimit: expected"),
+        (["simplify", "--eclasslimit", "-1", *ONE_EXPR], "argument --eclasslimit"),
+        (["optimize-stream", "--enodelimit", "-5", *ONE_EXPR], "argument --enodelimit"),
+        (["simplify", "--timelimit-ms", "-0.5", *ONE_EXPR], "argument --timelimit-ms"),
+        (["simplify", "--timelimit-ms", "nan", *ONE_EXPR], "got 'nan'"),
+        (["simplify", "--timeout", "x", *ONE_EXPR], "invalid limit value: 'x'"),
+        (["simplify", "--scheduler", "simple", "--matchlimit", "3", *ONE_EXPR],
+         "argument --matchlimit: not allowed with --scheduler simple"),
     ],
 )
 def test_usage_errors_exit_1(capsys, argv, message):
@@ -369,6 +378,21 @@ def test_usage_errors_exit_1(capsys, argv, message):
     assert code == 1
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["simplify"], "simplify expects 1 expression(s), got 0"),
+        (["prove", "a"], "prove expects 2 expression(s), got 1"),
+        (["analyze", "a", "--expr", "b"], "analyze expects 1 expression(s), got 2"),
+    ],
+)
+def test_wrong_number_of_expressions_exits_1(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["simplify", "-h"], ["prove", "--help"]])

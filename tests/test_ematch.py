@@ -266,25 +266,47 @@ def test_classes_by_op_lists_holding_classes_in_id_order():
 
 # rooted at a variable, a literal, a symbol, a ground term, and an operator
 _FIXED_PATTERNS = ["~v", "1", "a", "(f a)", "(+ ~v ~v)", "(g (f ~v))"]
+# literal-kind variables, which lift their class's literal into the match; the
+# naive oracle is predicate-free, so these are checked for duplicates only
+_LIFTING_PATTERNS = [
+    "~v::number", "(f ~v::int)", "(+ ~v::number ~w)", "(+ ~v::int ~v)",
+    "(g (f ~v::number))",
+]
 
 
 def test_indexed_ematch_matches_naive_oracle():
     rng = random.Random(12)
+    mixed = 0  # lifted literals whose class also holds an operator node
     for _ in range(150):
         g, pool = _random_unrebuilt_graph(rng)
         srcs = _FIXED_PATTERNS + [_random_pattern(rng, 3) for _ in range(4)]
-        for step in range(3):  # as built; grown and merged; rebuilt
+        # as built; grown and merged; rebuilt; the literal 1 merged with an operator
+        for step in range(4):
             if step == 1:
                 pool.append(g.add_enode(OpNode(rng.choice(_ops), (rng.choice(pool),))))
                 g.merge(rng.choice(pool), rng.choice(pool))
             if step == 2:
                 g.rebuild()
+            if step == 3:
+                g.merge(pool[2], pool[4])
             for src in srcs:
                 p = lhs(f"{src} --> 0")
                 got = ematch(g, p)
                 assert [m.class_id for m in got] == sorted(m.class_id for m in got)
                 assert len(set(got)) == len(got)
                 assert {(m.class_id, m.bindings) for m in got} == naive_ematch(g, p), src
+            for src in _LIFTING_PATTERNS:
+                try:
+                    got = ematch(g, lhs(f"{src} --> 0"))
+                except InconsistentClass:  # the literals 1 and 2 share a class
+                    continue
+                assert [m.class_id for m in got] == sorted(m.class_id for m in got)
+                assert len(set(got)) == len(got), src
+                for m in got:
+                    for i, _ in m.literal_bindings:
+                        nodes = g.class_nodes(m.bindings[i])
+                        mixed += any(isinstance(n, OpNode) for n in nodes)
+    assert mixed >= 500
 
 
 def test_ground_pattern_on_unrebuilt_graph():
@@ -331,4 +353,4 @@ def test_run_program_yields_each_match_once():
     g.merge(a, b)
     root = g.merge(fa, fb)  # not rebuilt: both f nodes match with ~x = a
     prog = compile_pattern(lhs("(f ~x) --> ~x"))
-    assert run_program(g, prog, root) == [EMatch(root, ((0, g.find(a)),), ())]
+    assert run_program(g, prog, root) == [EMatch(root, (g.find(a),), ())]

@@ -402,7 +402,7 @@ def _random_graph(seed):
 
 def _random_match(rng, pool):
     lits = [(i, rng.choice([0, 1, -3, 0.5, 2])) for i in range(3) if rng.random() < 0.5]
-    binds = tuple((i, rng.choice(pool)) for i in range(3))
+    binds = tuple(rng.choice(pool) for _ in range(3))
     return EMatch(rng.choice(pool), binds, tuple(lits))
 
 
@@ -436,7 +436,7 @@ def test_compiled_builder_folds_nested_literals():
                         PatTerm("/", (PatVar("y", 1), PatLit(4)))))
     g, pool = _random_graph(0)
     n = g.n_enodes
-    m = EMatch(pool[0], ((0, pool[0]), (1, pool[1]), (2, pool[2])), ((0, 3), (1, 2)))
+    m = EMatch(pool[0], (pool[0], pool[1], pool[2]), ((0, 3), (1, 2)))
     cid = _instantiator(RuleKind.DYNAMIC, rhs)(g, m)
     assert g.n_enodes == n + 1  # the folded 6.5 alone
     assert g.lookup_term(Lit(6.5)) == cid
