@@ -17,8 +17,7 @@ makes again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import AnalysisDiverged, CapacityExceeded, UnknownId
 from .terms import Atom, Compound, Lit, Number, Term, num_eq, num_key, print_number
@@ -51,8 +50,10 @@ class LitNode:
         return f"LitNode({self.value!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class OpNode:
+class OpNode(NamedTuple):
+    """Operator e-node. A tuple, so that hashcons lookups hash and compare
+    it in C."""
+
     op: str
     children: tuple[int, ...]
 

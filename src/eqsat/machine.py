@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .egraph import EGraph, LitNode, OpNode
 from .errors import InconsistentClass, SegmentUnsupported
@@ -86,8 +86,9 @@ class EMatchProgram:
         object.__setattr__(self, "start", _compile_chain(self.instructions))
 
 
-@dataclass(frozen=True, slots=True)
-class EMatch:
+class EMatch(NamedTuple):
+    """A tuple, so that hashing and comparing it run in C."""
+
     class_id: int
     bindings: tuple[int, ...]  # the class of variable i at position i
     literal_bindings: tuple[tuple[int, Union[Number, str]], ...]

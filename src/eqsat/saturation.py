@@ -66,7 +66,9 @@ class RuleStats:
     name: str  # a label only: unnamed rules of different theories share names
     search_s: float = 0.0
     apply_s: float = 0.0
-    matches: int = 0  # a search stops at search_limit: a ban counts match_limit + 1
+    # the matches searches returned; a search stops at search_limit, so a ban
+    # counts match_limit + 1, or match_limit // 2 + 1 for a mirrored rule
+    matches: int = 0
 
 
 @dataclass
@@ -203,6 +205,9 @@ class _Direction:
 class _CompiledRule:
     rule: Rule
     directions: tuple[_Direction, ...]
+    # an `==` rule whose sides swap under a renaming of its variables keeps
+    # one direction, which stands for both (see `mirrored`)
+    mirrored: bool
 
 
 # What `compile_theory` returns: one compiled rule per rule of the theory, in
@@ -212,14 +217,17 @@ CompiledTheory = tuple[_CompiledRule, ...]
 
 def compile_theory(theory: Theory) -> CompiledTheory:
     """Compiles every rule of `theory`, both sides, for `saturate` and
-    `prove_equal`. The result holds no per-run state, so one compiled theory
-    can serve any number of runs. A rule that cannot run in an e-graph is
-    kept with no directions and warned about here, once."""
+    `prove_equal`. An `==` rule runs in both directions, unless it is
+    `mirrored`: then its one direction stands for both. The result holds no
+    per-run state, so one compiled theory can serve any number of runs. A
+    rule that cannot run in an e-graph is kept with no directions and warned
+    about here, once."""
     compiled = []
     for rule in theory.rules:
         dirs = []
         pairs = [(rule.lhs, rule.rhs)]
-        if rule.kind is RuleKind.EQUALITY:
+        mirror = rule.kind is RuleKind.EQUALITY and mirrored(rule.lhs, rule.rhs)
+        if rule.kind is RuleKind.EQUALITY and not mirror:
             pairs.append((rule.rhs, rule.lhs))
         try:
             for lhs, rhs in pairs:
@@ -232,8 +240,38 @@ def compile_theory(theory: Theory) -> CompiledTheory:
         except SegmentUnsupported as exc:
             warnings.warn(f"rule {rule.name!r} skipped in e-graph mode: {exc}")
             dirs = []
-        compiled.append(_CompiledRule(rule, tuple(dirs)))
+        compiled.append(_CompiledRule(rule, tuple(dirs), mirror))
     return tuple(compiled)
+
+
+def mirrored(lhs: Pattern, rhs: Pattern) -> bool:
+    """Whether one renaming π of the variables gives π(lhs) = rhs and
+    π(rhs) = lhs, predicates included and no operator a variable, as for
+    `(+ a b) == (+ b a)`. The rhs-to-lhs direction of such a rule then finds
+    the matches of the lhs-to-rhs one, renamed, and adds the same right-hand
+    sides. Walks the patterns on a stack, so that depth is not bounded by
+    the recursion limit."""
+    pi: dict[int, int] = {}  # the renaming, both ways round at each position
+    todo = [(lhs, rhs)]
+    while todo:
+        p, q = todo.pop()
+        if type(p) is PatVar and type(q) is PatVar:
+            if (
+                p.predicate != q.predicate
+                or pi.setdefault(p.index, q.index) != q.index
+                or pi.setdefault(q.index, p.index) != p.index
+            ):
+                return False
+        elif type(p) is PatLit and type(q) is PatLit:
+            if p != q:
+                return False
+        elif type(p) is PatTerm and type(q) is PatTerm:
+            if type(p.op) is not str or p.op != q.op or len(p.args) != len(q.args):
+                return False
+            todo += zip(p.args, q.args)
+        else:
+            return False
+    return True
 
 
 # -- instantiation into the graph ------------------------------------------
@@ -376,8 +414,11 @@ def eqsat_step(
         if cr.directions and sched.can_search(idx, iteration):
             t0 = time.perf_counter()
             limit = sched.search_limit(idx)
+            # a mirrored rule's one direction stands for two that find the same
+            # matches, so it reaches the limit at half as many, rounded up
+            want = limit if limit is None or not cr.mirrored else (limit + 1) // 2
             for d in cr.directions:
-                left = None if limit is None else limit - len(matches)
+                left = None if want is None else want - len(matches)
                 if left == 0 or _past(deadline):
                     break
                 for m in ematch_program(g, d.program, left, deadline):
@@ -389,7 +430,10 @@ def eqsat_step(
                 # the search may have been cut off: its count decides no ban
                 stop = StopReason(TIME_LIMIT)
                 break
-            if sched.inform(idx, len(matches), iteration):
+            n = len(matches)
+            if cr.mirrored:  # the scheduler counts as for both directions
+                n = 2 * n if limit is None else min(2 * n, limit)
+            if sched.inform(idx, n, iteration):
                 matches = []  # banned: this iteration's matches are dropped
         found.append(matches)
 

@@ -9,10 +9,13 @@ from __future__ import annotations
 import math
 from collections import deque
 
+from unittest import mock
+
+from eqsat import saturation
 from eqsat.classical import compile_matcher, instantiate
 from eqsat.egraph import MISSING, EGraph, LitNode, OpNode
-from eqsat.rules import PatLit, PatTerm, PatVar, Rule
-from eqsat.saturation import BackoffScheduler
+from eqsat.rules import PatLit, PatTerm, PatVar, Rule, Theory
+from eqsat.saturation import BackoffScheduler, CompiledTheory
 from eqsat.terms import Atom, Compound, Lit, Term, UnknownBuiltin, eval_builtin
 
 
@@ -240,6 +243,27 @@ class UnboundedBackoffScheduler(BackoffScheduler):
 
     def search_limit(self, rule_index):
         return None
+
+
+# -- two-way compile ----------------------------------------------------------
+
+
+def compile_two_way(theory: Theory) -> CompiledTheory:
+    """`compile_theory` with no rule taken as mirrored: every `==` rule
+    searches and applies both of its directions. A mirrored rule's one
+    direction must leave the same partition and report."""
+    with mock.patch.object(saturation, "mirrored", lambda lhs, rhs: False):
+        return saturation.compile_theory(theory)
+
+
+def subterm_partition(g: EGraph, terms: list[Term]) -> set[frozenset[Term]]:
+    """The distinct subterms of `terms`, grouped by the class that holds
+    them in `g`; class ids, which differ between equal runs, play no part."""
+    by_class: dict[int, set[Term]] = {}
+    for t in terms:
+        for s in subterms(t):
+            by_class.setdefault(g.find(g.lookup_term(s)), set()).add(s)
+    return {frozenset(ts) for ts in by_class.values()}
 
 
 # -- recursive walks, the reference for the classical combinators ----------

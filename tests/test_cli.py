@@ -261,6 +261,18 @@ def test_optimize_stream_inlines_a_deep_lambda(capsys):
     assert "Traceback" not in err
 
 
+def test_simplify_with_a_deep_mirrored_rule(tmp_path, capsys):
+    # the check that the rule's sides swap walks 450 levels without recursing
+    g450 = "(g " * 450 + "{})" + ")" * 449
+    th = tmp_path / "deep.theory"
+    th.write_text("@vars a b\n" + g450.format("(f a b)") + " == " + g450.format("(f b a)"))
+    expr = g450.format("(f x y)")
+    code, out, err = run(capsys, "simplify", "--theory", str(th), "--expr", expr)
+    assert code == 0
+    assert out.strip() in (expr, g450.format("(f y x)"))
+    assert "Traceback" not in err
+
+
 def test_too_deep_input_is_a_clean_error(tmp_path, capsys):
     # the theory parser recurses on pattern depth
     th = tmp_path / "deep.theory"

@@ -96,6 +96,22 @@ def test_lookup_after_merge_uses_canonical_children():
     assert g.lookup_term(parse_term("(f b)")) == g.find(fa)
 
 
+def test_op_and_lit_nodes_never_share_a_hashcons_entry():
+    # an OpNode is a tuple: it equals a plain tuple of its fields, but never
+    # a LitNode, whatever the LitNode holds
+    assert OpNode("f", (0,)) == ("f", (0,))
+    assert hash(OpNode("f", (0,))) == hash(("f", (0,)))
+    g = EGraph()
+    pairs = [(OpNode("a", ()), LitNode("a")), (OpNode("0", ()), LitNode(0))]
+    for op_node, lit_node in pairs:
+        assert op_node != lit_node and lit_node != op_node
+        assert g.add_enode(op_node) != g.add_enode(lit_node)
+    g.rebuild()
+    assert g.n_enodes == g.n_eclasses == 4
+    for op_node, lit_node in pairs:
+        assert g.lookup(op_node) != g.lookup(lit_node)
+
+
 # -- rebuilding / congruence ------------------------------------------------
 
 

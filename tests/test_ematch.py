@@ -354,3 +354,11 @@ def test_run_program_yields_each_match_once():
     root = g.merge(fa, fb)  # not rebuilt: both f nodes match with ~x = a
     prog = compile_pattern(lhs("(f ~x) --> ~x"))
     assert run_program(g, prog, root) == [EMatch(root, (g.find(a),), ())]
+
+
+def test_ematch_is_a_tuple_with_its_dicts():
+    m = EMatch(4, (2, 3), ((1, 7),))
+    assert m == (4, (2, 3), ((1, 7),)) and hash(m) == hash(tuple(m))
+    assert m.class_id == 4
+    assert m.binding_dict() == {0: 2, 1: 3}
+    assert m.literal_dict() == {1: 7}

@@ -5,12 +5,19 @@ import weakref
 
 import pytest
 
-from oracles import UnboundedBackoffScheduler, add_pattern, lookup_pattern
-from eqsat import saturation, theories
+from oracles import (
+    UnboundedBackoffScheduler,
+    add_pattern,
+    compile_two_way,
+    lookup_pattern,
+    subterm_partition,
+)
+from eqsat import machine, saturation, theories
 from eqsat.egraph import EGraph, OpNode
 from eqsat.machine import EMatch, EMatchProgram
 from eqsat.rules import PatLit, PatTerm, PatVar, Rule, RuleKind, Theory, parse_theory
 from eqsat.saturation import (
+    AreEqual,
     BackoffScheduler,
     Report,
     SaturationParams,
@@ -19,6 +26,7 @@ from eqsat.saturation import (
     compile_theory,
     eqsat_step,
     make_scheduler,
+    mirrored,
     prove_equal,
     saturate,
 )
@@ -259,11 +267,12 @@ def test_eqsat_step_adds_to_the_callers_stats(monkeypatch):
     sched, stats = SimpleScheduler(), {}
     eqsat_step(g, compiled, sched, 0, stats)
     first = dict(stats)
-    assert [st.matches for st in stats.values()] == [4, 1]
+    # commutativity is mirrored: its one direction matches each product once
+    assert [st.matches for st in stats.values()] == [2, 1]
     eqsat_step(g, compiled, sched, 1, stats)
     assert made == ["r0", "r1"]  # one RuleStats per rule, made in the first step
     assert all(stats[i] is first[i] for i in stats)
-    assert [st.matches for st in stats.values()] == [4 + 12, 1 + 5]
+    assert [st.matches for st in stats.values()] == [2 + 6, 1 + 5]
 
 
 # -- prove_equal ------------------------------------------------------------
@@ -354,8 +363,8 @@ def test_backoff_banned_rule_contributes_zero_matches():
     g.rebuild()
     params = SaturationParams(matchlimit=1)
     report = saturate(g, theory, params)
-    # both directions of one node exceed limit 1 immediately; matches of the
-    # banning iteration are discarded
+    # the one match of a mirrored rule stands for two, over limit 1 at once;
+    # matches of the banning iteration are discarded
     assert report.per_rule[0].name == "comm"
     assert report.per_rule[0].matches == 0 or report.stop_reason.kind
 
@@ -673,13 +682,15 @@ def test_bounded_search_leaves_graph_as_unbounded(monkeypatch, case):
 
 @pytest.mark.parametrize("match_limit", [1, 2, 3, 4, 6])
 def test_rule_match_count_stops_one_over_limit(match_limit):
-    # three products: each direction of commutativity matches three times
+    # three products: commutativity is mirrored, so its one direction matches
+    # three times and stands for the two directions' six matches
     g, root, report = sat(
         "(* (* (* a b) c) d)", "(* ~a ~b) == (* ~b ~a)",
         timeout=0, matchlimit=match_limit,
     )
     banned = match_limit < 6
-    assert report.per_rule[0].matches == (match_limit + 1 if banned else 6)
+    # the search stops once the six reach the limit + 1
+    assert report.per_rule[0].matches == (match_limit // 2 + 1 if banned else 3)
     assert (report.n_enodes == 7) == banned  # a ban drops every match
 
 
@@ -689,3 +700,145 @@ def test_search_limits():
     assert s.search_limit(0) == 11
     s.inform(0, 11, 0)
     assert s.search_limit(0) == 21
+
+
+# -- mirrored rules -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "rule, want",
+    [
+        ("(+ a b) == (+ b a)", True),  # commutativity
+        ("(+ a (+ b c)) == (+ (+ a b) c)", False),  # associativity
+        ("(f a b c) == (f b c a)", False),  # a 3-cycle swaps no two sides
+        ("(+ ~a::number ~b) == (+ ~b ~a)", False),  # predicates differ
+        ("(+ ~a::number ~b::number) == (+ ~b::number ~a::number)", True),
+        ("(~h a b) == (~h b a)", False),  # an operator variable
+        ("(f a a) == (f a a)", True),
+        ("(g (f a 0 b) c) == (g (f b 0 a) c)", True),
+        ("(g (f a b) a) == (g (f b a) b)", True),
+        ("(f a 0) == (f a 1)", False),
+    ],
+)
+def test_mirrored_rules(rule, want):
+    (r,) = parse_theory("@vars a b c\n" + rule).rules
+    assert mirrored(r.lhs, r.rhs) is want
+    if type(r.lhs.op) is str:
+        (cr,) = compile_theory(Theory("t", [r]))
+        assert cr.mirrored is want
+        assert len(cr.directions) == (1 if want else 2)
+
+
+HEADLINE = "(/ (* a (* 2 3)) 6)"
+
+
+def _four_theories():
+    theory = load_bundled("comm_monoid")
+    for name in ("comm_group", "folder", "div_sim"):
+        theory = theory + load_bundled(name)
+    return theory
+
+
+def _bracket(leaves, rng):
+    if len(leaves) == 1:
+        return leaves[0]
+    k = rng.randint(1, len(leaves) - 1)
+    return f"(+ {_bracket(leaves[:k], rng)} {_bracket(leaves[k:], rng)})"
+
+
+def _ac_pairs(n):
+    """`n` pairs of sums of 3 to 6 leaves over a, b and c: one in three has
+    the same leaves, one a leaf changed and one a leaf more."""
+    rng = random.Random(5)
+    pairs = []
+    for i in range(n):
+        left = [rng.choice("abc") for _ in range(rng.randint(3, 6))]
+        right = list(left)
+        rng.shuffle(right)
+        if i % 3 == 1:
+            right[0] = "b" if right[0] != "b" else "c"
+        elif i % 3 == 2:
+            right.append(rng.choice("abc"))
+        pairs.append([parse_term(_bracket(leaves, rng)) for leaves in (left, right)])
+    return pairs
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """The schedulers `saturate` makes, in order."""
+    made = []
+
+    def make(params, n_rules):
+        made.append(make_scheduler(params, n_rules))
+        return made[-1]
+
+    monkeypatch.setattr(saturation, "make_scheduler", make)
+    return made
+
+
+@pytest.mark.parametrize("scheduler", ["simple", "backoff"])
+@pytest.mark.parametrize("case", ["headline", "sum12", "ac-pairs"])
+def test_mirrored_compile_leaves_the_two_way_partition_and_report(made, case, scheduler):
+    if case == "headline":
+        theory, problems = _four_theories(), [[parse_term(HEADLINE)]]
+    elif case == "sum12":
+        theory, problems = parse_theory(COMM_ASSOC), [[parse_term(SUM_12)]]
+    else:
+        theory, problems = parse_theory(COMM_ASSOC), _ac_pairs(102)
+    # under the simple scheduler the headline and SUM_12 stop short of the
+    # e-node limit, whose cut lands at a match that depends on the order of adds
+    timeout = {"headline": 5, "sum12": 2}.get(case, 8) if scheduler == "simple" else 8
+
+    def run(compiled, terms):
+        # as prove_equal does for a pair, keeping the graph
+        g = EGraph()
+        for t in terms:
+            g.add_term(t)
+        g.rebuild()
+        goal = AreEqual(*terms) if len(terms) == 2 else None
+        params = SaturationParams(timeout=timeout, scheduler=scheduler, goal=goal)
+        report = saturate(g, compiled, params)
+        banned = [st.times_banned for st in getattr(made[-1], "states", [])]
+        return (
+            subterm_partition(g, terms),
+            str(report.stop_reason),
+            report.iterations,
+            report.n_enodes,
+            report.n_eclasses,
+            banned,
+        )
+
+    one_way, two_way = compile_theory(theory), compile_two_way(theory)
+    assert any(cr.mirrored for cr in one_way)
+    assert not any(cr.mirrored for cr in two_way)
+    results = []
+    for terms in problems:
+        got = run(one_way, terms)
+        assert got == run(two_way, terms)
+        results.append(got)
+    reasons = {r[1] for r in results}
+    if scheduler == "simple":
+        assert reasons <= {"saturated", "goal-reached", "iteration-limit"}
+    if case == "ac-pairs":
+        assert reasons == {"saturated", "goal-reached"}
+    if case == "headline" and scheduler == "backoff":
+        assert any(results[0][-1])  # the comparison covers a ban
+
+
+@pytest.mark.parametrize("banned", [False, True])
+def test_report_counts_the_matches_ematch_program_returned(monkeypatch, made, banned):
+    # the benchmark's cross-check: Report.per_rule against ematch_program
+    returned = []
+    real = machine.ematch_program
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        returned.append(len(out))
+        return out
+
+    monkeypatch.setattr(saturation, "ematch_program", counted)
+    g = EGraph()
+    g.add_term(parse_term(HEADLINE))
+    report = saturate(g, _four_theories(), SaturationParams(timeout=8 if banned else 3))
+    assert any(st.times_banned for st in made[0].states) == banned
+    assert sum(returned) == sum(st.matches for st in report.per_rule.values())
