@@ -5,15 +5,10 @@ from .terms import (
     Compound,
     Lit,
     Term,
-    arguments,
-    arity,
     eval_builtin,
     inline_anonymous,
-    istree,
-    operation,
     parse_term,
     print_term,
-    similarterm,
 )
 from .rules import (
     PatLit,
@@ -29,22 +24,17 @@ from .rules import (
 )
 from .classical import (
     Chain,
-    Empty,
     Fixpoint,
-    FixpointNoCycle,
-    If,
-    IfElse,
     PassThrough,
     Postwalk,
     Prewalk,
-    RestartedChain,
     apply_rule,
     compile_matcher,
     instantiate,
     rule_rewriter,
 )
 from .egraph import EGraph, LitNode, OpNode
-from .machine import compile_pattern, disassemble, ematch, run_program
+from .machine import compile_pattern, ematch, run_program
 from .analysis import (
     Analysis,
     COST_FUNCTIONS,

@@ -230,10 +230,6 @@ def rule_rewriter(rule: Rule) -> Rewriter:
 # Rewriter combinators
 
 
-def Empty() -> Rewriter:
-    return lambda t: None
-
-
 def Chain(rws: Sequence[Rewriter]) -> Rewriter:
     rws = list(rws)
 
@@ -246,29 +242,6 @@ def Chain(rws: Sequence[Rewriter]) -> Rewriter:
         return cur if changed else None
 
     return chained
-
-
-def RestartedChain(rws: Sequence[Rewriter]) -> Rewriter:
-    rws = list(rws)
-    plain = Chain(rws)
-
-    def restarted(t):
-        for rw in rws:
-            r = rw(t)
-            if r is not None:
-                r2 = plain(r)
-                return r2 if r2 is not None else r
-        return None
-
-    return restarted
-
-
-def IfElse(cond: Callable[[Term], bool], rw1: Rewriter, rw2: Rewriter) -> Rewriter:
-    return lambda t: rw1(t) if cond(t) else rw2(t)
-
-
-def If(cond: Callable[[Term], bool], rw: Rewriter) -> Rewriter:
-    return IfElse(cond, rw, Empty())
 
 
 def PassThrough(rw: Rewriter) -> Rewriter:
@@ -356,20 +329,6 @@ def Fixpoint(rw: Rewriter) -> Rewriter:
             r = rw(cur)
             if r is None or r == cur:
                 return cur if changed else None
-            cur, changed = r, True
-
-    return fixed
-
-
-def FixpointNoCycle(rw: Rewriter) -> Rewriter:
-    def fixed(t):
-        seen = {t}
-        cur, changed = t, False
-        while True:
-            r = rw(cur)
-            if r is None or r == cur or r in seen:
-                return cur if changed else None
-            seen.add(r)
             cur, changed = r, True
 
     return fixed

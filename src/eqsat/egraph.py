@@ -78,7 +78,6 @@ class EGraph:
         self.classes: dict[int, EClass] = {}
         self.pending: list[tuple[ENode, int]] = []  # parents to make canonical
         self.analysis_worklist: list[tuple[ENode, int]] = []  # nodes to make again
-        self.root: Optional[int] = None
         self.node_limit = node_limit
         self.version = 0
         self.analyses: dict[str, object] = {}  # registered analyses, by name
@@ -138,10 +137,7 @@ class EGraph:
         return cid
 
     def add_term(self, t: Term) -> int:
-        cid = self._fold(t, self.add_enode)
-        if self.root is None:
-            self.root = cid
-        return cid
+        return self._fold(t, self.add_enode)
 
     def lookup(self, n: ENode) -> Optional[int]:
         cid = self.memo.get(self.canonicalize(n))
@@ -300,23 +296,6 @@ class EGraph:
                 data = ", ".join(f"{k}={v}" for k, v in sorted(cls.data.items()))
                 line += f" [data: {data}]"
             lines.append(line)
-        return "\n".join(lines)
-
-    def to_dot(self) -> str:
-        lines = ["digraph egraph {", "  compound=true;"]
-        for cid in self.canonical_ids():
-            lines.append(f"  subgraph cluster_{cid} {{")
-            lines.append(f'    label="c{cid}";')
-            for k, n in enumerate(self.class_nodes(cid)):
-                lines.append(f'    n{cid}_{k} [label="{_node_str(n)}"];')
-            lines.append("  }")
-        for cid in self.canonical_ids():
-            for k, n in enumerate(self.class_nodes(cid)):
-                if isinstance(n, OpNode):
-                    for ch in n.children:
-                        ch = self.find(ch)
-                        lines.append(f"  n{cid}_{k} -> n{ch}_0;")
-        lines.append("}")
         return "\n".join(lines)
 
 

@@ -1,29 +1,30 @@
 """Backtracking virtual machine for e-graph pattern matching.
 
-Patterns compile to short instruction programs; machine registers hold
-e-class ids. A search reads a rebuilt graph: `ematch_program` and
-`run_program` first rebuild a graph with pending merges or analysis updates,
-so every e-node's children are canonical ids, every register holds one, and
-the search itself merges nothing. A ground subpattern compiles like any other
-subpattern: on a congruence-closed graph a class holds a ground term's e-node
-exactly when a hashcons lookup would find it there.
+A pattern compiles straight to a chain of closures, one per step of a
+pre-order walk of the pattern: bind an operator's e-node, check a literal,
+check a predicate, compare two registers, and last yield the match. Each
+closure calls the next as its continuation (the idiom of the classical
+matchers); machine registers hold e-class ids. A search reads a rebuilt
+graph: `ematch_program` and `run_program` first rebuild a graph with pending
+merges or analysis updates, so every e-node's children are canonical ids,
+every register holds one, and the search itself merges nothing. A ground
+subpattern compiles like any other subpattern: on a congruence-closed graph a
+class holds a ground term's e-node exactly when a hashcons lookup would find
+it there.
 
 A run yields each match once, with no set to deduplicate them: on a rebuilt
 graph each canonical e-node lies in exactly one class, so a match (its root
 class and the classes of its variables) fixes, bottom-up, the class of every
-pattern position and the e-node taken at every `Bind`. A search path is thus
-a function of its match, and a lifted literal is a function of its class.
-
-Each program is also compiled, once, into a chain of closures, one per
-instruction, each calling the next as its continuation (the idiom of the
-classical matchers). The instructions stay as a view of the program, for
-`disassemble` and for tests.
+pattern position and the e-node bound at every operator. A search path is
+thus a function of its match, and a lifted literal is a function of its
+class.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Union
 
 from .egraph import EGraph, LitNode, OpNode
@@ -31,59 +32,25 @@ from .errors import InconsistentClass, SegmentUnsupported
 from .rules import (
     PatLit,
     PatSegment,
+    PatTerm,
     PatVar,
     Pattern,
-    PredicateRef,
+    Predicate,
     class_literals,
     resolve_predicate,
 )
 from .terms import Number
 
 
-@dataclass(frozen=True)
-class Bind:
-    reg: int
-    op: str
-    arity: int
-    out_base: int
-
-
-@dataclass(frozen=True)
-class CheckLit:
-    reg: int
-    value: Union[Number, str]
-
-
-@dataclass(frozen=True)
-class CheckPredicate:
-    reg: int
-    pred: PredicateRef
-    bindlit: bool
-
-
-@dataclass(frozen=True)
-class Compare:
-    reg_i: int
-    reg_j: int
-
-
-@dataclass(frozen=True)
-class Yield:
-    var_regs: tuple[int, ...]
-
-
-Instruction = Union[Bind, CheckLit, CheckPredicate, Compare, Yield]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EMatchProgram:
-    instructions: tuple[Instruction, ...]
-    n_regs: int
-    # the first closure of the compiled chain; it lives as long as the program
-    start: Callable[["_Run"], None] = field(init=False, repr=False, compare=False)
+    """A compiled pattern. It compares by identity: a closure has no useful
+    equality."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "start", _compile_chain(self.instructions))
+    # the first closure of the chain; it lives as long as the program
+    start: Callable[["_Run"], None] = field(repr=False)
+    n_regs: int
+    root_op: Optional[str]  # the operator the root binds; None for a leaf
 
 
 class EMatch(NamedTuple):
@@ -104,8 +71,10 @@ _LIFTING = {"number", "int", "real"}
 
 
 def compile_pattern(p: Pattern) -> EMatchProgram:
-    instrs: list[Instruction] = []
+    # the steps in pre-order, each waiting for its continuation
+    steps: list[Callable] = []
     var_regs: dict[int, int] = {}
+    lifted: list[int] = []  # registers whose literal a predicate binds
     next_reg = 1
 
     def emit(pat: Pattern, reg: int):
@@ -116,17 +85,20 @@ def compile_pattern(p: Pattern) -> EMatchProgram:
             )
         if isinstance(pat, PatVar):
             if pat.index in var_regs:
-                instrs.append(Compare(var_regs[pat.index], reg))
+                steps.append(partial(_compare, var_regs[pat.index], reg))
                 return
             var_regs[pat.index] = reg
             if pat.predicate is not None:
                 pred = resolve_predicate(pat.predicate)
-                instrs.append(
-                    CheckPredicate(reg, pat.predicate, pred.lift in _LIFTING)
+                bindlit = pred.lift in _LIFTING
+                if bindlit:
+                    lifted.append(reg)
+                steps.append(
+                    partial(_check_predicate, reg, pred, pat.predicate.params, bindlit)
                 )
             return
         if isinstance(pat, PatLit):
-            instrs.append(CheckLit(reg, pat.value))
+            steps.append(partial(_check_lit, reg, pat.value))
             return
         if isinstance(pat.op, PatVar):
             raise SegmentUnsupported(
@@ -134,35 +106,18 @@ def compile_pattern(p: Pattern) -> EMatchProgram:
             )
         base = next_reg
         next_reg += len(pat.args)
-        instrs.append(Bind(reg, pat.op, len(pat.args), base))
+        steps.append(partial(_bind, reg, pat.op, len(pat.args), base))
         for k, a in enumerate(pat.args):
             emit(a, base + k)
 
     emit(p, 0)
     del emit  # the closure refers to itself; clearing it spares the cycle collector
     n_vars = len(var_regs)
-    yield_regs = tuple(var_regs[i] for i in sorted(var_regs))
     assert sorted(var_regs) == list(range(n_vars))
-    instrs.append(Yield(yield_regs))
-    return EMatchProgram(tuple(instrs), next_reg)
-
-
-def disassemble(prog: EMatchProgram) -> str:
-    lines = []
-    for ins in prog.instructions:
-        if isinstance(ins, Bind):
-            lines.append(f"BIND r{ins.reg} {ins.op} /{ins.arity} -> r{ins.out_base}")
-        elif isinstance(ins, CheckLit):
-            lines.append(f"CHECK_LIT r{ins.reg} {ins.value}")
-        elif isinstance(ins, CheckPredicate):
-            lift = " lift" if ins.bindlit else ""
-            lines.append(f"CHECK_PRED r{ins.reg} {ins.pred.name}{lift}")
-        elif isinstance(ins, Compare):
-            lines.append(f"COMPARE r{ins.reg_i} r{ins.reg_j}")
-        else:
-            regs = " ".join(f"r{r}" for r in ins.var_regs)
-            lines.append(f"YIELD {regs}")
-    return "\n".join(lines)
+    k = _yield(tuple(var_regs[i] for i in range(n_vars)), lifted)
+    for step in reversed(steps):
+        k = step(k)
+    return EMatchProgram(k, next_reg, p.op if isinstance(p, PatTerm) else None)
 
 
 class _Full(Exception):
@@ -184,16 +139,15 @@ class _Run:
         self.limit = limit
 
 
-# One closure maker per instruction: each takes the instruction and the
-# closure of the instruction after it. The graph is rebuilt, so every
-# register holds a canonical class id and no closure calls `find`.
+# One closure maker per step: each takes the step's operands and the closure
+# of the step after it. The graph is rebuilt, so every register holds a
+# canonical class id and no closure calls `find`.
 # A closure gets what it needs as default arguments, not from enclosing
 # cells: every cell is one more object for the cycle collector to track, and
-# each `saturate` call compiles a closure per instruction of every rule.
+# each `saturate` call compiles a closure per step of every rule.
 
 
-def _bind(ins: Bind, k):
-    reg, op, arity, base = ins.reg, ins.op, ins.arity, ins.out_base
+def _bind(reg: int, op: str, arity: int, base: int, k):
     end = base + arity
 
     def bind(r: _Run, reg=reg, op=op, arity=arity, base=base, end=end, k=k):
@@ -210,8 +164,8 @@ def _bind(ins: Bind, k):
     return bind
 
 
-def _check_lit(ins: CheckLit, k):
-    reg, node = ins.reg, LitNode(ins.value)
+def _check_lit(reg: int, value: Union[Number, str], k):
+    node = LitNode(value)
 
     def check_lit(r: _Run, reg=reg, node=node, k=k):
         if node in r.classes[r.regs[reg]].nodes:
@@ -220,10 +174,10 @@ def _check_lit(ins: CheckLit, k):
     return check_lit
 
 
-def _check_predicate(ins: CheckPredicate, k):
-    reg, params = ins.reg, ins.pred.params
-    pred = resolve_predicate(ins.pred)
-    if not ins.bindlit:
+def _check_predicate(
+    reg: int, pred: Predicate, params: tuple[float, ...], bindlit: bool, k
+):
+    if not bindlit:
 
         def check(r: _Run, pred=pred, reg=reg, params=params, k=k):
             if pred.egraph(r.g, r.regs[reg], params):
@@ -256,9 +210,7 @@ def _check_predicate(ins: CheckPredicate, k):
     return check_lift
 
 
-def _compare(ins: Compare, k):
-    i, j = ins.reg_i, ins.reg_j
-
+def _compare(i: int, j: int, k):
     def compare(r: _Run, i=i, j=j, k=k):
         regs = r.regs
         if regs[i] == regs[j]:
@@ -267,8 +219,7 @@ def _compare(ins: Compare, k):
     return compare
 
 
-def _yield(ins: Yield, lifted: list[int]):
-    var_regs = ins.var_regs
+def _yield(var_regs: tuple[int, ...], lifted: list[int]):
     lit_vars = [(i, reg) for i, reg in enumerate(var_regs) if reg in lifted]
 
     def yield_(r: _Run, var_regs=var_regs, lit_vars=lit_vars):
@@ -281,23 +232,6 @@ def _yield(ins: Yield, lifted: list[int]):
             raise _Full
 
     return yield_
-
-
-_CLOSURE_MAKERS = {
-    Bind: _bind,
-    CheckLit: _check_lit,
-    CheckPredicate: _check_predicate,
-    Compare: _compare,
-}
-
-
-def _compile_chain(instrs: tuple[Instruction, ...]):
-    """The closure that runs `instrs` (ending in `Yield`) from the first."""
-    lifted = [ins.reg for ins in instrs if type(ins) is CheckPredicate and ins.bindlit]
-    k = _yield(instrs[-1], lifted)
-    for ins in reversed(instrs[:-1]):
-        k = _CLOSURE_MAKERS[type(ins)](ins, k)
-    return k
 
 
 def run_program(
@@ -337,9 +271,8 @@ def ematch_program(
     is run: the matches are then those of the roots run so far."""
     if g.pending or g.analysis_worklist:
         g.rebuild()
-    first = prog.instructions[0]
-    if type(first) is Bind:
-        roots = g.classes_by_op().get(first.op, ())
+    if prog.root_op is not None:
+        roots = g.classes_by_op().get(prog.root_op, ())
     else:
         roots = g.canonical_ids()
     out: list[EMatch] = []

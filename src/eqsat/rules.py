@@ -130,7 +130,7 @@ def register_predicate(pred: Predicate) -> None:
 def resolve_predicate(ref: PredicateRef) -> Predicate:
     pred = _REGISTRY.get(ref.name)
     if pred is None:
-        raise UnknownPredicate(ref.name)
+        raise UnknownPredicate(f"unknown predicate {ref.name!r}")
     if len(ref.params) != pred.n_params:
         raise UnknownPredicate(
             f"{ref.name} takes {pred.n_params} parameter(s), got {len(ref.params)}"
@@ -271,9 +271,12 @@ def _parse_predicate(spec: str) -> PredicateRef:
     if "(" in spec:
         name, _, rest = spec.partition("(")
         params_text = rest.rstrip(")")
-        params = tuple(
-            float(p) for p in params_text.replace(",", " ").split() if p
-        )
+        try:
+            params = tuple(
+                float(p) for p in params_text.replace(",", " ").split() if p
+            )
+        except ValueError:
+            raise RuleSyntaxError(f"bad predicate parameters in {spec!r}") from None
     else:
         name, params = spec, ()
     ref = PredicateRef(name, params)
@@ -413,7 +416,10 @@ def parse_rule(line: str, declared_vars: set[str], name: str = "") -> Rule:
         if set(pattern_vars(rhs)) != set(pattern_vars(lhs)):
             missing = set(pattern_vars(lhs)) - set(pattern_vars(rhs))
             bad = table.order[sorted(missing)[0]]
-            raise UnboundRhsVariable(bad)
+            exc = UnboundRhsVariable(bad)
+            # read right to left, the rule leaves the variable unbound
+            exc.args = (f"variable ~{bad} appears on the LHS but not on the RHS",)
+            raise exc
     return Rule(kind, lhs, rhs, name, tuple(table.order))
 
 
@@ -436,7 +442,7 @@ def parse_theory(text: str, name: str = "theory") -> Theory:
             rule_name = pending_name or f"r{len(theory.rules)}"
             pending_name = None
             rule = parse_rule(line, declared, name=rule_name)
-        except RuleSyntaxError as exc:
+        except (RuleSyntaxError, UnknownPredicate) as exc:
             exc.args = (f"line {lineno}: {exc}",)  # keeps the type and its fields
             raise
         if rule.name in seen_names:
@@ -469,7 +475,3 @@ def _pred_suffix(ref: Optional[PredicateRef]) -> str:
         params = ",".join(print_number(v) for v in ref.params)
         return f"::{ref.name}({params})"
     return f"::{ref.name}"
-
-
-def print_rule(r: Rule) -> str:
-    return str(r)

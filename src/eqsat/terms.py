@@ -109,34 +109,6 @@ class Compound(Term):
 
 
 # ---------------------------------------------------------------------------
-# TermInterface-style accessors
-
-
-def istree(t: Term) -> bool:
-    return isinstance(t, Compound)
-
-
-def operation(t: Term) -> str:
-    if not isinstance(t, Compound):
-        raise ContractViolation(f"operation() called on non-compound term {t!r}")
-    return t.op
-
-
-def arguments(t: Term) -> tuple[Term, ...]:
-    if not isinstance(t, Compound):
-        raise ContractViolation(f"arguments() called on non-compound term {t!r}")
-    return t.args
-
-
-def arity(t: Term) -> int:
-    return len(arguments(t))
-
-
-def similarterm(op: str, args: Sequence[Term]) -> Term:
-    return Compound(op, tuple(args))
-
-
-# ---------------------------------------------------------------------------
 # Textual S-expression format
 
 ATOM_RE = re.compile(r"[A-Za-z_+\-*/<>=!?.|&~][A-Za-z0-9_+\-*/<>=!?.|&~]*")

@@ -8,15 +8,10 @@ import oracles
 
 from eqsat.classical import (
     Chain,
-    Empty,
     Fixpoint,
-    FixpointNoCycle,
-    If,
-    IfElse,
     PassThrough,
     Postwalk,
     Prewalk,
-    RestartedChain,
     apply_rule,
     compile_matcher,
     instantiate,
@@ -25,7 +20,7 @@ from eqsat.classical import (
 )
 from eqsat.errors import UnsupportedRuleKind
 from eqsat.rules import parse_rule, parse_theory
-from eqsat.terms import Atom, Compound, Lit, istree, parse_term, print_term
+from eqsat.terms import Atom, Compound, Lit, parse_term, print_term
 
 FOLDER = parse_theory(
     "(+ ~a::number ~b::number) => (+ ~a ~b)\n(* ~a::number ~b::number) => (* ~a ~b)\n"
@@ -154,8 +149,7 @@ def fold_rw():
 
 
 def test_empty_and_passthrough():
-    assert Empty()(parse_term("x")) is None
-    assert PassThrough(Empty())(parse_term("x")) == Atom("x")
+    assert PassThrough(lambda t: None)(parse_term("x")) == Atom("x")
 
 
 def test_chain():
@@ -164,37 +158,16 @@ def test_chain():
     assert rw(parse_term("(- 1 2)")) is None
 
 
-def test_restarted_chain():
-    hits = []
-    def a(t):
-        hits.append("a")
-        return Atom("done") if t == Atom("go") else None
-    def b(t):
-        hits.append("b")
-        return Atom("go") if t == Atom("start") else None
-    rw = RestartedChain([a, b])
-    assert rw(Atom("start")) == Atom("done")
-    # a misses, b rewrites, chain restarts from a which then fires
-    assert hits[:3] == ["a", "b", "a"]
-
-
-def test_if_else():
-    rw = IfElse(istree, lambda t: Atom("tree"), lambda t: Atom("leaf"))
-    assert rw(parse_term("(f x)")) == Atom("tree")
-    assert rw(parse_term("x")) == Atom("leaf")
-    assert If(istree, lambda t: Atom("tree"))(parse_term("x")) is None
-
-
 def test_fold_pipeline():
     rw = Fixpoint(Postwalk(Chain(fold_rw())))
     assert rw(parse_term("(+ 1 (+ 2 3))")) == Lit(6)
 
 
 def test_postwalk_no_match_returns_none():
-    assert Postwalk(Empty())(parse_term("(f (g x))")) is None
+    assert Postwalk(lambda t: None)(parse_term("(f (g x))")) is None
     # PassThrough keeps per-node identity, so the walk reports the term itself
     t = parse_term("(f (g x))")
-    assert Postwalk(PassThrough(Empty()))(t) == t
+    assert Postwalk(PassThrough(lambda t: None))(t) == t
 
 
 def test_walk_visit_counts():
@@ -283,14 +256,6 @@ def test_fixpoint_is_fixed_point():
     out = Fixpoint(rw)(parse_term("(+ 1 (+ 2 (* 2 2)))"))
     assert out == Lit(7)
     assert rw(out) is None
-
-
-def test_fixpoint_no_cycle_stops():
-    flip = rule_rewriter(parse_rule("(* ~a ~b) --> (* ~b ~a)", set()))
-    out = FixpointNoCycle(flip)(parse_term("(* x y)"))
-    assert out == parse_term("(* y x)")
-    # fresh invocation gets a fresh cycle set
-    assert FixpointNoCycle(flip)(parse_term("(* x y)")) == parse_term("(* y x)")
 
 
 # -- matcher soundness property --------------------------------------------

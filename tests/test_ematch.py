@@ -7,14 +7,8 @@ from oracles import enumerate_terms, naive_ematch
 from eqsat.egraph import EGraph, OpNode
 from eqsat.errors import InconsistentClass, SegmentUnsupported
 from eqsat.machine import (
-    Bind,
-    CheckLit,
-    CheckPredicate,
-    Compare,
     EMatch,
-    Yield,
     compile_pattern,
-    disassemble,
     ematch,
     ematch_program,
     run_program,
@@ -39,41 +33,54 @@ def build(*srcs):
 
 def test_compile_golden():
     prog = compile_pattern(lhs("(* ~a 1) --> ~a"))
-    assert prog.instructions == (
-        Bind(0, "*", 2, 1),
-        CheckLit(2, 1),
-        Yield((1,)),
-    )
-    assert prog.n_regs == 3
+    assert prog.root_op == "*"
+    assert prog.n_regs == 3  # the root, then one register per argument
+    g, (i, _, j) = build("(* x 1)", "(* y 2)", "(* z 1.0)")
+    assert ematch_program(g, prog) == [
+        EMatch(g.find(i), (g.lookup_term(Atom("x")),), ()),
+        EMatch(g.find(j), (g.lookup_term(Atom("z")),), ()),
+    ]
 
 
 def test_compile_bare_variable():
     prog = compile_pattern(lhs("~x --> ~x"))
-    assert prog.instructions == (Yield((0,)),)
+    assert prog.root_op is None
+    assert prog.n_regs == 1
+    g, (i,) = build("a")
+    assert ematch_program(g, prog) == [EMatch(i, (i,), ())]
 
 
 def test_compile_repeated_var_compares():
     prog = compile_pattern(lhs("(* (sin ~x) (cos ~x)) --> ~x"))
-    compares = [i for i in prog.instructions if isinstance(i, Compare)]
-    assert len(compares) == 1
+    g, (i, j) = build("(* (sin a) (cos a))", "(* (sin a) (cos b))")
+    a = g.lookup_term(Atom("a"))
+    assert ematch_program(g, prog) == [EMatch(g.find(i), (a,), ())]
+    g.merge(a, g.lookup_term(Atom("b")))
+    g.rebuild()  # the two products are now congruent
+    assert g.find(i) == g.find(j)
+    assert ematch_program(g, prog) == [EMatch(g.find(i), (g.find(a),), ())]
 
 
 def test_compile_predicate():
     prog = compile_pattern(lhs("(+ ~a::number ~b) --> ~b"))
-    checks = [i for i in prog.instructions if isinstance(i, CheckPredicate)]
-    assert len(checks) == 1 and checks[0].bindlit
+    assert prog.root_op == "+"
+    g, (i, _) = build("(+ 2 x)", "(+ y x)")
+    x = g.lookup_term(Atom("x"))
+    # the literal the predicate checks is lifted into the match
+    assert ematch_program(g, prog) == [
+        EMatch(g.find(i), (g.lookup_term(Lit(2)), x), ((0, 2),))
+    ]
 
 
 def test_compile_ground_subterm():
     # a ground subterm compiles like any other subterm
     prog = compile_pattern(lhs("(f (g 1 2) ~x) --> ~x"))
-    assert prog.instructions == (
-        Bind(0, "f", 2, 1),
-        Bind(1, "g", 2, 3),
-        CheckLit(3, 1),
-        CheckLit(4, 2),
-        Yield((2,)),
-    )
+    assert prog.root_op == "f"
+    assert prog.n_regs == 5
+    g, (i, _, _) = build("(f (g 1 2) a)", "(f (g 1 3) b)", "(f (h 1 2) c)")
+    assert ematch_program(g, prog) == [
+        EMatch(g.find(i), (g.lookup_term(Atom("a")),), ())
+    ]
 
 
 def test_compile_rejects_segments_and_var_ops():
@@ -83,15 +90,15 @@ def test_compile_rejects_segments_and_var_ops():
         compile_pattern(lhs("(~f ~x) --> ~x"))
 
 
-def test_disassembly_golden():
-    prog = compile_pattern(lhs("(* ~a 1) --> ~a"))
-    assert disassemble(prog) == "BIND r0 * /2 -> r1\nCHECK_LIT r2 1\nYIELD r1"
-
-
 def test_compile_deterministic():
-    a = compile_pattern(lhs("(f ~x (g ~y ~x)) --> ~y"))
-    b = compile_pattern(lhs("(f ~x (g ~y ~x)) --> ~y"))
-    assert a == b
+    pattern = lhs("(f ~x (g ~y ~x)) --> ~y")
+    a, b = compile_pattern(pattern), compile_pattern(pattern)
+    assert a != b  # a program compares by identity
+    assert (a.root_op, a.n_regs) == (b.root_op, b.n_regs)
+    g, _ = build("(f p (g q p))", "(f r (g s r))", "(f p (g r p))", "(f p (g q r))")
+    found = ematch_program(g, a)
+    assert len(found) == 3
+    assert ematch_program(g, b) == found
 
 
 # -- execution --------------------------------------------------------------

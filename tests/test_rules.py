@@ -18,7 +18,6 @@ from eqsat.rules import (
     class_literals,
     parse_rule,
     parse_theory,
-    print_rule,
     resolve_predicate,
 )
 from eqsat.terms import parse_term
@@ -90,6 +89,26 @@ def test_unbound_rhs_variable():
 def test_equality_needs_same_vars_both_sides():
     with pytest.raises(UnboundRhsVariable):
         parse_rule("(* ~a ~b) == (* ~b ~b)", set())
+
+
+def test_equality_error_names_the_side_the_variable_is_on():
+    with pytest.raises(UnboundRhsVariable) as info:
+        parse_theory("(* ~a ~b) == (* ~b ~b)\n")
+    assert info.value.name == "a"
+    assert str(info.value) == (
+        "line 1: variable ~a appears on the LHS but not on the RHS"
+    )
+
+
+def test_bad_predicate_parameter_is_a_syntax_error():
+    with pytest.raises(RuleSyntaxError, match=r"^line 2: bad predicate parameters"):
+        parse_theory("# near zero\n(f ~x::near_zero(abc)) --> ~x\n")
+
+
+def test_unknown_predicate_in_theory_names_its_line():
+    with pytest.raises(UnknownPredicate) as info:
+        parse_theory("@vars y\n(f ~x::bogus) --> ~x\n")
+    assert str(info.value) == "line 2: unknown predicate 'bogus'"
 
 
 @pytest.mark.parametrize(
@@ -246,10 +265,10 @@ def test_theory_concatenation():
         "(* ~a::near_zero(1e-13) (cos ~b)) --> 0",
     ],
 )
-def test_print_rule_roundtrip(line):
+def test_rule_str_roundtrip(line):
     r = parse_rule(line, set())
-    printed = print_rule(r)
+    printed = str(r)
     r2 = parse_rule(printed, set())
-    assert print_rule(r2) == printed
+    assert str(r2) == printed
     assert r2.kind is r.kind
     assert r2.lhs == r.lhs and r2.rhs == r.rhs

@@ -4,20 +4,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from eqsat.errors import ContractViolation, SExprSyntaxError, UnknownBuiltin
+from eqsat.errors import SExprSyntaxError, UnknownBuiltin
 from eqsat.terms import (
     Atom,
     Compound,
     Lit,
-    arguments,
-    arity,
     eval_builtin,
     inline_anonymous,
-    istree,
-    operation,
     parse_term,
     print_term,
-    similarterm,
     substitute_atom,
 )
 
@@ -182,27 +177,6 @@ def test_compound_eq_defers_to_other_types():
     t = Compound("f", ())
     assert t.__eq__(Atom("f")) is NotImplemented
     assert t != Atom("f") and Atom("f") != t and t != "f"
-
-
-# -- accessors --------------------------------------------------------------
-
-
-def test_accessors():
-    t = parse_term("(f a 1)")
-    assert istree(t)
-    assert operation(t) == "f"
-    assert arguments(t) == (Atom("a"), Lit(1))
-    assert arity(t) == 2
-    assert similarterm("g", arguments(t)) == parse_term("(g a 1)")
-
-
-def test_accessors_reject_leaves():
-    for leaf in (Atom("a"), Lit(1)):
-        assert not istree(leaf)
-        with pytest.raises(ContractViolation):
-            operation(leaf)
-        with pytest.raises(ContractViolation):
-            arguments(leaf)
 
 
 # -- builtin evaluation -----------------------------------------------------

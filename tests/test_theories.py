@@ -4,7 +4,7 @@ import pytest
 
 from eqsat.analysis import astsize, extract
 from eqsat.egraph import EGraph
-from eqsat.rules import RuleKind, parse_theory, print_rule
+from eqsat.rules import RuleKind, parse_theory
 from eqsat.saturation import SaturationParams, saturate
 from eqsat import theories
 from eqsat.terms import Atom, Compound, Lit, parse_term, print_term
@@ -45,7 +45,7 @@ def test_bundled_roundtrip_through_printer():
     for name in BUNDLED:
         th = load_bundled(name)
         for r in th.rules:
-            line = print_rule(r)
+            line = str(r)
             declared = set(r.patvar_names)
             reparsed = parse_theory(f"@vars {' '.join(sorted(declared))}\n{line}\n")
             assert len(reparsed.rules) == 1
