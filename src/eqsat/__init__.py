@@ -50,7 +50,6 @@ from .saturation import (
     BackoffScheduler,
     Report,
     SaturationParams,
-    SimpleScheduler,
     StopReason,
     compile_theory,
     eqsat_step,

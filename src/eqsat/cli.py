@@ -128,8 +128,8 @@ def _params(args) -> SaturationParams:
         params.eclasslimit = args.eclasslimit
     if args.enodelimit is not None:
         params.enodelimit = args.enodelimit
-    if args.scheduler is not None:
-        params.scheduler = args.scheduler
+    if args.scheduler == "simple":
+        params.matchlimit = None
     params.printiter = args.verbose
     return params
 

@@ -31,6 +31,12 @@ class UnboundRhsVariable(RuleSyntaxError):
         self.name = name
 
 
+class UnknownTheory(EqsatError, KeyError):
+    """No bundled theory has the name; a KeyError too, as a failed lookup."""
+
+    __str__ = Exception.__str__  # KeyError's would quote the message
+
+
 class UnknownPredicate(EqsatError):
     pass
 

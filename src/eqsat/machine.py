@@ -60,12 +60,6 @@ class EMatch(NamedTuple):
     bindings: tuple[int, ...]  # the class of variable i at position i
     literal_bindings: tuple[tuple[int, Union[Number, str]], ...]
 
-    def binding_dict(self) -> dict[int, int]:
-        return dict(enumerate(self.bindings))
-
-    def literal_dict(self) -> dict[int, Union[Number, str]]:
-        return dict(self.literal_bindings)
-
 
 _LIFTING = {"number", "int", "real"}
 

@@ -433,12 +433,17 @@ def parse_theory(text: str, name: str = "theory") -> Theory:
         if not line:
             continue
         try:
-            if line.startswith("@vars"):
-                declared = set(line.split()[1:])
+            directive, *words = line.split()
+            if directive == "@vars":
+                declared = set(words)
                 continue
-            if line.startswith("@name"):
-                pending_name = line.split(None, 1)[1].strip()
+            if directive == "@name":
+                if len(words) != 1:
+                    raise RuleSyntaxError("@name takes exactly one name")
+                (pending_name,) = words
                 continue
+            if directive.startswith("@"):
+                raise RuleSyntaxError(f"unknown directive {directive!r}")
             rule_name = pending_name or f"r{len(theory.rules)}"
             pending_name = None
             rule = parse_rule(line, declared, name=rule_name)

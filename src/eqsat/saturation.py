@@ -1,4 +1,4 @@
-"""Equality-saturation driver: iteration loop, schedulers, goals, limits,
+"""Equality-saturation driver: iteration loop, scheduler, goals, limits,
 contradiction detection and reporting."""
 
 from __future__ import annotations
@@ -7,7 +7,7 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .egraph import EGraph, LitNode, OpNode
 from .errors import CapacityExceeded, SegmentUnsupported
@@ -53,11 +53,10 @@ class AreEqual:
 class SaturationParams:
     timeout: int = 8  # iterations
     timelimit_s: Optional[float] = None
-    matchlimit: int = 5000
+    matchlimit: Optional[int] = 5000  # None: no rule is ever banned
     eclasslimit: int = 5000
     enodelimit: int = 15000
     goal: Optional[object] = None  # callable EGraph -> bool
-    scheduler: str = "backoff"  # "simple" | "backoff"
     printiter: bool = False  # one line per iteration on stderr
 
 
@@ -114,31 +113,16 @@ class Report:
         return "\n".join(lines)
 
 
-# -- schedulers -------------------------------------------------------------
-
-
-class SimpleScheduler:
-    def can_search(self, rule_index: int, iteration: int) -> bool:
-        return True
-
-    def can_stop(self, iteration: int) -> bool:
-        """Whether an `iteration` that changed nothing ends the run as
-        saturated; False lets the run go on."""
-        return True
-
-    def search_limit(self, rule_index: int) -> Optional[int]:
-        """How many matches a search may stop at; None searches for all."""
-        return None
-
-    def inform(self, rule_index: int, n_matches: int, iteration: int) -> bool:
-        """Returns True when the rule got banned by this report."""
-        return False
+# -- the scheduler ----------------------------------------------------------
 
 
 @dataclass
 class BackoffState:
-    match_limit: int
-    ban_length: int
+    match_limit: Optional[int]  # None: the rule is never banned
+    # how many matches each found one counts as: 2 for a mirrored rule, whose
+    # one direction stands for two, otherwise 1
+    weight: int
+    ban_length: int = 5
     banned_until: int = -1
     times_banned: int = 0
 
@@ -146,48 +130,45 @@ class BackoffState:
 class BackoffScheduler:
     """Bans rules that match in exponentially growing numbers of locations.
 
-    When a search exceeds the rule's match limit the rule is banned for
-    `ban_length` iterations and both the limit and the ban length double.
+    When a search's matches, each counted `weight` times, exceed the rule's
+    match limit, the rule is banned for `ban_length` iterations and both the
+    limit and the ban length double. With no match limit, no rule is ever
+    banned and every search finds all its matches.
     """
 
-    def __init__(self, n_rules: int, match_limit: int = 5000, ban_length: int = 5):
-        self.states = [
-            BackoffState(match_limit, ban_length) for _ in range(n_rules)
-        ]
+    def __init__(self, weights: Sequence[int], match_limit: Optional[int] = 5000):
+        self.states = [BackoffState(match_limit, w) for w in weights]
 
     def can_search(self, rule_index: int, iteration: int) -> bool:
         return iteration > self.states[rule_index].banned_until
 
     def can_stop(self, iteration: int) -> bool:
-        # a pass that skipped a banned rule proves nothing: lift every ban
-        # that was live in it, and stop only when there was none
+        """Whether an `iteration` that changed nothing ends the run as
+        saturated. A pass that skipped a banned rule proves nothing: lift
+        every ban that was live in it, and stop only when there was none."""
         live = [st for st in self.states if st.banned_until >= iteration]
         for st in live:
             st.banned_until = iteration
         return not live
 
     def search_limit(self, rule_index: int) -> Optional[int]:
-        # one match over the limit bans the rule and drops every match, so a
-        # search need not find more (egg searches up to threshold + 1 too)
-        return self.states[rule_index].match_limit + 1
+        """How many matches a search may stop at; None searches for all.
+        One match over the limit bans the rule and drops every match, so a
+        search need not find more (egg searches up to threshold + 1 too)."""
+        st = self.states[rule_index]
+        return None if st.match_limit is None else st.match_limit // st.weight + 1
 
     def inform(self, rule_index: int, n_matches: int, iteration: int) -> bool:
+        """Told the matches a search returned; returns True when they ban
+        the rule."""
         st = self.states[rule_index]
-        if n_matches > st.match_limit:
+        if st.match_limit is not None and st.weight * n_matches > st.match_limit:
             st.banned_until = iteration + st.ban_length
             st.match_limit *= 2
             st.ban_length *= 2
             st.times_banned += 1
             return True
         return False
-
-
-def make_scheduler(params: SaturationParams, n_rules: int):
-    if params.scheduler == "simple":
-        return SimpleScheduler()
-    if params.scheduler == "backoff":
-        return BackoffScheduler(n_rules, match_limit=params.matchlimit)
-    raise ValueError(f"unknown scheduler {params.scheduler!r}")
 
 
 # -- compiled search plan ---------------------------------------------------
@@ -391,7 +372,7 @@ def _lookup_node(p: Pattern):
 def eqsat_step(
     g: EGraph,
     compiled: CompiledTheory,
-    sched,
+    sched: BackoffScheduler,
     iteration: int,
     stats: dict[int, RuleStats],
     deadline: Optional[float] = None,
@@ -414,11 +395,8 @@ def eqsat_step(
         if cr.directions and sched.can_search(idx, iteration):
             t0 = time.perf_counter()
             limit = sched.search_limit(idx)
-            # a mirrored rule's one direction stands for two that find the same
-            # matches, so it reaches the limit at half as many, rounded up
-            want = limit if limit is None or not cr.mirrored else (limit + 1) // 2
             for d in cr.directions:
-                left = None if want is None else want - len(matches)
+                left = None if limit is None else limit - len(matches)
                 if left == 0 or _past(deadline):
                     break
                 for m in ematch_program(g, d.program, left, deadline):
@@ -430,10 +408,7 @@ def eqsat_step(
                 # the search may have been cut off: its count decides no ban
                 stop = StopReason(TIME_LIMIT)
                 break
-            n = len(matches)
-            if cr.mirrored:  # the scheduler counts as for both directions
-                n = 2 * n if limit is None else min(2 * n, limit)
-            if sched.inform(idx, n, iteration):
+            if sched.inform(idx, len(matches), iteration):
                 matches = []  # banned: this iteration's matches are dropped
         found.append(matches)
 
@@ -478,7 +453,8 @@ def saturate(
     is only read, so it can be passed again to later calls."""
     params = params or SaturationParams()
     compiled = compile_theory(theory) if isinstance(theory, Theory) else theory
-    sched = make_scheduler(params, len(compiled))
+    weights = [2 if cr.mirrored else 1 for cr in compiled]
+    sched = BackoffScheduler(weights, params.matchlimit)
     stats: dict[int, RuleStats] = {}
     old_limit = g.node_limit
     g.node_limit = params.enodelimit

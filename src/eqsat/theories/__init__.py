@@ -9,6 +9,7 @@ from typing import Optional
 from ..analysis import astsize, extract
 from ..classical import Chain, Fixpoint, Postwalk, Rewriter, rule_rewriter
 from ..egraph import EGraph
+from ..errors import UnknownTheory
 from ..rules import RuleKind, Theory, parse_theory
 from ..saturation import (
     CompiledTheory,
@@ -33,7 +34,7 @@ BUNDLED = (
 
 def bundled_source(name: str) -> str:
     if name not in BUNDLED:
-        raise KeyError(f"no bundled theory named {name!r}")
+        raise UnknownTheory(f"no bundled theory named {name!r}")
     return (
         resources.files(__package__).joinpath("data", f"{name}.theory").read_text()
     )

@@ -180,8 +180,8 @@ def add_pattern(g: EGraph, pat, m, dynamic: bool) -> int:
     by walking the pattern on every call. Operator children are added left to
     right, and literal children after all of their siblings. Dynamic RHS
     nodes fold builtins over literal bindings bottom-up."""
-    bindings = m.binding_dict()
-    lits = m.literal_dict()
+    bindings = dict(enumerate(m.bindings))
+    lits = dict(m.literal_bindings)
 
     def lit_id(v) -> int:
         return g.add_enode(LitNode(v))
@@ -214,7 +214,7 @@ def add_pattern(g: EGraph, pat, m, dynamic: bool) -> int:
 
 def lookup_pattern(g: EGraph, pat, m):
     """Resolve a pattern instantiation by lookup only (no graph growth)."""
-    bindings = m.binding_dict()
+    bindings = dict(enumerate(m.bindings))
 
     def go(p):
         if isinstance(p, PatVar):

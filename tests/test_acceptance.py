@@ -269,7 +269,7 @@ def test_criterion_7_extraction_optimality():
 
 def test_criterion_8_backoff():
     # documented state-machine trace
-    s = BackoffScheduler(1, match_limit=10, ban_length=5)
+    s = BackoffScheduler([1], match_limit=10)
     trace_ok = (
         s.can_search(0, 0)
         and s.inform(0, 11, 0)
@@ -284,7 +284,7 @@ def test_criterion_8_backoff():
     g = EGraph()
     g.add_term(src)
     g.rebuild()
-    params = SaturationParams(scheduler="backoff")
+    params = SaturationParams()
     t0 = time.perf_counter()
     rep = saturate(g, PLUS_COMM_ASSOC, params)
     elapsed = time.perf_counter() - t0

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from eqsat.cli import build_parser, main
+from eqsat.cli import _params, build_parser, main
 from eqsat.terms import parse_term
 
 FOUR = [
@@ -129,6 +129,28 @@ def test_bad_rule_reported_once_with_its_line(tmp_path, capsys):
     assert err.strip() == (
         "error: line 1: variable ~z appears on the RHS but not on the LHS"
     )
+
+
+@pytest.mark.parametrize(
+    "directive, message",
+    [
+        ("@name", "@name takes exactly one name"),
+        ("@namefoo", "unknown directive '@namefoo'"),
+        ("@varsx y", "unknown directive '@varsx'"),
+    ],
+)
+def test_bad_theory_directive_exits_1(tmp_path, capsys, directive, message):
+    th = tmp_path / "t.theory"
+    th.write_text(f"{directive}\n(f ~x) --> ~x\n")
+    code, out, err = run(capsys, "simplify", "--theory", str(th), "--expr", "(f a)")
+    assert code == 1 and out == ""
+    assert err == f"error: line 1: {message}\n"
+
+
+def test_unknown_bundled_theory_exits_1(capsys):
+    code, out, err = run(capsys, "simplify", "--theory", "@nope", "--expr", "(* a 1)")
+    assert code == 1 and out == ""
+    assert err == "error: no bundled theory named 'nope'\n"
 
 
 def test_simplify_wrong_arity(capsys):
@@ -345,6 +367,16 @@ def usage_error(capsys, *argv):
         main(list(argv))
     captured = capsys.readouterr()
     return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "flags, matchlimit",
+    [([], 5000), (["--scheduler", "backoff"], 5000), (["--scheduler", "simple"], None),
+     (["--matchlimit", "7"], 7)],
+)
+def test_scheduler_sets_the_match_limit(flags, matchlimit):
+    args = build_parser().parse_args(["simplify", *flags, "a"])
+    assert _params(args).matchlimit == matchlimit
 
 
 def test_every_option_is_accepted_or_removed():

@@ -110,7 +110,7 @@ def test_run_simple_match():
     assert len(matches) == 1
     m = matches[0]
     assert m.class_id == g.find(i)
-    assert m.binding_dict() == {0: g.lookup_term(Atom("x"))}
+    assert dict(enumerate(m.bindings)) == {0: g.lookup_term(Atom("x"))}
 
 
 def test_bare_variable_matches_every_class():
@@ -138,7 +138,7 @@ def test_literal_lifting():
     g, (i,) = build("(+ 2 x)")
     matches = ematch(g, lhs("(+ ~a::number ~b) --> ~b"))
     assert len(matches) == 1
-    assert matches[0].literal_dict() == {0: 2}
+    assert dict(matches[0].literal_bindings) == {0: 2}
 
 
 @pytest.mark.parametrize(
@@ -147,7 +147,7 @@ def test_literal_lifting():
 def test_literal_kind_predicates(kind, lifted):
     g, _ = build("(f 2)", "(f 2.5)", "(f x)")
     matches = ematch(g, lhs(f"(f ~a::{kind}) --> ~a"))
-    assert [m.literal_dict()[0] for m in matches] == lifted
+    assert [dict(m.literal_bindings)[0] for m in matches] == lifted
 
 
 def test_literal_lifting_after_merge():
@@ -157,7 +157,7 @@ def test_literal_lifting_after_merge():
     g.rebuild()
     matches = ematch(g, lhs("(f ~a::number) --> ~a"))
     assert len(matches) == 1
-    assert matches[0].literal_dict() == {0: 2}
+    assert dict(matches[0].literal_bindings) == {0: 2}
 
 
 def test_inconsistent_class_detected():
@@ -186,8 +186,8 @@ def test_determinism():
 def test_match_soundness_by_enumeration():
     g, _ = build("(* (sin q) (cos q))", "(* x 1)")
     for m in ematch(g, lhs("(* ~a ~b) --> (* ~b ~a)")):
-        a_terms = enumerate_terms(g, m.binding_dict()[0], 4)
-        b_terms = enumerate_terms(g, m.binding_dict()[1], 4)
+        a_terms = enumerate_terms(g, m.bindings[0], 4)
+        b_terms = enumerate_terms(g, m.bindings[1], 4)
         rep = enumerate_terms(g, m.class_id, 5)
         assert any(
             Compound("*", (ta, tb)) in rep for ta in a_terms for tb in b_terms
@@ -367,5 +367,5 @@ def test_ematch_is_a_tuple_with_its_dicts():
     m = EMatch(4, (2, 3), ((1, 7),))
     assert m == (4, (2, 3), ((1, 7),)) and hash(m) == hash(tuple(m))
     assert m.class_id == 4
-    assert m.binding_dict() == {0: 2, 1: 3}
-    assert m.literal_dict() == {1: 7}
+    assert dict(enumerate(m.bindings)) == {0: 2, 1: 3}
+    assert dict(m.literal_bindings) == {1: 7}

@@ -80,14 +80,26 @@ def argument_keyed_caches(source: str) -> list[str]:
 
 
 def unread_parameters(source: str) -> list[str]:
-    """Parameters of a module-level function that its body never reads, as
-    "line N: function parameter"."""
+    """Parameters of a module-level function, or of a method of a
+    module-level class, that its body never reads, as "line N: function
+    parameter" or "line N: Class.method parameter". A method's first
+    parameter (`self` or `cls`) and dunder methods are not checked; nor are
+    nested functions, whose signatures callback protocols fix."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    tree = ast.parse(source)
+    functions = [(node.name, node, 0) for node in tree.body if isinstance(node, defs)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            functions += [
+                (f"{cls.name}.{node.name}", node, 1)
+                for node in cls.body
+                if isinstance(node, defs)
+                and not (node.name.startswith("__") and node.name.endswith("__"))
+            ]
     found = []
-    for node in ast.parse(source).body:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
+    for name, node, skip in functions:
         a = node.args
-        params = [*a.posonlyargs, *a.args, *a.kwonlyargs]
+        params = [*a.posonlyargs, *a.args][skip:] + a.kwonlyargs
         params += [p for p in (a.vararg, a.kwarg) if p is not None]
         read = {
             n.id
@@ -95,9 +107,7 @@ def unread_parameters(source: str) -> list[str]:
             for n in ast.walk(stmt)
             if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
         }
-        found += [
-            f"line {node.lineno}: {node.name} {p.arg}" for p in params if p.arg not in read
-        ]
+        found += [f"line {node.lineno}: {name} {p.arg}" for p in params if p.arg not in read]
     return found
 
 
@@ -138,10 +148,13 @@ def test_unread_parameters_finds_parameters_nothing_reads():
         "    return [args, lambda: c, inner]\n"
         "def g(x, y=x):\n    y = 1\n    return y\n"
         "class C:\n    def m(self, z): pass\n"
+        "    def __init__(self, w): pass\n"
+        "    @classmethod\n    def c(cls, v, u): return u\n"
         "def h(): pass\n"
     )
     assert unread_parameters(source) == [
         "line 1: f a", "line 1: f d", "line 1: f kw", "line 4: g x",
+        "line 8: C.m z", "line 11: C.c v",
     ]
 
 

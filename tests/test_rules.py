@@ -126,6 +126,22 @@ def test_rule_syntax_errors(bad):
         parse_rule(bad, set())
 
 
+@pytest.mark.parametrize(
+    "directive, message",
+    [
+        ("@name", "@name takes exactly one name"),
+        ("@name a b", "@name takes exactly one name"),
+        ("@namefoo", "unknown directive '@namefoo'"),
+        ("@varsx y", "unknown directive '@varsx'"),
+        ("@bogus", "unknown directive '@bogus'"),
+    ],
+)
+def test_theory_directive_is_the_first_word(directive, message):
+    with pytest.raises(RuleSyntaxError) as info:
+        parse_theory(f"@vars x\n{directive}\n(f x) --> x\n")
+    assert str(info.value) == f"line 2: {message}"
+
+
 # -- predicates -------------------------------------------------------------
 
 

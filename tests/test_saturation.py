@@ -23,11 +23,9 @@ from eqsat.saturation import (
     BackoffScheduler,
     Report,
     SaturationParams,
-    SimpleScheduler,
     StopReason,
     compile_theory,
     eqsat_step,
-    make_scheduler,
     mirrored,
     prove_equal,
     saturate,
@@ -173,8 +171,9 @@ def test_timelimit_checked_between_applications(monkeypatch):
     assert not g.pending  # rebuilt
 
 
-class _RecordingScheduler(SimpleScheduler):
-    def __init__(self):
+class _RecordingScheduler(BackoffScheduler):
+    def __init__(self, n_rules):
+        super().__init__([1] * n_rules, match_limit=None)
         self.informed = []
 
     def inform(self, rule_index, n_matches, iteration):
@@ -192,8 +191,8 @@ def _three_fs():
 def test_timelimit_checked_between_search_roots(monkeypatch):
     g = _three_fs()
     _clock_passing_deadline_on(monkeypatch, g, "classes_by_op")
-    sched, stats = _RecordingScheduler(), {}
     compiled = compile_theory(parse_theory(TWO_RULES))
+    sched, stats = _RecordingScheduler(len(compiled)), {}
     changed, stop = eqsat_step(g, compiled, sched, 0, stats, 1.0)
     assert stop.kind == "time-limit" and not changed
     # rule 0 ran on one root of three, and rule 1 not at all
@@ -246,7 +245,7 @@ def test_saturated_is_fixed_point():
     g, root, report = sat("(* x y)", "(* ~a ~b) == (* ~b ~a)")
     assert report.stop_reason.kind == "saturated"
     compiled = compile_theory(parse_theory("(* ~a ~b) == (* ~b ~a)"))
-    sched = SimpleScheduler()
+    sched = BackoffScheduler([2], match_limit=None)
     changed, stop = eqsat_step(g, compiled, sched, 0, {})
     assert not changed and stop is None
 
@@ -266,7 +265,7 @@ def test_eqsat_step_adds_to_the_callers_stats(monkeypatch):
     compiled = compile_theory(
         parse_theory("@vars a b c\n(* a b) == (* b a)\n(* a (* b c)) == (* (* a b) c)\n")
     )
-    sched, stats = SimpleScheduler(), {}
+    sched, stats = BackoffScheduler([2, 1], match_limit=None), {}
     eqsat_step(g, compiled, sched, 0, stats)
     first = dict(stats)
     # commutativity is mirrored: its one direction matches each product once
@@ -309,13 +308,16 @@ def test_prove_assoc_rotation():
 
 
 def test_simple_scheduler_never_bans():
-    s = SimpleScheduler()
+    # `--scheduler simple`: backoff with no match limit
+    s = BackoffScheduler([1, 2], match_limit=None)
     assert not s.inform(0, 10**9, 0)
+    assert not s.inform(1, 10**9, 0)
     assert s.can_search(0, 5)
+    assert s.can_stop(0)
 
 
 def test_backoff_documented_trace():
-    s = BackoffScheduler(1, match_limit=10, ban_length=5)
+    s = BackoffScheduler([1], match_limit=10)
     assert s.can_search(0, 0)
     assert s.inform(0, 11, 0)  # 11 matches at iteration 0 → ban
     for it in range(1, 6):
@@ -328,8 +330,7 @@ def test_backoff_documented_trace():
 
 
 def test_can_stop_lifts_the_bans_of_the_pass():
-    assert SimpleScheduler().can_stop(0)
-    s = BackoffScheduler(2, match_limit=10, ban_length=5)
+    s = BackoffScheduler([1, 1], match_limit=10)
     assert s.can_stop(0)
     assert s.inform(0, 11, 0)  # banned through iteration 5
     assert not s.can_stop(3)
@@ -353,7 +354,7 @@ def test_no_saturated_while_a_rule_is_banned():
 
 
 def test_backoff_under_limit_no_ban():
-    s = BackoffScheduler(1, match_limit=10, ban_length=5)
+    s = BackoffScheduler([1], match_limit=10)
     assert not s.inform(0, 10, 0)
     assert s.can_search(0, 1)
 
@@ -371,17 +372,6 @@ def test_backoff_banned_rule_contributes_zero_matches():
     assert report.per_rule[0].matches == 1
     assert g.lookup_term(parse_term("(* y x)")) is None
     assert g.n_enodes == 3
-
-
-def test_make_scheduler():
-    assert isinstance(
-        make_scheduler(SaturationParams(scheduler="simple"), 1), SimpleScheduler
-    )
-    s = make_scheduler(SaturationParams(), 2)
-    assert isinstance(s, BackoffScheduler)
-    assert s.states[0].match_limit == 5000
-    with pytest.raises(ValueError):
-        make_scheduler(SaturationParams(scheduler="bogus"), 1)
 
 
 # -- compiled right-hand sides ----------------------------------------------
@@ -652,11 +642,11 @@ SUM_12 = "(+ a0 (+ a1 (+ a2 (+ a3 (+ a4 (+ a5 (+ a6 (+ a7 (+ a8 (+ a9 (+ a10 a11
 def _saturate_with(monkeypatch, scheduler_cls, src, theory):
     made = []
 
-    def make(params, n_rules):
-        made.append(scheduler_cls(n_rules, match_limit=params.matchlimit))
+    def make(weights, match_limit):
+        made.append(scheduler_cls(weights, match_limit))
         return made[-1]
 
-    monkeypatch.setattr(saturation, "make_scheduler", make)
+    monkeypatch.setattr(saturation, "BackoffScheduler", make)
     g = EGraph()
     g.add_term(parse_term(src))
     g.rebuild()
@@ -699,11 +689,18 @@ def test_rule_match_count_stops_one_over_limit(match_limit):
 
 
 def test_search_limits():
-    assert SimpleScheduler().search_limit(0) is None
-    s = BackoffScheduler(1, match_limit=10)
+    assert BackoffScheduler([1], match_limit=None).search_limit(0) is None
+    s = BackoffScheduler([1, 2], match_limit=10)
     assert s.search_limit(0) == 11
+    # a mirrored rule's matches count twice, so it is over the limit at 6
+    assert s.search_limit(1) == 6
+    assert not s.inform(1, 5, 0)
+    assert s.inform(1, 6, 0)
+    assert s.search_limit(1) == 11
     s.inform(0, 11, 0)
     assert s.search_limit(0) == 21
+    assert SaturationParams().matchlimit == 5000
+    assert BackoffScheduler([1]).states[0].match_limit == 5000
 
 
 # -- mirrored rules -----------------------------------------------------------
@@ -772,11 +769,11 @@ def made(monkeypatch):
     """The schedulers `saturate` makes, in order."""
     made = []
 
-    def make(params, n_rules):
-        made.append(make_scheduler(params, n_rules))
+    def make(weights, match_limit):
+        made.append(BackoffScheduler(weights, match_limit))
         return made[-1]
 
-    monkeypatch.setattr(saturation, "make_scheduler", make)
+    monkeypatch.setattr(saturation, "BackoffScheduler", make)
     return made
 
 
@@ -800,9 +797,10 @@ def test_mirrored_compile_leaves_the_two_way_partition_and_report(made, case, sc
             g.add_term(t)
         g.rebuild()
         goal = AreEqual(*terms) if len(terms) == 2 else None
-        params = SaturationParams(timeout=timeout, scheduler=scheduler, goal=goal)
+        matchlimit = None if scheduler == "simple" else 5000
+        params = SaturationParams(timeout=timeout, matchlimit=matchlimit, goal=goal)
         report = saturate(g, compiled, params)
-        banned = [st.times_banned for st in getattr(made[-1], "states", [])]
+        banned = [st.times_banned for st in made[-1].states]
         return (
             subterm_partition(g, terms),
             str(report.stop_reason),

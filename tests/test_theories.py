@@ -4,6 +4,7 @@ import pytest
 
 from eqsat.analysis import astsize, extract
 from eqsat.egraph import EGraph
+from eqsat.errors import EqsatError
 from eqsat.rules import RuleKind, parse_theory
 from eqsat.saturation import SaturationParams, saturate
 from eqsat import theories
@@ -37,8 +38,10 @@ def test_all_bundled_load():
 
 
 def test_unknown_bundled_name():
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError) as info:
         bundled_source("nope")
+    assert isinstance(info.value, EqsatError)
+    assert str(info.value) == "no bundled theory named 'nope'"
 
 
 def test_bundled_roundtrip_through_printer():
