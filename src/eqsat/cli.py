@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 from typing import Optional
 
@@ -210,10 +211,7 @@ def cmd_rewrite(args) -> int:
         if r.kind in (RuleKind.REWRITE, RuleKind.DYNAMIC):
             rewriters.append(rule_rewriter(r))
         else:
-            print(
-                f"warning: rule {r.name!r} ({r.kind.value}) skipped in classical mode",
-                file=sys.stderr,
-            )
+            warnings.warn(f"rule {r.name!r} ({r.kind.value}) skipped in classical mode")
     strategy = parse_strategy(args.strategy, {"all": rewriters})
     result = strategy(term)
     out = result if result is not None else term
@@ -259,8 +257,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "matchlimit", None) is not None and args.scheduler == "simple":
         parser.error("argument --matchlimit: not allowed with --scheduler simple")
+
+    def warn(message, *_):
+        print(f"warning: {message}", file=sys.stderr)
+
     try:
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = warn
+            return _COMMANDS[args.command](args)
     except (EqsatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,8 +9,11 @@ class SExprSyntaxError(EqsatError):
     """Malformed S-expression input; carries the byte offset of the problem."""
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at offset {offset})")
+        super().__init__(message)
         self.offset = offset
+
+    def __str__(self):
+        return f"{self.args[0]} (at offset {self.offset})"
 
 
 class ContractViolation(EqsatError):
@@ -38,10 +41,6 @@ class UnknownTheory(EqsatError, KeyError):
 
 
 class UnknownPredicate(EqsatError):
-    pass
-
-
-class DuplicatePredicate(EqsatError):
     pass
 
 

@@ -15,13 +15,22 @@ from typing import Callable, Optional, Union
 
 from . import terms
 from .errors import (
-    DuplicatePredicate,
     RuleSyntaxError,
     SExprSyntaxError,
     UnboundRhsVariable,
     UnknownPredicate,
 )
-from .terms import ATOM_RE, Lit, Number, Term, classify_token, print_number
+from .terms import (
+    ATOM_RE,
+    Lit,
+    Number,
+    Term,
+    classify_token,
+    print_number,
+    print_sexpr,
+    read_sexpr,
+    tokenize,
+)
 
 # ---------------------------------------------------------------------------
 # Pattern AST
@@ -118,15 +127,6 @@ class Predicate:
     lift: Optional[str] = None  # "number" | "int" | "real"
 
 
-_REGISTRY: dict[str, Predicate] = {}
-
-
-def register_predicate(pred: Predicate) -> None:
-    if pred.name in _REGISTRY:
-        raise DuplicatePredicate(pred.name)
-    _REGISTRY[pred.name] = pred
-
-
 def resolve_predicate(ref: PredicateRef) -> Predicate:
     pred = _REGISTRY.get(ref.name)
     if pred is None:
@@ -167,7 +167,7 @@ def _sign_of(g, cid):
     return class_sign(g, cid)
 
 
-def _install_builtins() -> None:
+def _builtin_predicates() -> dict[str, Predicate]:
     def lit_kind_pred(kind):
         def classical(t, params):
             v = _lit_value(t)
@@ -176,11 +176,7 @@ def _install_builtins() -> None:
         def egraph(g, cid, params):
             return bool(class_literals(g, cid, kind))
 
-        return classical, egraph
-
-    for kind in ("number", "int", "real"):
-        c, e = lit_kind_pred(kind)
-        register_predicate(Predicate(kind, 0, c, e, lift=kind))
+        return Predicate(kind, 0, classical, egraph, lift=kind)
 
     def near_zero_classical(t, params):
         v = _lit_value(t)
@@ -192,18 +188,12 @@ def _install_builtins() -> None:
             for v in class_literals(g, cid, "number")
         )
 
-    register_predicate(
-        Predicate("near_zero", 1, near_zero_classical, near_zero_egraph, lift="number")
-    )
-
     def iszero_classical(t, params):
         v = _lit_value(t)
         return v is not None and v == 0
 
     def iszero_egraph(g, cid, params):
         return _sign_of(g, cid) == 0
-
-    register_predicate(Predicate("iszero", 0, iszero_classical, iszero_egraph))
 
     def notzero_classical(t, params):
         v = _lit_value(t)
@@ -212,8 +202,6 @@ def _install_builtins() -> None:
     def notzero_egraph(g, cid, params):
         s = _sign_of(g, cid)
         return s is not None and not math.isnan(s) and s != 0
-
-    register_predicate(Predicate("notzero", 0, notzero_classical, notzero_egraph))
 
     def csf_classical(t, params):
         v = _lit_value(t)
@@ -225,46 +213,22 @@ def _install_builtins() -> None:
         s = _sign_of(g, cid)
         return s is not None and s in (1, -1)
 
-    register_predicate(
-        Predicate("cansimplifyfraction", 0, csf_classical, csf_egraph)
-    )
+    preds = [lit_kind_pred(kind) for kind in ("number", "int", "real")] + [
+        Predicate("near_zero", 1, near_zero_classical, near_zero_egraph, lift="number"),
+        Predicate("iszero", 0, iszero_classical, iszero_egraph),
+        Predicate("notzero", 0, notzero_classical, notzero_egraph),
+        Predicate("cansimplifyfraction", 0, csf_classical, csf_egraph),
+    ]
+    return {p.name: p for p in preds}
 
 
-_install_builtins()
+_REGISTRY = _builtin_predicates()
 
 
 # ---------------------------------------------------------------------------
 # Rule parsing
 
 _OPERATORS = {k.value: k for k in RuleKind}
-
-
-def _tokenize_rule(text: str) -> list[tuple[str, int]]:
-    """Like terms.tokenize but keeps `::pred(params)` attached to its token."""
-    out: list[tuple[str, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "()":
-            out.append((c, i))
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in "()":
-            j += 1
-        tok = text[i:j]
-        if "::" in tok and j < n and text[j] == "(":
-            k = text.find(")", j)
-            if k < 0:
-                raise RuleSyntaxError(f"unterminated predicate parameters in {tok!r}")
-            tok = text[i : k + 1]
-            j = k + 1
-        out.append((tok, i))
-        i = j
-    return out
 
 
 def _parse_predicate(spec: str) -> PredicateRef:
@@ -289,20 +253,23 @@ class _VarTable:
         self.declared = declared
         self.indices: dict[str, int] = {}
         self.order: list[str] = []
+        self.read: set[int] = set()  # the indices the RHS reads
 
     def index(self, name: str, allocate: bool) -> int:
-        if name in self.indices:
-            return self.indices[name]
-        if not allocate:
-            raise UnboundRhsVariable(name)
-        idx = len(self.order)
-        self.indices[name] = idx
-        self.order.append(name)
-        return idx
+        if name not in self.indices:
+            if not allocate:
+                raise UnboundRhsVariable(name)
+            self.indices[name] = len(self.order)
+            self.order.append(name)
+        elif not allocate:
+            self.read.add(self.indices[name])
+        return self.indices[name]
 
 
 def _leaf_pattern(tok: str, table: _VarTable, allocate: bool) -> Pattern:
-    base, _, pred_spec = tok.partition("::")
+    base, guarded, pred_spec = tok.partition("::")
+    if guarded and not pred_spec:
+        raise RuleSyntaxError(f"empty predicate guard in {tok!r}")
     pred = _parse_predicate(pred_spec) if pred_spec else None
     segment = False
     if base.startswith("~~"):
@@ -330,96 +297,58 @@ def _leaf_pattern(tok: str, table: _VarTable, allocate: bool) -> Pattern:
     return PatVar(base, idx, pred)
 
 
-def _parse_pattern(toks, pos, table: _VarTable, allocate: bool):
-    if pos >= len(toks):
-        raise RuleSyntaxError("unexpected end of pattern")
-    tok, off = toks[pos]
-    if tok == ")":
-        raise RuleSyntaxError("unexpected ')' in pattern")
-    if tok != "(":
-        return _leaf_pattern(tok, table, allocate), pos + 1
-    pos += 1
-    if pos >= len(toks) or toks[pos][0] in "()":
-        raise RuleSyntaxError("empty or headless pattern term")
-    op_tok = toks[pos][0]
-    op_leaf = _leaf_pattern(op_tok, table, allocate)
-    if isinstance(op_leaf, PatVar):
-        op: Union[str, PatVar] = op_leaf
-    elif isinstance(op_leaf, PatLit) and isinstance(op_leaf.value, str):
-        op = op_leaf.value
-    else:
-        raise RuleSyntaxError(f"bad operation {op_tok!r} in pattern")
-    pos += 1
-    args: list[Pattern] = []
-    while True:
-        if pos >= len(toks):
-            raise RuleSyntaxError("unbalanced '(' in pattern")
-        if toks[pos][0] == ")":
-            return PatTerm(op, tuple(args)), pos + 1
-        arg, pos = _parse_pattern(toks, pos, table, allocate)
-        args.append(arg)
+def _read_pattern(toks, table: _VarTable, allocate: bool) -> tuple[Pattern, int]:
+    """The pattern that starts `toks`, and the position after it."""
 
+    def leaf(tok, offset):
+        return _leaf_pattern(tok, table, allocate)
 
-def pattern_vars(p: Pattern) -> list[int]:
-    """Variable indices in first-appearance order (with repetitions)."""
-    out: list[int] = []
+    def node(head, args, offset):
+        if isinstance(head, PatVar):
+            return PatTerm(head, tuple(args))
+        if isinstance(head, PatLit) and isinstance(head.value, str):
+            return PatTerm(head.value, tuple(args))
+        raise RuleSyntaxError(f"bad operation {print_pattern(head)!r} in pattern")
 
-    def walk(q):
-        if isinstance(q, (PatVar, PatSegment)):
-            out.append(q.index)
-        elif isinstance(q, PatTerm):
-            if isinstance(q.op, PatVar):
-                out.append(q.op.index)
-            for a in q.args:
-                walk(a)
-
-    walk(p)
-    return out
-
-
-def _check_segments(p: Pattern, at_arg: bool = False):
-    if isinstance(p, PatSegment) and not at_arg:
-        raise RuleSyntaxError("segment variable allowed only as a term argument")
-    if isinstance(p, PatTerm):
-        for a in p.args:
-            _check_segments(a, at_arg=True)
+    return read_sexpr(toks, leaf, node)
 
 
 def parse_rule(line: str, declared_vars: set[str], name: str = "") -> Rule:
-    toks = _tokenize_rule(line)
-    # the rule operator must sit at paren depth 0
-    depth = 0
-    top = []
-    for i, (t, _) in enumerate(toks):
-        if t == "(":
-            depth += 1
-        elif t == ")":
-            depth -= 1
-        elif t in _OPERATORS and depth == 0:
-            top.append((i, _OPERATORS[t]))
-    if len(top) != 1:
-        raise RuleSyntaxError(
-            f"expected exactly one top-level rule operator in {line!r}"
-        )
-    opi, kind = top[0]
     table = _VarTable(set(declared_vars))
-    lhs, end = _parse_pattern(toks[:opi], 0, table, allocate=True)
-    if end != opi:
-        raise RuleSyntaxError(f"trailing tokens before operator in {line!r}")
-    rhs_toks = toks[opi + 1 :]
-    rhs, end = _parse_pattern(rhs_toks, 0, table, allocate=False)
-    if end != len(rhs_toks):
-        raise RuleSyntaxError(f"trailing tokens after RHS in {line!r}")
-    _check_segments(lhs)
-    _check_segments(rhs)
-    if kind is RuleKind.EQUALITY:
-        if set(pattern_vars(rhs)) != set(pattern_vars(lhs)):
-            missing = set(pattern_vars(lhs)) - set(pattern_vars(rhs))
-            bad = table.order[sorted(missing)[0]]
-            exc = UnboundRhsVariable(bad)
-            # read right to left, the rule leaves the variable unbound
-            exc.args = (f"variable ~{bad} appears on the LHS but not on the RHS",)
-            raise exc
+    try:
+        toks = list(tokenize(line))
+        # the rule operator must sit at paren depth 0
+        depth = 0
+        top = []
+        for i, (t, _) in enumerate(toks):
+            if t == "(":
+                depth += 1
+            elif t == ")":
+                depth -= 1
+            elif t in _OPERATORS and depth == 0:
+                top.append((i, _OPERATORS[t]))
+        if len(top) != 1:
+            raise RuleSyntaxError(
+                f"expected exactly one top-level rule operator in {line!r}"
+            )
+        opi, kind = top[0]
+        lhs, end = _read_pattern(toks[:opi], table, allocate=True)
+        if end != opi:
+            raise RuleSyntaxError(f"trailing tokens before operator in {line!r}")
+        rhs_toks = toks[opi + 1 :]
+        rhs, end = _read_pattern(rhs_toks, table, allocate=False)
+        if end != len(rhs_toks):
+            raise RuleSyntaxError(f"trailing tokens after RHS in {line!r}")
+    except SExprSyntaxError as exc:
+        raise RuleSyntaxError(exc.args[0]) from None
+    if isinstance(lhs, PatSegment) or isinstance(rhs, PatSegment):
+        raise RuleSyntaxError("segment variable allowed only as a term argument")
+    if kind is RuleKind.EQUALITY and len(table.read) < len(table.order):
+        bad = next(v for i, v in enumerate(table.order) if i not in table.read)
+        exc = UnboundRhsVariable(bad)
+        # read right to left, the rule leaves the variable unbound
+        exc.args = (f"variable ~{bad} appears on the LHS but not on the RHS",)
+        raise exc
     return Rule(kind, lhs, rhs, name, tuple(table.order))
 
 
@@ -427,6 +356,7 @@ def parse_theory(text: str, name: str = "theory") -> Theory:
     theory = Theory(name)
     declared: set[str] = set()
     pending_name: Optional[str] = None
+    pending_line = 0  # the line of `pending_name`'s @name
     seen_names: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -440,7 +370,9 @@ def parse_theory(text: str, name: str = "theory") -> Theory:
             if directive == "@name":
                 if len(words) != 1:
                     raise RuleSyntaxError("@name takes exactly one name")
-                (pending_name,) = words
+                if pending_name is not None:
+                    break  # the earlier @name names no rule: reported below
+                (pending_name,), pending_line = words, lineno
                 continue
             if directive.startswith("@"):
                 raise RuleSyntaxError(f"unknown directive {directive!r}")
@@ -454,6 +386,8 @@ def parse_theory(text: str, name: str = "theory") -> Theory:
             raise RuleSyntaxError(f"line {lineno}: duplicate rule name {rule.name!r}")
         seen_names.add(rule.name)
         theory.rules.append(rule)
+    if pending_name is not None:
+        raise RuleSyntaxError(f"line {pending_line}: @name {pending_name!r} names no rule")
     return theory
 
 
@@ -462,15 +396,14 @@ def parse_theory(text: str, name: str = "theory") -> Theory:
 
 
 def print_pattern(p: Pattern) -> str:
-    if isinstance(p, PatVar):
-        return f"~{p.name}{_pred_suffix(p.predicate)}"
-    if isinstance(p, PatSegment):
-        return f"~~{p.name}{_pred_suffix(p.predicate)}"
+    return print_sexpr(p, _print_pattern_leaf)
+
+
+def _print_pattern_leaf(p: Union[PatVar, PatSegment, PatLit]) -> str:
     if isinstance(p, PatLit):
         return p.value if isinstance(p.value, str) else print_number(p.value)
-    op = p.op if isinstance(p.op, str) else f"~{p.op.name}"
-    inner = " ".join([op] + [print_pattern(a) for a in p.args])
-    return f"({inner})"
+    sigil = "~~" if isinstance(p, PatSegment) else "~"
+    return f"{sigil}{p.name}{_pred_suffix(p.predicate)}"
 
 
 def _pred_suffix(ref: Optional[PredicateRef]) -> str:

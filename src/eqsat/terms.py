@@ -6,11 +6,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
 
 from .errors import ContractViolation, SExprSyntaxError, UnknownBuiltin
 
 Number = Union[int, float]
+T = TypeVar("T")
 
 
 def num_key(v: Number):
@@ -120,7 +121,9 @@ FLOAT_WORDS = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
 
 
 def tokenize(text: str) -> Iterator[tuple[str, int]]:
-    """Yield (token, byte offset) pairs; parens are single-char tokens."""
+    """Yield (token, offset) pairs; parens are single-char tokens. A rule
+    guard's parameter list, as in `x::near_zero(1e-13)`, stays part of its
+    token; no term token contains `::`."""
     i, n = 0, len(text)
     while i < n:
         c = text[i]
@@ -133,6 +136,13 @@ def tokenize(text: str) -> Iterator[tuple[str, int]]:
             j = i
             while j < n and not text[j].isspace() and text[j] not in "()":
                 j += 1
+            if j < n and text[j] == "(" and "::" in text[i:j]:
+                k = text.find(")", j)
+                if k < 0:
+                    raise SExprSyntaxError(
+                        f"unterminated predicate parameters in {text[i:j]!r}", i
+                    )
+                j = k + 1
             yield text[i:j], i
             i = j
 
@@ -149,42 +159,56 @@ def classify_token(tok: str, offset: int) -> Term:
     raise SExprSyntaxError(f"malformed token {tok!r}", offset)
 
 
-def parse_term(text: str) -> Term:
-    # iterative, so that nesting depth is not bounded by the recursion limit
-    toks = list(tokenize(text))
-    open_: list[tuple[str, list[Term], int]] = []  # (head, args, offset of "(")
+def read_sexpr(
+    toks: Sequence[tuple[str, int]],
+    leaf: Callable[[str, int], T],
+    node: Callable[[T, list[T], int], T],
+) -> tuple[T, int]:
+    """Read the S-expression that starts `toks`, and return it with the
+    position after it. Each token other than a paren, a compound's head
+    included, is made by `leaf(token, offset)` in reading order, and each
+    compound by `node(head, args, offset of its "(")`. Iterative, so that
+    nesting depth is not bounded by the recursion limit."""
+    open_: list[tuple[T, list[T], int]] = []  # (head, args, offset of "(")
     pos = 0
     while True:
         if pos >= len(toks):
             if open_:
                 raise SExprSyntaxError("unbalanced '('", open_[-1][2])
-            raise SExprSyntaxError("unexpected end of input", len(text))
+            raise SExprSyntaxError("unexpected end of input", 0)
         tok, off = toks[pos]
         pos += 1
         if tok == "(":
             if pos >= len(toks):
                 raise SExprSyntaxError("unbalanced '('", off)
-            op_tok, op_off = toks[pos]
-            if op_tok in ("(", ")"):
-                raise SExprSyntaxError("empty or headless compound", op_off)
-            head = classify_token(op_tok, op_off)
-            if not isinstance(head, Atom):
-                raise SExprSyntaxError(
-                    f"operation must be a symbol, got {op_tok!r}", op_off
-                )
+            head_tok, head_off = toks[pos]
+            if head_tok in ("(", ")"):
+                raise SExprSyntaxError("empty or headless compound", head_off)
             pos += 1
-            open_.append((head.name, [], off))
+            open_.append((leaf(head_tok, head_off), [], off))
             continue
         if tok != ")":
-            term = classify_token(tok, off)
+            value = leaf(tok, off)
         elif open_:
-            op, args, _ = open_.pop()
-            term = Compound(op, tuple(args))
+            value = node(*open_.pop())
         else:
             raise SExprSyntaxError("unexpected ')'", off)
         if not open_:
-            break
-        open_[-1][1].append(term)
+            return value, pos
+        open_[-1][1].append(value)
+
+
+def _compound(head: Term, args: list[Term], offset: int) -> Compound:
+    if not isinstance(head, Atom):
+        raise SExprSyntaxError(
+            f"operation must be a symbol, got {print_term(head)!r}", offset
+        )
+    return Compound(head.name, tuple(args))
+
+
+def parse_term(text: str) -> Term:
+    toks = list(tokenize(text))
+    term, pos = read_sexpr(toks, classify_token, _compound)
     if pos != len(toks):
         raise SExprSyntaxError("trailing input after term", toks[pos][1])
     return term
@@ -200,24 +224,34 @@ def print_number(v: Number) -> str:
     return repr(v)
 
 
-def print_term(t: Term) -> str:
-    # iterative, so that nesting depth is not bounded by the recursion limit
+def print_sexpr(x, leaf: Callable[[object], str]) -> str:
+    """Print `x`, where a compound is a node with an `op` and `args`: an op
+    that is a string prints as itself, and every other node through
+    `leaf(node)`. Iterative, so that nesting depth is not bounded by the
+    recursion limit."""
     out: list[str] = []
-    todo: list[Union[Term, str]] = [t]  # terms still to print, and text
+    todo: list = [x]  # nodes still to print, and text
     while todo:
-        x = todo.pop()
-        if isinstance(x, str):
-            out.append(x)
-        elif isinstance(x, Atom):
-            out.append(x.name)
-        elif isinstance(x, Lit):
-            out.append(print_number(x.value))
-        else:
-            out.append(f"({x.op}")
+        y = todo.pop()
+        if isinstance(y, str):
+            out.append(y)
+        elif hasattr(y, "args"):
+            out.append("(")
             todo.append(")")
-            for a in reversed(x.args):
+            for a in reversed(y.args):
                 todo += (a, " ")
+            todo.append(y.op)
+        else:
+            out.append(leaf(y))
     return "".join(out)
+
+
+def _print_leaf(t: Term) -> str:
+    return t.name if isinstance(t, Atom) else print_number(t.value)
+
+
+def print_term(t: Term) -> str:
+    return print_sexpr(t, _print_leaf)
 
 
 # ---------------------------------------------------------------------------

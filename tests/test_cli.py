@@ -41,6 +41,27 @@ def test_simplify_malformed_expr(capsys):
     assert err
 
 
+def test_simplify_warns_of_a_skipped_rule_in_one_line(tmp_path, capsys):
+    th = tmp_path / "segment.theory"
+    th.write_text("(f xs... ~x) --> ~x\n")
+    code, out, err = run(capsys, "simplify", "--theory", str(th), "--expr", "(f a)")
+    assert code == 0
+    assert out.strip() == "(f a)"
+    assert err == (
+        "warning: rule 'r0' skipped in e-graph mode: "
+        "segment variables are not supported by the e-graph matcher\n"
+    )
+
+
+def test_name_with_no_rule_exits_1(tmp_path, capsys):
+    th = tmp_path / "dangling.theory"
+    th.write_text("(f ~x) --> ~x\n@name last\n")
+    code, out, err = run(capsys, "simplify", "--theory", str(th), "--expr", "(f a)")
+    assert code == 1
+    assert out == ""
+    assert err == "error: line 2: @name 'last' names no rule\n"
+
+
 def test_simplify_limit_stop_prints_term(tmp_path, capsys):
     th = tmp_path / "grow.theory"
     th.write_text("(f ~x) --> (f (g ~x))\n")
@@ -196,7 +217,10 @@ def test_rewrite_skips_equality_rules_with_warning(capsys):
     )
     assert code == 0
     assert out.strip() == "(* a b)"
-    assert "skipped in classical mode" in err
+    assert err == (
+        "warning: rule 'mul-comm' (==) skipped in classical mode\n"
+        "warning: rule 'mul-assoc' (==) skipped in classical mode\n"
+    )
 
 
 def test_rewrite_single_pass_strategy(capsys):
@@ -296,7 +320,7 @@ def test_simplify_with_a_deep_mirrored_rule(tmp_path, capsys):
 
 
 def test_too_deep_input_is_a_clean_error(tmp_path, capsys):
-    # the theory parser recurses on pattern depth
+    # the classical matcher compiler recurses on pattern depth
     th = tmp_path / "deep.theory"
     th.write_text("@vars x\n" + "(g " * 1200 + "x" + ")" * 1200 + " --> x\n")
     code, out, err = run(capsys, "rewrite", "--theory", str(th), "--expr", "a")
@@ -304,6 +328,17 @@ def test_too_deep_input_is_a_clean_error(tmp_path, capsys):
     assert out == ""
     assert "error: expression nested too deeply" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simplify", "rewrite"])
+def test_too_deep_theory_is_a_clean_error(tmp_path, capsys, command):
+    # the theory parses at any depth; compiling its matchers recurses
+    th = tmp_path / "deep.theory"
+    th.write_text("@vars x\n" + "(g " * 3000 + "x" + ")" * 3000 + " --> x\n")
+    code, out, err = run(capsys, command, "--theory", str(th), "--expr", "a")
+    assert code == 1
+    assert out == ""
+    assert err == "error: expression nested too deeply\n"
 
 
 # -- optimize-stream --------------------------------------------------------

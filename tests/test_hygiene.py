@@ -111,6 +111,22 @@ def unread_parameters(source: str) -> list[str]:
     return found
 
 
+def self_calling_functions(source: str) -> list[str]:
+    """Functions, nested ones and methods included, whose body calls the
+    function's own name, as "line N: name". Such a function recurses, so
+    the depth of its input is bounded by the recursion limit."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, defs):
+            continue
+        calls = [n.func for n in ast.walk(node) if isinstance(n, ast.Call)]
+        names = {getattr(f, "id", None) or getattr(f, "attr", None) for f in calls}
+        if node.name in names:
+            found.append(f"line {node.lineno}: {node.name}")
+    return found
+
+
 def test_unused_imports_finds_unused_names():
     source = "import os\nimport a.b\nfrom c import d, e as f\nprint(a, f)\n"
     assert unused_imports(source) == ["line 1: os", "line 3: d"]
@@ -158,6 +174,16 @@ def test_unread_parameters_finds_parameters_nothing_reads():
     ]
 
 
+def test_self_calling_functions_finds_recursion():
+    source = (
+        "def f(n): return f(n - 1)\n"
+        "def g(p):\n    def walk(q): return [walk(x) for x in q]\n    return walk(p)\n"
+        "class C:\n    def m(self): return self.m()\n"
+        "def h(): return g(f)\n"
+    )
+    assert self_calling_functions(source) == ["line 1: f", "line 3: walk", "line 6: m"]
+
+
 def test_no_unused_imports_in_package():
     # the top-level __init__.py imports names only to re-export them
     found = {
@@ -189,3 +215,11 @@ def test_no_unread_parameters_in_package():
         if (name, f.partition(": ")[2]) not in allowed
     ]
     assert found == []
+
+
+def test_text_layers_do_not_recurse():
+    # the S-expression reader and printer, and the rule parser on top of
+    # them, must take input of any depth
+    sources = package_sources()
+    found = {name: self_calling_functions(sources[name]) for name in ("terms.py", "rules.py")}
+    assert found == {"terms.py": [], "rules.py": []}

@@ -233,19 +233,54 @@ def _deep_rule_theory(depth):
     return "@vars x\n" + "(g " * depth + "x" + ")" * depth + " --> x\n"
 
 
-def test_deep_pattern_is_not_reported_as_a_syntax_error():
-    # the pattern parser recurses on depth; running out of stack is not a
-    # malformed token, and the CLI reports it as nesting too deep
-    assert len(parse_theory(_deep_rule_theory(900)).rules) == 1
-    for depth in (1200, 3000):
-        with pytest.raises(RecursionError):
-            parse_theory(_deep_rule_theory(depth))
+def test_deep_pattern_parses_and_prints_back():
+    # the reader and printer do not recurse; the text is compared, since the
+    # generated PatTerm.__eq__ recurses on depth
+    (rule,) = parse_theory(_deep_rule_theory(5000)).rules
+    printed = str(rule)
+    assert printed == "(g " * 5000 + "~x" + ")" * 5000 + " --> ~x"
+    assert str(parse_rule(printed, set())) == printed
 
 
 def test_overlong_number_in_pattern_is_a_syntax_error():
     # int() refuses a literal of more than 4,300 digits with a ValueError
     with pytest.raises(RuleSyntaxError, match="line 2: malformed pattern token"):
         parse_theory("@vars x\n(f x " + "7" * 5000 + ") --> x\n")
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("(f ~x) --> ~x\n@name last\n", "line 2: @name 'last' names no rule"),
+        ("@name a\n# a comment\n@name b\n(f ~x) --> ~x\n", "line 1: @name 'a' names no rule"),
+        ("@name a\n@vars x\n@name b\n", "line 1: @name 'a' names no rule"),
+    ],
+    ids=["at-the-end", "before-another-name", "after-vars"],
+)
+def test_name_with_no_rule_is_a_syntax_error(src, message):
+    with pytest.raises(RuleSyntaxError) as info:
+        parse_theory(src)
+    assert str(info.value) == message
+
+
+def test_name_then_vars_still_names_the_next_rule():
+    th = parse_theory("@name first\n@vars x\n(f x) --> x\n")
+    assert [r.name for r in th.rules] == ["first"]
+
+
+@pytest.mark.parametrize("tok", ["~x::", "x::", "1::"], ids=["var", "declared", "literal"])
+def test_empty_guard_is_a_syntax_error(tok):
+    with pytest.raises(RuleSyntaxError) as info:
+        parse_theory(f"@vars x\n(f {tok}) --> (g)\n")
+    assert str(info.value) == f"line 2: empty predicate guard in {tok!r}"
+
+
+def test_unterminated_guard_parameters_is_a_syntax_error():
+    with pytest.raises(RuleSyntaxError) as info:
+        parse_theory("(f ~x) --> ~x::near_zero(1e-13\n")
+    assert str(info.value) == (
+        "line 1: unterminated predicate parameters in '~x::near_zero'"
+    )
 
 
 def test_theory_duplicate_name():
