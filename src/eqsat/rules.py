@@ -73,10 +73,18 @@ class PatLit:
         return hash(("PatLit", v if isinstance(v, str) else terms.num_key(v)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PatTerm:
     op: Union[str, PatVar]
     args: tuple["Pattern", ...]
+
+    def __eq__(self, other):
+        if not isinstance(other, PatTerm):
+            return NotImplemented
+        return terms.tree_eq(self, other)
+
+    def __hash__(self):
+        return terms.tree_hash(self)
 
 
 Pattern = Union[PatVar, PatSegment, PatLit, PatTerm]
@@ -286,7 +294,7 @@ def _leaf_pattern(tok: str, table: _VarTable, allocate: bool) -> Pattern:
             raise RuleSyntaxError(f"predicate attached to non-variable {tok!r}")
         try:
             t = classify_token(base, 0)
-        except (SExprSyntaxError, ValueError):  # ValueError: too many digits
+        except SExprSyntaxError:
             raise RuleSyntaxError(f"malformed pattern token {tok!r}") from None
         return PatLit(t.value if isinstance(t, Lit) else t.name)
     if not base or not ATOM_RE.fullmatch(base):

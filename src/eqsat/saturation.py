@@ -7,7 +7,7 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Collection, Optional, Sequence, Union
 
 from .egraph import EGraph, LitNode, OpNode
 from .errors import CapacityExceeded, SegmentUnsupported
@@ -68,6 +68,9 @@ class RuleStats:
     # the matches searches returned; a search stops at search_limit, so a ban
     # counts match_limit + 1, or match_limit // 2 + 1 for a mirrored rule
     matches: int = 0
+    # the matches whose right-hand side was instantiated (looked up, for a
+    # `!=` rule); a match the rule's last search already applied is not
+    applied: int = 0
 
 
 @dataclass
@@ -85,6 +88,7 @@ class Report:
                 "search_s": st.search_s,
                 "apply_s": st.apply_s,
                 "matches": st.matches,
+                "applied": st.applied,
             }
             for st in self.per_rule.values()
         ]
@@ -105,10 +109,14 @@ class Report:
         ]
         if self.per_rule:
             name_w = max([4] + [len(st.name) for st in self.per_rule.values()])
-            lines.append(f"{'rule':<{name_w}}  {'search_s':>10}  {'apply_s':>10}  {'matches':>8}")
+            lines.append(
+                f"{'rule':<{name_w}}  {'search_s':>10}  {'apply_s':>10}"
+                f"  {'matches':>8}  {'applied':>8}"
+            )
             for st in self.per_rule.values():
                 lines.append(
-                    f"{st.name:<{name_w}}  {st.search_s:>10.6f}  {st.apply_s:>10.6f}  {st.matches:>8}"
+                    f"{st.name:<{name_w}}  {st.search_s:>10.6f}  {st.apply_s:>10.6f}"
+                    f"  {st.matches:>8}  {st.applied:>8}"
                 )
         return "\n".join(lines)
 
@@ -125,15 +133,20 @@ class BackoffState:
     ban_length: int = 5
     banned_until: int = -1
     times_banned: int = 0
+    # the (direction, match) pairs that the rule's last unbanned search kept,
+    # once every one of them was applied; empty after a ban
+    last_applied: Collection = frozenset()
 
 
 class BackoffScheduler:
-    """Bans rules that match in exponentially growing numbers of locations.
+    """Bans rules that match in exponentially growing numbers of locations,
+    and remembers which matches each rule last applied.
 
     When a search's matches, each counted `weight` times, exceed the rule's
     match limit, the rule is banned for `ban_length` iterations and both the
     limit and the ban length double. With no match limit, no rule is ever
-    banned and every search finds all its matches.
+    banned and every search finds all its matches. A scheduler serves one
+    run on one graph: the matches it remembers name that graph's classes.
     """
 
     def __init__(self, weights: Sequence[int], match_limit: Optional[int] = 5000):
@@ -167,14 +180,28 @@ class BackoffScheduler:
             st.match_limit *= 2
             st.ban_length *= 2
             st.times_banned += 1
+            st.last_applied = frozenset()
             return True
         return False
+
+    def unapplied(self, rule_index: int, matches: list) -> list:
+        """The `matches` of a search, in order, that the rule's last search
+        did not apply. Drops the set of those, so that a rule holds at most
+        one set at a time."""
+        st = self.states[rule_index]
+        done, st.last_applied = st.last_applied, frozenset()
+        return [dm for dm in matches if dm not in done] if done else matches
+
+    def applied(self, rule_index: int, matches: list) -> None:
+        """Told that every one of `matches`, all that a search of the rule
+        kept, was applied."""
+        self.states[rule_index].last_applied = set(matches)
 
 
 # -- compiled search plan ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity, in C, as a match's key
 class _Direction:
     program: EMatchProgram
     # adds the right-hand side under a match and returns its class; for an
@@ -389,9 +416,11 @@ def eqsat_step(
             stats[idx] = RuleStats(cr.rule.name)
 
     # Phase 1: search (read-only)
-    found: list[list[tuple[_Direction, EMatch]]] = []
+    # per rule: the matches its search kept, and those of them to apply
+    found: list[tuple[list[tuple[_Direction, EMatch]], list]] = []
     for idx, cr in enumerate(compiled):
         matches: list[tuple[_Direction, EMatch]] = []
+        todo = matches
         if cr.directions and sched.can_search(idx, iteration):
             t0 = time.perf_counter()
             limit = sched.search_limit(idx)
@@ -409,28 +438,39 @@ def eqsat_step(
                 stop = StopReason(TIME_LIMIT)
                 break
             if sched.inform(idx, len(matches), iteration):
-                matches = []  # banned: this iteration's matches are dropped
-        found.append(matches)
+                matches = todo = []  # banned: this iteration's matches are dropped
+            elif cr.rule.kind is not RuleKind.UNEQUAL:
+                # A match applied before has its right-hand side in the graph,
+                # in the match's class, so applying it again on the rebuilt
+                # graph finds e-nodes that exist or merges classes that
+                # congruence would merge in the rebuild. A `!=` lookup that
+                # failed may succeed later, so it is made every time.
+                todo = sched.unapplied(idx, matches)
+        found.append((matches, todo))
 
     # Phase 2: apply
     try:
-        for idx, matches in enumerate(found):
+        for idx, (matches, todo) in enumerate(found):
             if stop is not None:
                 break
             cr = compiled[idx]
             unequal = cr.rule.kind is RuleKind.UNEQUAL
+            st = stats[idx]
             t0 = time.perf_counter()
-            for d, m in matches:
+            for d, m in todo:
                 if _past(deadline):
                     stop = StopReason(TIME_LIMIT)
                     break
+                st.applied += 1
                 rid = d.instantiate(g, m)
                 if not unequal:
                     g.merge(m.class_id, rid)
                 elif rid is not None and g.find(rid) == g.find(m.class_id):
                     stop = StopReason(CONTRADICTION, cr.rule.name)
                     break
-            stats[idx].apply_s += time.perf_counter() - t0
+            st.apply_s += time.perf_counter() - t0
+            if stop is None and not unequal:
+                sched.applied(idx, matches)
     except CapacityExceeded:
         stop = StopReason(ENODE_LIMIT)
 

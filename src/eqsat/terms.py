@@ -70,43 +70,59 @@ class Compound(Term):
         if not self.op:
             raise ContractViolation("compound operation must be non-empty")
 
-    # Equality and hashing are iterative, so that nesting depth is not bounded
-    # by the recursion limit. As with the tuple comparison they replace, a
-    # subterm shared by both sides compares equal without a walk.
-
     def __eq__(self, other):
         if not isinstance(other, Compound):
             return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a.op != b.op or len(a.args) != len(b.args):
-                return False
-            for x, y in zip(a.args, b.args):
-                if x is y:
-                    continue
-                if isinstance(x, Compound):
-                    if not isinstance(y, Compound):
-                        return False
-                    todo.append((x, y))
-                elif x != y:
-                    return False
-        return True
+        return tree_eq(self, other)
 
     def __hash__(self):
-        done: list[int] = []  # hashes of the subterms finished so far
-        todo: list[tuple[Term, bool]] = [(self, False)]
-        while todo:
-            t, children_done = todo.pop()
-            if children_done:
-                k = len(done) - len(t.args)
-                done[k:] = [hash((t.op, *done[k:]))]
-            elif isinstance(t, Compound):
-                todo.append((t, True))
-                todo += [(a, False) for a in reversed(t.args)]
-            else:
-                done.append(hash(t))
-        return done[0]
+        return tree_hash(self)
+
+
+# Equality and hashing of trees of one node type, each node with `op` and
+# `args`: terms, and the patterns of `rules.py`. They are iterative, so that
+# nesting depth is not bounded by the recursion limit, and a subtree shared by
+# both sides compares equal without a walk.
+
+
+def tree_eq(a, b) -> bool:
+    """Whether trees `a` and `b`, both of `type(a)`, are equal; leaves
+    compare with `==`."""
+    kind = type(a)
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a.op != b.op or len(a.args) != len(b.args):
+            return False
+        for x, y in zip(a.args, b.args):
+            if x is y:
+                continue
+            if isinstance(x, kind):
+                if not isinstance(y, kind):
+                    return False
+                todo.append((x, y))
+            elif x != y:
+                return False
+    return True
+
+
+def tree_hash(t) -> int:
+    """A hash of tree `t` that agrees with `tree_eq`; leaves hash with
+    `hash`."""
+    kind = type(t)
+    done: list[int] = []  # hashes of the subtrees finished so far
+    todo: list[tuple[object, bool]] = [(t, False)]
+    while todo:
+        t, children_done = todo.pop()
+        if children_done:
+            k = len(done) - len(t.args)
+            done[k:] = [hash((t.op, *done[k:]))]
+        elif isinstance(t, kind):
+            todo.append((t, True))
+            todo += [(a, False) for a in reversed(t.args)]
+        else:
+            done.append(hash(t))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +168,10 @@ def classify_token(tok: str, offset: int) -> Term:
         return Lit(FLOAT_WORDS[tok])
     if NUM_RE.fullmatch(tok):
         if INT_RE.fullmatch(tok):
-            return Lit(int(tok))
+            try:
+                return Lit(int(tok))
+            except ValueError:  # over int()'s limit on digits converted
+                raise SExprSyntaxError("integer literal too long", offset) from None
         return Lit(float(tok))
     if ATOM_RE.fullmatch(tok):
         return Atom(tok)

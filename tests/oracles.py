@@ -245,6 +245,18 @@ class UnboundedBackoffScheduler(BackoffScheduler):
         return None
 
 
+# -- apply every match ---------------------------------------------------------
+
+
+class ApplyEveryMatchScheduler(BackoffScheduler):
+    """Backoff that remembers no applied match, so that each iteration
+    applies every match its searches keep. Skipping the matches a rule's
+    last search applied must leave the same partition, report and bans."""
+
+    def applied(self, rule_index, matches):
+        pass
+
+
 # -- two-way compile ----------------------------------------------------------
 
 

@@ -41,6 +41,13 @@ def test_simplify_malformed_expr(capsys):
     assert err
 
 
+def test_simplify_overlong_integer_exits_1(capsys):
+    code, out, err = run(capsys, "simplify", "--expr", "(+ 1 " + "9" * 5000 + ")")
+    assert code == 1
+    assert out == ""
+    assert err == "error: integer literal too long (at offset 5)\n"
+
+
 def test_simplify_warns_of_a_skipped_rule_in_one_line(tmp_path, capsys):
     th = tmp_path / "segment.theory"
     th.write_text("(f xs... ~x) --> ~x\n")

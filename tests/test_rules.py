@@ -234,12 +234,14 @@ def _deep_rule_theory(depth):
 
 
 def test_deep_pattern_parses_and_prints_back():
-    # the reader and printer do not recurse; the text is compared, since the
-    # generated PatTerm.__eq__ recurses on depth
+    # the reader, the printer and PatTerm's equality and hash do not recurse
     (rule,) = parse_theory(_deep_rule_theory(5000)).rules
     printed = str(rule)
     assert printed == "(g " * 5000 + "~x" + ")" * 5000 + " --> ~x"
-    assert str(parse_rule(printed, set())) == printed
+    again = parse_rule(printed, set())
+    assert (again.lhs, again.rhs) == (rule.lhs, rule.rhs)
+    assert hash(again.lhs) == hash(rule.lhs)
+    assert again.lhs != rule.lhs.args[0]
 
 
 def test_overlong_number_in_pattern_is_a_syntax_error():

@@ -3,11 +3,13 @@ import json
 import random
 import time
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from oracles import (
+    ApplyEveryMatchScheduler,
     UnboundedBackoffScheduler,
     add_pattern,
     compile_two_way,
@@ -15,6 +17,7 @@ from oracles import (
     subterm_partition,
 )
 from eqsat import machine, saturation, theories
+from eqsat.analysis import astsize, extract
 from eqsat.egraph import EGraph, OpNode
 from eqsat.machine import EMatch, EMatchProgram
 from eqsat.rules import PatLit, PatTerm, PatVar, Rule, RuleKind, Theory, parse_theory
@@ -594,7 +597,7 @@ def test_report_json_schema():
     assert set(d) == {"stop_reason", "iterations", "n_enodes", "n_eclasses", "rules"}
     assert d["stop_reason"] == "saturated"
     assert d["rules"][0]["name"] == "comm"
-    assert set(d["rules"][0]) == {"name", "search_s", "apply_s", "matches"}
+    assert set(d["rules"][0]) == {"name", "search_s", "apply_s", "matches", "applied"}
     json.dumps(d)  # serializable
 
 
@@ -825,6 +828,122 @@ def test_mirrored_compile_leaves_the_two_way_partition_and_report(made, case, sc
         assert reasons == {"saturated", "goal-reached"}
     if case == "headline" and scheduler == "backoff":
         assert any(results[0][-1])  # the comparison covers a ban
+
+
+def _stream_problems():
+    # two of the stream-fuse benchmark's pipelines, under two of its tops
+    f, g = "(lambda x (* 51 x))", "(lambda x (- 62 x))"
+    pipes = [
+        STREAM_TEMPLATES[1].format(F=f, X=21, N=11),
+        STREAM_TEMPLATES[3].format(F=f, G=g, X=24, N=13),
+    ]
+    return [
+        [parse_term(STREAM_TOPS[0].format(S=pipes[0], I=2))],
+        [parse_term(STREAM_TOPS[1].format(S=pipes[1]))],
+    ]
+
+
+@pytest.mark.parametrize("matchlimit", [None, 5000])
+@pytest.mark.parametrize("case", ["headline", "sum12", "ac-pairs", "stream", "near-zero"])
+def test_skipping_applied_matches_leaves_the_partition_and_report(monkeypatch, case, matchlimit):
+    if case == "headline":
+        theory, problems = _four_theories(), [[parse_term(HEADLINE)]]
+    elif case == "sum12":
+        theory, problems = parse_theory(COMM_ASSOC), [[parse_term(SUM_12)]]
+    elif case == "ac-pairs":
+        theory, problems = parse_theory(COMM_ASSOC), _ac_pairs(102)
+    elif case == "stream":
+        theory, problems = load_bundled("stream"), _stream_problems()
+    else:
+        theory = load_bundled("near_zero_opt")
+        problems = [[parse_term("(* 1e-20 (cos b))")]]
+    compiled = compile_theory(theory)
+
+    def run(scheduler_cls, terms, timeout):
+        made = []
+
+        def make(weights, match_limit):
+            made.append(scheduler_cls(weights, match_limit))
+            return made[-1]
+
+        monkeypatch.setattr(saturation, "BackoffScheduler", make)
+        g = EGraph()
+        roots = [g.add_term(t) for t in terms]
+        g.rebuild()
+        goal = AreEqual(*terms) if len(terms) == 2 else None
+        params = SaturationParams(timeout=timeout, matchlimit=matchlimit, goal=goal)
+        report = saturate(g, compiled, params)
+        got = (
+            subterm_partition(g, terms),
+            str(report.stop_reason),
+            report.iterations,
+            report.n_enodes,
+            report.n_eclasses,
+            [st.matches for st in report.per_rule.values()],
+            [st.times_banned for st in made[0].states],
+            # extraction breaks ties by node order within a class
+            [print_term(extract(g, astsize, r)) for r in roots],
+        )
+        return got, sum(st.applied for st in report.per_rule.values())
+
+    for terms in problems:
+        for timeout in range(9):
+            got, skipping = run(BackoffScheduler, terms, timeout)
+            want, every = run(ApplyEveryMatchScheduler, terms, timeout)
+            assert got == want
+            assert skipping <= every
+            if case == "sum12" and matchlimit is not None and timeout == 6:
+                # the longest run that the e-node limit does not cut
+                assert want[1] == "iteration-limit"
+                assert skipping <= 0.6 * every
+            if want[1] != "iteration-limit":
+                break  # a longer budget runs the same iterations
+
+
+def test_applied_counts_the_right_hand_sides_instantiated():
+    compiled = compile_theory(parse_theory(COMM_ASSOC))
+    calls = [0]
+
+    def counted(instantiate):
+        def wrapper(g, m):
+            calls[0] += 1
+            return instantiate(g, m)
+
+        return wrapper
+
+    wrapped = tuple(
+        replace(
+            cr,
+            directions=tuple(
+                replace(d, instantiate=counted(d.instantiate)) for d in cr.directions
+            ),
+        )
+        for cr in compiled
+    )
+    g = EGraph()
+    g.add_term(parse_term(SUM_12))
+    g.rebuild()
+    report = saturate(g, wrapped)
+    matches = sum(st.matches for st in report.per_rule.values())
+    applied = sum(st.applied for st in report.per_rule.values())
+    assert applied == calls[0]
+    assert applied < matches
+
+
+def test_unequal_rule_looks_up_a_repeated_match_again():
+    # every iteration finds the same match of (f ~x) != g0; (f a) joins g0's
+    # class in the third, so only a lookup made again in the fourth sees it
+    theory = (
+        "@vars x\n@name noteq\n(f ~x) != g0\n"
+        "(f ~x) --> (k ~x)\n(k ~x) --> (h ~x)\n(h ~x) --> g0\n"
+    )
+    g = EGraph()
+    g.add_term(parse_term("(f a)"))
+    g.add_term(parse_term("g0"))
+    g.rebuild()
+    report = saturate(g, parse_theory(theory))
+    assert str(report.stop_reason) == "contradiction(noteq)"
+    assert report.iterations == 4
 
 
 @pytest.mark.parametrize("banned", [False, True])

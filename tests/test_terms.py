@@ -79,6 +79,14 @@ def test_syntax_error_offset():
     assert e.value.offset == 5
 
 
+def test_overlong_integer_literal_is_a_syntax_error():
+    # int() converts at most 4,300 digits; the limit stays
+    assert parse_term("(f " + "7" * 4300 + ")") == Compound("f", (Lit(int("7" * 4300)),))
+    with pytest.raises(SExprSyntaxError, match="integer literal too long") as e:
+        parse_term("(f " + "7" * 4301 + ")")
+    assert e.value.offset == 3
+
+
 @given(terms())
 def test_print_parse_roundtrip(t):
     assert parse_term(print_term(t)) == t
