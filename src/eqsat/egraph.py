@@ -12,6 +12,9 @@ Registered analyses are kept up to date the same way: `make` runs when a node
 is added, `join` when two classes merge, and a merge or a node made again
 that changes a class's value queues the class's parents, which `rebuild`
 makes again.
+
+An in-range id `i` with `_uf[i] == i` is canonical: hot paths use it as it is
+and call `find`, with its `UnknownId` check, only on the other ids.
 """
 
 from __future__ import annotations
@@ -106,17 +109,26 @@ class EGraph:
     # -- adding ------------------------------------------------------------
 
     def canonicalize(self, n: ENode) -> ENode:
-        if isinstance(n, OpNode):
-            children = tuple(map(self.find, n.children))
-            if children != n.children:
-                return OpNode(n.op, children)
+        if type(n) is not OpNode:
+            return n
+        uf = self._uf
+        size = len(uf)
+        for c in n.children:
+            if not (0 <= c < size and uf[c] == c):
+                break
+        else:
+            return n  # every child is a root: no `find` call is needed
+        children = tuple(map(self.find, n.children))
+        if children != n.children:
+            return tuple.__new__(OpNode, (n.op, children))
         return n
 
     def add_enode(self, n: ENode) -> int:
         n = self.canonicalize(n)
         cid = self.memo.get(n)
         if cid is not None:
-            return self.find(cid)
+            # a memo id was allocated, so it is in range
+            return cid if self._uf[cid] == cid else self.find(cid)
         if self.node_limit is not None and len(self.memo) >= self.node_limit:
             raise CapacityExceeded(f"e-node limit {self.node_limit} reached")
         cid = self._alloc()
@@ -124,9 +136,10 @@ class EGraph:
         cls.nodes[n] = None
         self.classes[cid] = cls
         self.memo[n] = cid
-        if isinstance(n, OpNode):
-            for ch in n.children:
-                self.classes[self.find(ch)].parents.append((n, cid))
+        if type(n) is OpNode:
+            classes = self.classes
+            for ch in n.children:  # canonical, so each names its class
+                classes[ch].parents.append((n, cid))
         self.version += 1
         for an in self.analyses.values():
             v = an.make(self, n)
@@ -179,14 +192,19 @@ class EGraph:
     # -- merging and rebuilding --------------------------------------------
 
     def merge(self, a: int, b: int) -> int:
-        a, b = self.find(a), self.find(b)
+        uf = self._uf
+        size = len(uf)
+        if not (0 <= a < size and uf[a] == a):
+            a = self.find(a)
+        if not (0 <= b < size and uf[b] == b):
+            b = self.find(b)
         if a == b:
             return a
         ca, cb = self.classes[a], self.classes[b]
         # union by parent-list size, ties to the smaller id
         if (len(cb.parents), -b) > (len(ca.parents), -a):
             a, b, ca, cb = b, a, cb, ca
-        self._uf[b] = a
+        uf[b] = a
         changed_a = changed_b = False
         for an in self.analyses.values():
             da, db = ca.data.get(an.name, MISSING), cb.data.get(an.name, MISSING)

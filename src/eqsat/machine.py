@@ -25,6 +25,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Union
 
 from .egraph import EGraph, LitNode, OpNode
@@ -215,13 +216,26 @@ def _compare(i: int, j: int, k):
 
 def _yield(var_regs: tuple[int, ...], lifted: list[int]):
     lit_vars = [(i, reg) for i, reg in enumerate(var_regs) if reg in lifted]
+    # the bindings tuple, read in C; `itemgetter` of one register gives a
+    # bare value and of none is an error, so those two cases have their own
+    if len(var_regs) > 1:
+        bindings_of = itemgetter(*var_regs)
+    elif var_regs:
+        bindings_of = lambda regs, reg=var_regs[0]: (regs[reg],)
+    else:
+        bindings_of = lambda regs: ()
 
-    def yield_(r: _Run, var_regs=var_regs, lit_vars=lit_vars):
-        regs, lits = r.regs, r.lits
-        bindings = tuple([regs[reg] for reg in var_regs])
-        lit_bindings = tuple([(i, lits[reg]) for i, reg in lit_vars if reg in lits])
+    def yield_(
+        r: _Run, bindings_of=bindings_of, lit_vars=lit_vars, new=tuple.__new__
+    ):
+        regs = r.regs
+        if lit_vars:
+            lits = r.lits
+            lit_bindings = tuple([(i, lits[reg]) for i, reg in lit_vars if reg in lits])
+        else:
+            lit_bindings = ()
         found = r.found
-        found.append(EMatch(regs[0], bindings, lit_bindings))
+        found.append(new(EMatch, (regs[0], bindings_of(regs), lit_bindings)))
         if len(found) == r.limit:
             raise _Full
 

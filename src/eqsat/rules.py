@@ -14,6 +14,7 @@ from enum import Enum
 from typing import Callable, Optional, Union
 
 from . import terms
+from .egraph import LitNode
 from .errors import (
     RuleSyntaxError,
     SExprSyntaxError,
@@ -162,8 +163,10 @@ def class_literals(g, cid, kind: str = "number") -> list:
     """Distinct literal values of the given kind present in an e-class."""
     out = []
     for node in g.class_nodes(cid):
-        v = getattr(node, "value", None)
-        if v is not None and not isinstance(v, str) and _kind_ok(v, kind):
+        if type(node) is not LitNode:
+            continue
+        v = node.value
+        if not isinstance(v, str) and _kind_ok(v, kind):
             if not any(terms.num_eq(v, w) for w in out):
                 out.append(v)
     return out

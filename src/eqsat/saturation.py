@@ -342,7 +342,9 @@ def _build_node(p: Pattern, dynamic: bool):
         symbol = any(isinstance(a, PatLit) and isinstance(a.value, str) for a in p.args)
         can_fold = dynamic and op in BUILTIN_OPS and not symbol
 
-        def node2(g, binds, lits, f0=f0, f1=f1, can_fold=can_fold, op=op):
+        def node2(
+            g, binds, lits, f0=f0, f1=f1, can_fold=can_fold, op=op, new=tuple.__new__
+        ):
             x = f0(g, binds, lits)
             y = f1(g, binds, lits)
             if type(x) is not int:
@@ -351,16 +353,16 @@ def _build_node(p: Pattern, dynamic: bool):
                 x = g.add_enode(LitNode(x[0]))
             if type(y) is not int:
                 y = g.add_enode(LitNode(y[0]))
-            return g.add_enode(OpNode(op, (x, y)))
+            return g.add_enode(new(OpNode, (op, (x, y))))
 
         return node2
 
-    def node(g, binds, lits, fs=fs, op=op):
+    def node(g, binds, lits, fs=fs, op=op, new=tuple.__new__):
         vals = [f(g, binds, lits) for f in fs]
         children = tuple(
             [v if type(v) is int else g.add_enode(LitNode(v[0])) for v in vals]
         )
-        return g.add_enode(OpNode(op, children))
+        return g.add_enode(new(OpNode, (op, children)))
 
     return node
 

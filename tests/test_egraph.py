@@ -29,6 +29,21 @@ def test_find_fresh_and_idempotent():
         g.find(99)
 
 
+def test_bad_ids_raise_unknown_id():
+    g, (a, _) = build("a", "b")
+    n = g.n_eclasses  # nothing is merged, so each id has its class
+    for children in [(-1,), (n,), (a, n), (a, -n - 1)]:
+        with pytest.raises(UnknownId):
+            g.add_enode(OpNode("f", children))
+    with pytest.raises(UnknownId):
+        g.lookup(OpNode("f", (99,)))
+    with pytest.raises(UnknownId):
+        g.merge(a, 99)
+    with pytest.raises(UnknownId):
+        g.merge(-1, a)
+    assert g.n_eclasses == n and not g.pending
+
+
 def test_merge_basics():
     g, (a, b) = build("a", "b")
     assert g.merge(a, a) == g.find(a)

@@ -13,7 +13,7 @@ from eqsat.machine import (
     ematch_program,
     run_program,
 )
-from eqsat.rules import parse_rule
+from eqsat.rules import PatTerm, PatVar, parse_rule
 from eqsat.terms import Atom, Compound, Lit, parse_term
 
 
@@ -281,9 +281,32 @@ _LIFTING_PATTERNS = [
 ]
 
 
+def _variables(p) -> dict[int, bool]:
+    """Variable index -> whether a literal-kind predicate lifts it."""
+    out: dict[int, bool] = {}
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        if isinstance(q, PatVar):
+            lifts = q.predicate is not None and q.predicate.name in ("number", "int", "real")
+            out[q.index] = out.get(q.index, False) or lifts
+        elif isinstance(q, PatTerm):
+            todo += q.args
+    return out
+
+
+def _assert_match_shapes(p, got) -> None:
+    variables = _variables(p)
+    for m in got:
+        assert type(m) is EMatch
+        assert type(m.bindings) is tuple and len(m.bindings) == len(variables)
+        assert all(variables[i] for i, _ in m.literal_bindings)
+
+
 def test_indexed_ematch_matches_naive_oracle():
     rng = random.Random(12)
     mixed = 0  # lifted literals whose class also holds an operator node
+    shapes = set()  # the variable counts of the matches checked
     for _ in range(150):
         g, pool = _random_unrebuilt_graph(rng)
         srcs = _FIXED_PATTERNS + [_random_pattern(rng, 3) for _ in range(4)]
@@ -302,18 +325,24 @@ def test_indexed_ematch_matches_naive_oracle():
                 assert [m.class_id for m in got] == sorted(m.class_id for m in got)
                 assert len(set(got)) == len(got)
                 assert {(m.class_id, m.bindings) for m in got} == naive_ematch(g, p), src
+                _assert_match_shapes(p, got)
+                shapes.update(len(m.bindings) for m in got)
             for src in _LIFTING_PATTERNS:
+                p = lhs(f"{src} --> 0")
                 try:
-                    got = ematch(g, lhs(f"{src} --> 0"))
+                    got = ematch(g, p)
                 except InconsistentClass:  # the literals 1 and 2 share a class
                     continue
                 assert [m.class_id for m in got] == sorted(m.class_id for m in got)
                 assert len(set(got)) == len(got), src
+                _assert_match_shapes(p, got)
+                shapes.update(len(m.bindings) for m in got)
                 for m in got:
                     for i, _ in m.literal_bindings:
                         nodes = g.class_nodes(m.bindings[i])
                         mixed += any(isinstance(n, OpNode) for n in nodes)
     assert mixed >= 500
+    assert {0, 1, 2} <= shapes
 
 
 def test_ground_pattern_on_unrebuilt_graph():

@@ -127,6 +127,22 @@ def self_calling_functions(source: str) -> list[str]:
     return found
 
 
+def functions_naming(source: str, name: str) -> dict[str, list[int]]:
+    """Module-level function -> the lines where its body, nested functions
+    and default arguments included, names `name` as a variable or an
+    attribute."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found[node.name] = [
+                n.lineno
+                for n in ast.walk(node)
+                if (isinstance(n, ast.Name) and n.id == name)
+                or (isinstance(n, ast.Attribute) and n.attr == name)
+            ]
+    return found
+
+
 def test_unused_imports_finds_unused_names():
     source = "import os\nimport a.b\nfrom c import d, e as f\nprint(a, f)\n"
     assert unused_imports(source) == ["line 1: os", "line 3: d"]
@@ -184,6 +200,15 @@ def test_self_calling_functions_finds_recursion():
     assert self_calling_functions(source) == ["line 1: f", "line 3: walk", "line 6: m"]
 
 
+def test_functions_naming_finds_names_and_attributes():
+    source = (
+        "def f(g):\n    def inner(x=g.find): return x\n    return inner\n"
+        "def h(find):\n    return find(1)\n"
+        "def k(g):\n    return g.finder\n"
+    )
+    assert functions_naming(source, "find") == {"f": [2], "h": [5], "k": []}
+
+
 def test_no_unused_imports_in_package():
     # the top-level __init__.py imports names only to re-export them
     found = {
@@ -223,3 +248,10 @@ def test_text_layers_do_not_recurse():
     sources = package_sources()
     found = {name: self_calling_functions(sources[name]) for name in ("terms.py", "rules.py")}
     assert found == {"terms.py": [], "rules.py": []}
+
+
+def test_matcher_steps_never_call_find():
+    # a search reads a rebuilt graph, whose registers hold canonical ids
+    found = functions_naming(package_sources()["machine.py"], "find")
+    makers = ("_bind", "_check_lit", "_compare", "_yield")
+    assert {m: found.get(m) for m in makers} == {m: [] for m in makers}
