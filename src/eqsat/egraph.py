@@ -15,6 +15,11 @@ makes again.
 
 An in-range id `i` with `_uf[i] == i` is canonical: hot paths use it as it is
 and call `find`, with its `UnknownId` check, only on the other ids.
+
+`nodes_by_op` groups the operator e-nodes by operator and arity, and within
+that by class: `{(op, arity): {class id: [children, ...]}}`, in the relational
+view of e-matching (Zhang et al., *Relational E-Matching*, POPL 2022). The
+matcher reads a class's nodes of one operator from it in two dict lookups.
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ class EGraph:
         self.node_limit = node_limit
         self.version = 0
         self.analyses: dict[str, object] = {}  # registered analyses, by name
-        self._by_op: tuple[int, dict[str, list[int]]] = (-1, {})  # (version, index)
+        self._by_op: tuple[int, dict] = (-1, {})  # (version, `nodes_by_op` index)
 
     # -- union-find --------------------------------------------------------
 
@@ -154,7 +159,9 @@ class EGraph:
 
     def lookup(self, n: ENode) -> Optional[int]:
         cid = self.memo.get(self.canonicalize(n))
-        return None if cid is None else self.find(cid)
+        if cid is None or self._uf[cid] == cid:  # a memo id is in range
+            return cid
+        return self.find(cid)
 
     def lookup_term(self, t: Term) -> Optional[int]:
         return self._fold(t, self.lookup)
@@ -242,6 +249,7 @@ class EGraph:
             cls.nodes = dict.fromkeys(map(self.canonicalize, cls.nodes))
             memo.update(dict.fromkeys(cls.nodes, cid))
         self.memo = memo
+        self._by_op = (-1, {})  # the pass may have changed nodes, not the version
 
     def _propagate(self) -> None:
         """Make each queued node again and join the value into its class; a
@@ -281,28 +289,44 @@ class EGraph:
     def canonical_ids(self) -> list[int]:
         return sorted(self.classes.keys())
 
-    def classes_by_op(self) -> dict[str, list[int]]:
-        """Operator -> sorted canonical ids of the classes holding an `OpNode`
-        with that operator. Built again only after the graph has changed
-        (every add and merge moves `version`), so the read-only search phase
-        of an iteration shares one build."""
+    def nodes_by_op(self) -> dict[tuple[str, int], dict[int, list[tuple[int, ...]]]]:
+        """(operator, arity) -> {canonical class id: the children of each of
+        the class's `OpNode`s with that operator and arity}. Class ids come in
+        increasing order, and a class's rows in node insertion order, the
+        order a scan of the class would take. Built again only after the
+        graph has changed (every add and merge moves `version`, and `rebuild`
+        drops the index), so the read-only search phase of an iteration
+        shares one build."""
         version, index = self._by_op
         if version != self.version:
             index = {}
-            for cid in self.canonical_ids():
-                for n in self.classes[cid].nodes:
-                    if isinstance(n, OpNode):
-                        ids = index.setdefault(n.op, [])
-                        if not ids or ids[-1] != cid:  # ids arrive in order
-                            ids.append(cid)
+            classes = self.classes
+            for cid in sorted(classes):
+                for n in classes[cid].nodes:
+                    if type(n) is OpNode:
+                        op, ch = n
+                        key = (op, len(ch))
+                        rows = index.get(key)
+                        if rows is None:
+                            index[key] = {cid: [ch]}
+                        elif cid in rows:
+                            rows[cid].append(ch)
+                        else:
+                            rows[cid] = [ch]
             self._by_op = (self.version, index)
         return index
 
     def class_nodes(self, cid: int) -> Iterable[ENode]:
-        return self.classes[self.find(cid)].nodes.keys()
+        uf = self._uf
+        if not (0 <= cid < len(uf) and uf[cid] == cid):
+            cid = self.find(cid)
+        return self.classes[cid].nodes.keys()
 
     def getdata(self, cid: int, name: str, default=None):
-        return self.classes[self.find(cid)].data.get(name, default)
+        uf = self._uf
+        if not (0 <= cid < len(uf) and uf[cid] == cid):
+            cid = self.find(cid)
+        return self.classes[cid].data.get(name, default)
 
     def dump(self) -> str:
         lines = []

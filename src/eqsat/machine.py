@@ -12,6 +12,11 @@ subpattern compiles like any other subpattern: on a congruence-closed graph a
 class holds a ground term's e-node exactly when a hashcons lookup would find
 it there.
 
+A bind reads the class's e-nodes of its operator and arity from the graph's
+per-operator index (`EGraph.nodes_by_op`) in two dict lookups, in the order
+of the class's nodes, and a search runs a pattern rooted at an operator only
+on the classes that index lists under it.
+
 A run yields each match once, with no set to deduplicate them: on a rebuilt
 graph each canonical e-node lies in exactly one class, so a match (its root
 class and the classes of its variables) fixes, bottom-up, the class of every
@@ -28,7 +33,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Union
 
-from .egraph import EGraph, LitNode, OpNode
+from .egraph import EGraph, LitNode
 from .errors import InconsistentClass, SegmentUnsupported
 from .rules import (
     PatLit,
@@ -52,6 +57,7 @@ class EMatchProgram:
     start: Callable[["_Run"], None] = field(repr=False)
     n_regs: int
     root_op: Optional[str]  # the operator the root binds; None for a leaf
+    root_arity: int  # the root's number of arguments; 0 for a leaf
 
 
 class EMatch(NamedTuple):
@@ -112,7 +118,9 @@ def compile_pattern(p: Pattern) -> EMatchProgram:
     k = _yield(tuple(var_regs[i] for i in range(n_vars)), lifted)
     for step in reversed(steps):
         k = step(k)
-    return EMatchProgram(k, next_reg, p.op if isinstance(p, PatTerm) else None)
+    if isinstance(p, PatTerm):
+        return EMatchProgram(k, next_reg, p.op, len(p.args))
+    return EMatchProgram(k, next_reg, None, 0)
 
 
 class _Full(Exception):
@@ -122,11 +130,12 @@ class _Full(Exception):
 class _Run:
     """The state of one run of a program from one root class."""
 
-    __slots__ = ("g", "classes", "regs", "lits", "found", "limit")
+    __slots__ = ("g", "classes", "index", "regs", "lits", "found", "limit")
 
     def __init__(self, g, n_regs, root, limit):
         self.g = g
         self.classes = g.classes
+        self.index = g.nodes_by_op()
         self.regs: list[Optional[int]] = [None] * n_regs
         self.regs[0] = root
         self.lits: dict[int, Union[Number, str]] = {}  # register -> lifted literal
@@ -142,17 +151,17 @@ class _Run:
 # each `saturate` call compiles a closure per step of every rule.
 
 
+# what a bind reads for an operator that no class holds
+_NO_ROWS: dict[int, list[tuple[int, ...]]] = {}
+
+
 def _bind(reg: int, op: str, arity: int, base: int, k):
+    key = (op, arity)
     end = base + arity
 
-    def bind(r: _Run, reg=reg, op=op, arity=arity, base=base, end=end, k=k):
+    def bind(r: _Run, reg=reg, key=key, base=base, end=end, k=k, none=_NO_ROWS):
         regs = r.regs
-        matching = [
-            n.children
-            for n in r.classes[regs[reg]].nodes
-            if type(n) is OpNode and n.op == op and len(n.children) == arity
-        ]
-        for children in matching:
+        for children in r.index.get(key, none).get(regs[reg], ()):
             regs[base:end] = children
             k(r)
 
@@ -253,7 +262,9 @@ def run_program(
         g.rebuild()
     if limit == 0:
         return []
-    run = _Run(g, prog.n_regs, g.find(root), limit)
+    if root not in g.classes:  # the classes are keyed by their canonical ids
+        root = g.find(root)
+    run = _Run(g, prog.n_regs, root, limit)
     try:
         prog.start(run)
     except _Full:
@@ -274,13 +285,14 @@ def ematch_program(
 ) -> list[EMatch]:
     """Every match of `prog`, root classes in id order, on the graph rebuilt
     first if it is not; with a `limit`, the first `limit` of them. A program
-    that starts by binding an operator runs only on the classes holding that
-    operator. Once `time.perf_counter()` is past `deadline`, no further root
-    is run: the matches are then those of the roots run so far."""
+    that starts by binding an operator runs only on the classes that
+    `nodes_by_op` lists under its operator and arity. Once
+    `time.perf_counter()` is past `deadline`, no further root is run: the
+    matches are then those of the roots run so far."""
     if g.pending or g.analysis_worklist:
         g.rebuild()
     if prog.root_op is not None:
-        roots = g.classes_by_op().get(prog.root_op, ())
+        roots = g.nodes_by_op().get((prog.root_op, prog.root_arity), _NO_ROWS)
     else:
         roots = g.canonical_ids()
     out: list[EMatch] = []

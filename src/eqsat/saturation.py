@@ -39,14 +39,27 @@ class StopReason:
 
 @dataclass(frozen=True)
 class AreEqual:
-    """Goal satisfied when both terms resolve to the same e-class."""
+    """Goal satisfied when both terms resolve to the same e-class.
+
+    The first time both terms are found in a graph, the goal keeps that
+    graph and the two class ids, and later checks on the same graph compare
+    them with `find`: e-nodes are never removed, so a term found once stays
+    in the class of its id. A check on another graph looks the terms up."""
 
     t1: Term
     t2: Term
+    # [graph, class of t1, class of t2] once both were found in the graph
+    _found: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __call__(self, g: EGraph) -> bool:
+        found = self._found
+        if found and found[0] is g:
+            return g.find(found[1]) == g.find(found[2])
         a, b = g.lookup_term(self.t1), g.lookup_term(self.t2)
-        return a is not None and b is not None and g.find(a) == g.find(b)
+        if a is None or b is None:
+            return False
+        found[:] = (g, a, b)
+        return g.find(a) == g.find(b)
 
 
 @dataclass
@@ -133,9 +146,9 @@ class BackoffState:
     ban_length: int = 5
     banned_until: int = -1
     times_banned: int = 0
-    # the (direction, match) pairs that the rule's last unbanned search kept,
+    # per direction, the matches that the rule's last unbanned search kept,
     # once every one of them was applied; empty after a ban
-    last_applied: Collection = frozenset()
+    last_applied: tuple[Collection[EMatch], ...] = ()
 
 
 class BackoffScheduler:
@@ -180,22 +193,29 @@ class BackoffScheduler:
             st.match_limit *= 2
             st.ban_length *= 2
             st.times_banned += 1
-            st.last_applied = frozenset()
+            st.last_applied = ()
             return True
         return False
 
-    def unapplied(self, rule_index: int, matches: list) -> list:
-        """The `matches` of a search, in order, that the rule's last search
-        did not apply. Drops the set of those, so that a rule holds at most
-        one set at a time."""
+    def unapplied(
+        self, rule_index: int, matches: list[list[EMatch]]
+    ) -> list[list[EMatch]]:
+        """Per direction, the `matches` of a search (one list per direction),
+        in order, that the rule's last search did not apply in that
+        direction. Drops the sets of those, so that a rule holds at most one
+        search's sets at a time. A search stops before its last direction
+        only at its limit, which bans the rule, so a search that keeps its
+        matches and the last one stored hold a list for every direction."""
         st = self.states[rule_index]
-        done, st.last_applied = st.last_applied, frozenset()
-        return [dm for dm in matches if dm not in done] if done else matches
+        done, st.last_applied = st.last_applied, ()
+        if not done:
+            return matches
+        return [[m for m in ms if m not in seen] for ms, seen in zip(matches, done)]
 
-    def applied(self, rule_index: int, matches: list) -> None:
+    def applied(self, rule_index: int, matches: list[list[EMatch]]) -> None:
         """Told that every one of `matches`, all that a search of the rule
-        kept, was applied."""
-        self.states[rule_index].last_applied = set(matches)
+        kept, one list per direction, was applied."""
+        self.states[rule_index].last_applied = tuple(map(set, matches))
 
 
 # -- compiled search plan ---------------------------------------------------
@@ -418,28 +438,30 @@ def eqsat_step(
             stats[idx] = RuleStats(cr.rule.name)
 
     # Phase 1: search (read-only)
-    # per rule: the matches its search kept, and those of them to apply
-    found: list[tuple[list[tuple[_Direction, EMatch]], list]] = []
+    # per rule: per direction searched, the matches its search kept, and
+    # those of them to apply
+    found: list[tuple[list[list[EMatch]], list[list[EMatch]]]] = []
     for idx, cr in enumerate(compiled):
-        matches: list[tuple[_Direction, EMatch]] = []
+        matches: list[list[EMatch]] = []
         todo = matches
         if cr.directions and sched.can_search(idx, iteration):
             t0 = time.perf_counter()
             limit = sched.search_limit(idx)
+            n = 0
             for d in cr.directions:
-                left = None if limit is None else limit - len(matches)
+                left = None if limit is None else limit - n
                 if left == 0 or _past(deadline):
                     break
-                for m in ematch_program(g, d.program, left, deadline):
-                    matches.append((d, m))
+                matches.append(ematch_program(g, d.program, left, deadline))
+                n += len(matches[-1])
             st = stats[idx]
             st.search_s += time.perf_counter() - t0
-            st.matches += len(matches)
+            st.matches += n
             if _past(deadline):
                 # the search may have been cut off: its count decides no ban
                 stop = StopReason(TIME_LIMIT)
                 break
-            if sched.inform(idx, len(matches), iteration):
+            if sched.inform(idx, n, iteration):
                 matches = todo = []  # banned: this iteration's matches are dropped
             elif cr.rule.kind is not RuleKind.UNEQUAL:
                 # A match applied before has its right-hand side in the graph,
@@ -450,7 +472,8 @@ def eqsat_step(
                 todo = sched.unapplied(idx, matches)
         found.append((matches, todo))
 
-    # Phase 2: apply
+    # Phase 2: apply, one direction's matches at a time
+    merge = g.merge
     try:
         for idx, (matches, todo) in enumerate(found):
             if stop is not None:
@@ -459,16 +482,20 @@ def eqsat_step(
             unequal = cr.rule.kind is RuleKind.UNEQUAL
             st = stats[idx]
             t0 = time.perf_counter()
-            for d, m in todo:
-                if _past(deadline):
-                    stop = StopReason(TIME_LIMIT)
-                    break
-                st.applied += 1
-                rid = d.instantiate(g, m)
-                if not unequal:
-                    g.merge(m.class_id, rid)
-                elif rid is not None and g.find(rid) == g.find(m.class_id):
-                    stop = StopReason(CONTRADICTION, cr.rule.name)
+            for d, ms in zip(cr.directions, todo):
+                instantiate = d.instantiate
+                for m in ms:
+                    if deadline is not None and time.perf_counter() > deadline:
+                        stop = StopReason(TIME_LIMIT)
+                        break
+                    st.applied += 1
+                    rid = instantiate(g, m)
+                    if not unequal:
+                        merge(m.class_id, rid)
+                    elif rid is not None and g.find(rid) == g.find(m.class_id):
+                        stop = StopReason(CONTRADICTION, cr.rule.name)
+                        break
+                if stop is not None:
                     break
             st.apply_s += time.perf_counter() - t0
             if stop is None and not unequal:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import enumerate_terms, naive_ematch
+from eqsat.analysis import analyze, sign_analysis
 from eqsat.egraph import EGraph, OpNode
 from eqsat.errors import InconsistentClass, SegmentUnsupported
 from eqsat.machine import (
@@ -260,15 +261,32 @@ def _random_pattern(rng, depth):
     return f"({rng.choice(_ops)} {args})"
 
 
-def test_classes_by_op_lists_holding_classes_in_id_order():
+def _naive_nodes_by_op(g):
+    """`nodes_by_op` by a scan of every class's nodes."""
+    out = {}
+    for cid in g.canonical_ids():
+        for n in g.class_nodes(cid):
+            if isinstance(n, OpNode):
+                out.setdefault((n.op, len(n.children)), {}).setdefault(cid, []).append(
+                    n.children
+                )
+    return out
+
+
+def test_nodes_by_op_lists_rows_in_id_and_node_order():
+    def ordered(index):  # dict equality would not see the order
+        return {key: list(rows.items()) for key, rows in index.items()}
+
     rng = random.Random(11)
     for _ in range(50):
         g, _ = _random_unrebuilt_graph(rng)
-        expected = {}
-        for cid in g.canonical_ids():
-            for op in sorted({n.op for n in g.class_nodes(cid) if isinstance(n, OpNode)}):
-                expected.setdefault(op, []).append(cid)
-        assert g.classes_by_op() == expected
+        index = g.nodes_by_op()
+        assert ordered(index) == ordered(_naive_nodes_by_op(g))
+        for rows in index.values():
+            assert list(rows) == sorted(rows)  # the roots of a search, in id order
+        # a rebuild can make nodes canonical without moving the version
+        g.rebuild()
+        assert ordered(g.nodes_by_op()) == ordered(_naive_nodes_by_op(g))
 
 
 # rooted at a variable, a literal, a symbol, a ground term, and an operator
@@ -398,3 +416,34 @@ def test_ematch_is_a_tuple_with_its_dicts():
     assert m.class_id == 4
     assert dict(enumerate(m.bindings)) == {0: 2, 1: 3}
     assert dict(m.literal_bindings) == {1: 7}
+
+
+def test_guarded_search_on_a_rebuilt_graph_calls_no_find(monkeypatch):
+    g, _ = build(
+        "(+ 2 x)", "(+ x 3)", "(* (+ 2 x) y)", "(/ (* 2 x) (* 2 x))", "(/ y 0)",
+        "(+ (f 1) 1)",
+    )
+    g.merge(g.lookup_term(parse_term("(f 1)")), g.lookup_term(Lit(1)))
+    g.rebuild()
+    analyze(g, sign_analysis())
+    calls = []
+    real = EGraph.find
+
+    def counted(self, i):
+        calls.append(i)
+        return real(self, i)
+
+    monkeypatch.setattr(EGraph, "find", counted)
+    found = []
+    for line in (
+        "(+ ~a::number ~b) --> ~b",
+        "(+ ~a::int ~a) --> ~a",
+        "(/ ~x::cansimplifyfraction ~x::cansimplifyfraction) --> 1",
+        "(/ ~x ~y::notzero) --> ~x",
+        "(/ ~x ~y::iszero) --> ~x",
+        "(* ~x::near_zero(3) ~y) --> 0",
+    ):
+        matches = ematch_program(g, compile_pattern(lhs(line)))
+        assert matches, line
+        found += matches
+    assert calls == []

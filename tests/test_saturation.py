@@ -193,7 +193,7 @@ def _three_fs():
 
 def test_timelimit_checked_between_search_roots(monkeypatch):
     g = _three_fs()
-    _clock_passing_deadline_on(monkeypatch, g, "classes_by_op")
+    _clock_passing_deadline_on(monkeypatch, g, "nodes_by_op")
     compiled = compile_theory(parse_theory(TWO_RULES))
     sched, stats = _RecordingScheduler(len(compiled)), {}
     changed, stop = eqsat_step(g, compiled, sched, 0, stats, 1.0)
@@ -305,6 +305,43 @@ def test_prove_assoc_rotation():
         parse_theory(COMM_ASSOC),
     )
     assert equal
+
+
+def _random_term(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return parse_term(rng.choice(["a", "b", "c", "1"]))
+    if rng.random() < 0.5:
+        return parse_term(f"(f {print_term(_random_term(rng, depth - 1))})")
+    args = " ".join(print_term(_random_term(rng, depth - 1)) for _ in range(2))
+    return parse_term(f"(+ {args})")
+
+
+def test_are_equal_gives_the_lookup_verdict_on_each_graph():
+    def by_lookup(g, t1, t2):
+        a, b = g.lookup_term(t1), g.lookup_term(t2)
+        return a is not None and b is not None and g.find(a) == g.find(b)
+
+    rng = random.Random(7)
+    verdicts = set()
+    for _ in range(60):
+        t1, t2 = _random_term(rng, 3), _random_term(rng, 3)
+        goal = AreEqual(t1, t2)
+        graphs = [EGraph(), EGraph()]  # one goal checks both, in turn
+        for _ in range(8):
+            for g in graphs:
+                for t in rng.sample([t1, t2, _random_term(rng, 2)], rng.randint(0, 2)):
+                    g.add_term(t)
+                ids = g.canonical_ids()
+                if ids and rng.random() < 0.4:
+                    g.merge(rng.choice(ids), rng.choice(ids))
+                a, b = g.lookup_term(t1), g.lookup_term(t2)
+                if a is not None and b is not None and rng.random() < 0.15:
+                    g.merge(a, b)
+                g.rebuild()
+                want = by_lookup(g, t1, t2)
+                assert goal(g) == want
+                verdicts.add((g is graphs[0], want))
+    assert len(verdicts) == 4  # both verdicts came on both graphs
 
 
 # -- schedulers -------------------------------------------------------------
@@ -928,6 +965,41 @@ def test_applied_counts_the_right_hand_sides_instantiated():
     applied = sum(st.applied for st in report.per_rule.values())
     assert applied == calls[0]
     assert applied < matches
+
+
+def test_one_directions_applied_match_never_skips_the_others():
+    # `(f x y) == (g y x)` is not mirrored. On (f a b), direction 0 applies
+    # M = (c, (a, b), ()) in iteration 0, which puts (g b a) in c; in
+    # iteration 1 direction 1 finds on c a match equal to M, its first
+    compiled = compile_theory(parse_theory("@vars x y\n(f x y) == (g y x)\n"))
+    assert len(compiled[0].directions) == 2
+    applied = [[], []]
+
+    def recorded(i, instantiate):
+        def wrapper(g, m):
+            applied[i].append(m)
+            return instantiate(g, m)
+
+        return wrapper
+
+    cr = compiled[0]
+    dirs = tuple(
+        replace(d, instantiate=recorded(i, d.instantiate))
+        for i, d in enumerate(cr.directions)
+    )
+    wrapped = (replace(cr, directions=dirs),)
+    g = EGraph()
+    c = g.add_term(parse_term("(f a b)"))
+    g.rebuild()
+    a, b = g.lookup_term(parse_term("a")), g.lookup_term(parse_term("b"))
+    sched, stats = BackoffScheduler([1], match_limit=None), {}
+    m = EMatch(c, (a, b), ())
+    eqsat_step(g, wrapped, sched, 0, stats)
+    assert applied == [[m], []]
+    eqsat_step(g, wrapped, sched, 1, stats)
+    assert applied == [[m], [m]]  # direction 0 skipped its repeat, 1 did not
+    assert sched.states[0].last_applied == ({m}, {m})
+    assert stats[0].matches == 3 and stats[0].applied == 2
 
 
 def test_unequal_rule_looks_up_a_repeated_match_again():
