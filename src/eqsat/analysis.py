@@ -168,19 +168,22 @@ COST_FUNCTIONS: dict[str, CostFunction] = {
 }
 
 
-def _node_cost(g: EGraph, cf: CostFunction, n: ENode, costs: dict[int, float]) -> float:
+def _node_cost(cf: CostFunction, n: ENode, costs: dict[int, float]) -> float:
     if isinstance(n, LitNode):
         return cf(n, ())
-    children = [costs.get(g.find(c), math.inf) for c in n.children]
-    return cf(n, children)
+    # the graph is rebuilt, so every child id is canonical
+    return cf(n, [costs.get(c, math.inf) for c in n.children])
 
 
 def extract(g: EGraph, cf: CostFunction, root: int) -> Term:
     """Extract the minimum-cost term represented by root's e-class.
 
-    Runs the extraction analysis to fixpoint; at equal cost the node seen
+    Runs the extraction analysis to fixpoint, on the graph rebuilt first if
+    it has pending merges or analysis updates; at equal cost the node seen
     last in class insertion order wins.
     """
+    if g.pending or g.analysis_worklist:
+        g.rebuild()
     costs: dict[int, float] = {}
     best: dict[int, ENode] = {}
     limit = 10 * max(1, g.n_eclasses)
@@ -190,7 +193,7 @@ def extract(g: EGraph, cf: CostFunction, root: int) -> Term:
             best_cost = math.inf
             best_node = None
             for n in g.class_nodes(cid):
-                c = _node_cost(g, cf, n, costs)
+                c = _node_cost(cf, n, costs)
                 if c <= best_cost and not math.isinf(c):
                     best_cost, best_node = c, n
             if best_node is None:
@@ -224,7 +227,7 @@ def extract(g: EGraph, cf: CostFunction, root: int) -> Term:
             del built[len(built) - k :]
             built.append(Compound(n.op, args))
             continue
-        cid = g.find(x)
+        cid = x  # the root and every child id are canonical
         if cid in path:
             raise Unextractable(f"cyclic best-node chain through class c{cid}")
         n = best[cid]

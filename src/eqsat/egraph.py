@@ -6,7 +6,9 @@ class's parents on `pending`. `rebuild` makes each queued parent canonical
 and merges it with the class the hashcons already holds for it, until no
 congruence is left. One pass over the classes then makes every node set
 canonical and free of duplicates and builds the hashcons `memo` again, so
-after a rebuild `memo` holds exactly the canonical e-nodes.
+after a rebuild `memo` holds exactly the canonical e-nodes. A rebuild that
+finds no queued work skips the pass: every merge since the last one was of a
+class no node names, so every node is canonical already.
 
 Registered analyses are kept up to date the same way: `make` runs when a node
 is added, `join` when two classes merge, and a merge or a node made again
@@ -17,14 +19,29 @@ An in-range id `i` with `_uf[i] == i` is canonical: hot paths use it as it is
 and call `find`, with its `UnknownId` check, only on the other ids.
 
 `nodes_by_op` groups the operator e-nodes by operator and arity, and within
-that by class: `{(op, arity): {class id: [children, ...]}}`, in the relational
-view of e-matching (Zhang et al., *Relational E-Matching*, POPL 2022). The
-matcher reads a class's nodes of one operator from it in two dict lookups.
+that by class: `{(op, arity): {class id: [(children, stamp), ...]}}`, in the
+relational view of e-matching (Zhang et al., *Relational E-Matching*, POPL
+2022). The matcher reads a class's nodes of one operator from it in two dict
+lookups.
+
+Every row, an (e-node, class) pair, carries a birth stamp: the number of the
+rebuild at which the pair first appeared (`rebuilds` counts them). A class
+maps each of its nodes to its stamp. A row added or moved by a merge since
+the last rebuild takes the number of the next one, and so does a node whose
+canonical form the next rebuild changes; every other row keeps its stamp. A
+class's own `stamp` is the last rebuild at which it was made, gained rows by
+a merge, or changed its analysis value: what a guard reads of a class (its
+literals and its data) changes only then. Pairs that disappear never come
+back (a class id or child id, once not canonical, stays so), so a row stamped
+no later than some rebuild existed at that rebuild, with the same children.
+The matcher uses the stamps to build only matches newer than a given
+rebuild, as in semi-naive evaluation (Zhang et al.; *egglog*, PLDI 2023).
 """
 
 from __future__ import annotations
 
 import math
+from operator import is_
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import AnalysisDiverged, CapacityExceeded, UnknownId
@@ -70,13 +87,15 @@ ENode = Union[LitNode, OpNode]
 
 
 class EClass:
-    __slots__ = ("id", "nodes", "parents", "data")
+    __slots__ = ("id", "nodes", "parents", "data", "stamp")
 
-    def __init__(self, cid: int):
+    def __init__(self, cid: int, stamp: int):
         self.id = cid
-        self.nodes: dict[ENode, None] = {}  # insertion-ordered node set
+        # insertion-ordered node set, each node mapped to its row's stamp
+        self.nodes: dict[ENode, int] = {}
         self.parents: list[tuple[ENode, int]] = []
         self.data: dict[str, object] = {}
+        self.stamp = stamp  # see the module docstring
 
 
 class EGraph:
@@ -90,6 +109,8 @@ class EGraph:
         self.version = 0
         self.analyses: dict[str, object] = {}  # registered analyses, by name
         self._by_op: tuple[int, dict] = (-1, {})  # (version, `nodes_by_op` index)
+        self.rebuilds = 0  # the number of rebuilds; the stamp the last one gave
+        self._rebuilt_version = 0  # `version` at the end of the last rebuild
 
     # -- union-find --------------------------------------------------------
 
@@ -137,8 +158,9 @@ class EGraph:
         if self.node_limit is not None and len(self.memo) >= self.node_limit:
             raise CapacityExceeded(f"e-node limit {self.node_limit} reached")
         cid = self._alloc()
-        cls = EClass(cid)
-        cls.nodes[n] = None
+        stamp = self.rebuilds + 1  # a row made since the last rebuild
+        cls = EClass(cid, stamp)
+        cls.nodes[n] = stamp
         self.classes[cid] = cls
         self.memo[n] = cid
         if type(n) is OpNode:
@@ -225,7 +247,9 @@ class EGraph:
             self.analysis_worklist.extend(ca.parents)
         if changed_b:
             self.analysis_worklist.extend(cb.parents)
-        ca.nodes.update(cb.nodes)
+        stamp = self.rebuilds + 1
+        ca.nodes.update(dict.fromkeys(cb.nodes, stamp))  # new rows of a
+        ca.stamp = stamp
         ca.parents.extend(cb.parents)
         self.pending.extend(cb.parents)  # their nodes name b, no longer canonical
         del self.classes[b]
@@ -236,6 +260,7 @@ class EGraph:
         return a
 
     def rebuild(self) -> None:
+        canonical = not (self.pending or self.analysis_worklist)
         # a modify hook may merge classes, so congruence and propagation alternate
         while self.pending or self.analysis_worklist:
             while self.pending:
@@ -244,10 +269,24 @@ class EGraph:
                 if other != cid:
                     self.merge(other, cid)
             self._propagate()
+        now = self.rebuilds = self.rebuilds + 1
+        self._rebuilt_version = self.version
+        if canonical:
+            return  # rows added since the last rebuild carry `now` already
+        canonicalize = self.canonicalize
         memo = {}
         for cid, cls in self.classes.items():
-            cls.nodes = dict.fromkeys(map(self.canonicalize, cls.nodes))
-            memo.update(dict.fromkeys(cls.nodes, cid))
+            nodes = cls.nodes
+            forms = list(map(canonicalize, nodes))
+            if not all(map(is_, forms, nodes)):
+                # a changed form is a new row; one equal to a node the class
+                # already held keeps that node's row and stamp
+                rows = dict.fromkeys(forms, now)
+                for m, n, stamp in zip(forms, nodes, nodes.values()):
+                    if m is n:
+                        rows[m] = stamp
+                cls.nodes = nodes = rows
+            memo.update(dict.fromkeys(nodes, cid))
         self.memo = memo
         self._by_op = (-1, {})  # the pass may have changed nodes, not the version
 
@@ -271,6 +310,7 @@ class EGraph:
                 if budget < 0:
                     raise AnalysisDiverged(f"analysis {an.name} did not stabilize")
                 cls.data[an.name] = new
+                cls.stamp = self.rebuilds + 1
                 work.extend(cls.parents)
                 if an.modify is not None:
                     an.modify(self, cls.id)
@@ -286,33 +326,40 @@ class EGraph:
         """Distinct canonical e-nodes once the graph is rebuilt."""
         return len(self.memo)
 
+    def is_rebuilt(self) -> bool:
+        """Whether nothing was added or merged since the last rebuild, so
+        that every node is canonical and every row carries its stamp."""
+        return self.version == self._rebuilt_version and not self.analysis_worklist
+
     def canonical_ids(self) -> list[int]:
         return sorted(self.classes.keys())
 
-    def nodes_by_op(self) -> dict[tuple[str, int], dict[int, list[tuple[int, ...]]]]:
-        """(operator, arity) -> {canonical class id: the children of each of
-        the class's `OpNode`s with that operator and arity}. Class ids come in
-        increasing order, and a class's rows in node insertion order, the
-        order a scan of the class would take. Built again only after the
-        graph has changed (every add and merge moves `version`, and `rebuild`
-        drops the index), so the read-only search phase of an iteration
-        shares one build."""
+    def nodes_by_op(
+        self,
+    ) -> dict[tuple[str, int], dict[int, list[tuple[tuple[int, ...], int]]]]:
+        """(operator, arity) -> {canonical class id: a row (children, stamp)
+        for each of the class's `OpNode`s with that operator and arity}. Class
+        ids come in increasing order, and a class's rows in node insertion
+        order, the order a scan of the class would take. Built again only
+        after the graph has changed (every add and merge moves `version`, and
+        `rebuild` drops the index), so the read-only search phase of an
+        iteration shares one build."""
         version, index = self._by_op
         if version != self.version:
             index = {}
             classes = self.classes
             for cid in sorted(classes):
-                for n in classes[cid].nodes:
+                for n, stamp in classes[cid].nodes.items():
                     if type(n) is OpNode:
                         op, ch = n
                         key = (op, len(ch))
                         rows = index.get(key)
                         if rows is None:
-                            index[key] = {cid: [ch]}
+                            index[key] = {cid: [(ch, stamp)]}
                         elif cid in rows:
-                            rows[cid].append(ch)
+                            rows[cid].append((ch, stamp))
                         else:
-                            rows[cid] = [ch]
+                            rows[cid] = [(ch, stamp)]
             self._by_op = (self.version, index)
         return index
 

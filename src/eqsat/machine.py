@@ -23,6 +23,20 @@ class and the classes of its variables) fixes, bottom-up, the class of every
 pattern position and the e-node bound at every operator. A search path is
 thus a function of its match, and a lifted literal is a function of its
 class.
+
+A search given `since`, a rebuild count (`EGraph.rebuilds`), builds only the
+matches that are new since then, in the manner of semi-naive evaluation
+(Zhang et al., *Relational E-Matching*, POPL 2022). Each step hands its
+continuation the newest stamp on the path so far (see `egraph.py`): a bind
+that of the row it binds, and a step that reads a class beyond its rows (a
+literal check, a predicate, the root of a pattern rooted at a variable or a
+literal) that of the class. A path no newer than `since` existed, with the
+same guard results, at a search made when the graph had made `since`
+rebuilds, and as the path fixes the match, that search found the match. Such
+a match is counted but not built: `None` takes its place in the result, so
+that `len` of a result counts every match. A predicate reads only its own
+class's nodes and data (see `rules.py`), so the class's stamp covers it. With
+`since=-1` every match is built.
 """
 
 from __future__ import annotations
@@ -130,40 +144,42 @@ class _Full(Exception):
 class _Run:
     """The state of one run of a program from one root class."""
 
-    __slots__ = ("g", "classes", "index", "regs", "lits", "found", "limit")
+    __slots__ = ("g", "classes", "index", "regs", "lits", "found", "limit", "since")
 
-    def __init__(self, g, n_regs, root, limit):
+    def __init__(self, g, n_regs, root, limit, since):
         self.g = g
         self.classes = g.classes
         self.index = g.nodes_by_op()
         self.regs: list[Optional[int]] = [None] * n_regs
         self.regs[0] = root
         self.lits: dict[int, Union[Number, str]] = {}  # register -> lifted literal
-        self.found: list[EMatch] = []
+        self.found: list[Optional[EMatch]] = []
         self.limit = limit
+        self.since = since
 
 
 # One closure maker per step: each takes the step's operands and the closure
-# of the step after it. The graph is rebuilt, so every register holds a
-# canonical class id and no closure calls `find`.
+# of the step after it. A closure takes the run and the newest stamp on the
+# path so far. The graph is rebuilt, so every register holds a canonical class
+# id and no closure calls `find`.
 # A closure gets what it needs as default arguments, not from enclosing
 # cells: every cell is one more object for the cycle collector to track, and
 # each `saturate` call compiles a closure per step of every rule.
 
 
 # what a bind reads for an operator that no class holds
-_NO_ROWS: dict[int, list[tuple[int, ...]]] = {}
+_NO_ROWS: dict[int, list[tuple[tuple[int, ...], int]]] = {}
 
 
 def _bind(reg: int, op: str, arity: int, base: int, k):
     key = (op, arity)
     end = base + arity
 
-    def bind(r: _Run, reg=reg, key=key, base=base, end=end, k=k, none=_NO_ROWS):
+    def bind(r: _Run, t, reg=reg, key=key, base=base, end=end, k=k, none=_NO_ROWS):
         regs = r.regs
-        for children in r.index.get(key, none).get(regs[reg], ()):
+        for children, stamp in r.index.get(key, none).get(regs[reg], ()):
             regs[base:end] = children
-            k(r)
+            k(r, stamp if stamp > t else t)
 
     return bind
 
@@ -171,9 +187,11 @@ def _bind(reg: int, op: str, arity: int, base: int, k):
 def _check_lit(reg: int, value: Union[Number, str], k):
     node = LitNode(value)
 
-    def check_lit(r: _Run, reg=reg, node=node, k=k):
-        if node in r.classes[r.regs[reg]].nodes:
-            k(r)
+    def check_lit(r: _Run, t, reg=reg, node=node, k=k):
+        cls = r.classes[r.regs[reg]]
+        if node in cls.nodes:
+            stamp = cls.stamp
+            k(r, stamp if stamp > t else t)
 
     return check_lit
 
@@ -183,9 +201,13 @@ def _check_predicate(
 ):
     if not bindlit:
 
-        def check(r: _Run, pred=pred, reg=reg, params=params, k=k):
-            if pred.egraph(r.g, r.regs[reg], params):
-                k(r)
+        def check(r: _Run, t, pred=pred, reg=reg, params=params, k=k):
+            cid = r.regs[reg]
+            if pred.egraph(r.g, cid, params):
+                # read after the check: a graph's first sign guard registers
+                # the sign analysis, which stamps the classes it sets
+                stamp = r.classes[cid].stamp
+                k(r, stamp if stamp > t else t)
 
         return check
     kind = pred.lift
@@ -194,7 +216,14 @@ def _check_predicate(
     by_literals = pred.name in _LIFTING
 
     def check_lift(
-        r: _Run, pred=pred, reg=reg, params=params, kind=kind, by_lits=by_literals, k=k
+        r: _Run,
+        t,
+        pred=pred,
+        reg=reg,
+        params=params,
+        kind=kind,
+        by_lits=by_literals,
+        k=k,
     ):
         g = r.g
         cid = r.regs[reg]
@@ -203,22 +232,25 @@ def _check_predicate(
         lits = class_literals(g, cid, kind)
         if len(lits) > 1:
             raise InconsistentClass(f"class c{cid} holds distinct literals {lits}")
+        stamp = r.classes[cid].stamp
+        if stamp > t:
+            t = stamp
         if not lits:
             if not by_lits:
-                k(r)
+                k(r, t)
             return
         r.lits[reg] = lits[0]
-        k(r)
+        k(r, t)
         del r.lits[reg]
 
     return check_lift
 
 
 def _compare(i: int, j: int, k):
-    def compare(r: _Run, i=i, j=j, k=k):
+    def compare(r: _Run, t, i=i, j=j, k=k):
         regs = r.regs
         if regs[i] == regs[j]:
-            k(r)
+            k(r, t)
 
     return compare
 
@@ -235,16 +267,21 @@ def _yield(var_regs: tuple[int, ...], lifted: list[int]):
         bindings_of = lambda regs: ()
 
     def yield_(
-        r: _Run, bindings_of=bindings_of, lit_vars=lit_vars, new=tuple.__new__
+        r: _Run, t, bindings_of=bindings_of, lit_vars=lit_vars, new=tuple.__new__
     ):
-        regs = r.regs
-        if lit_vars:
-            lits = r.lits
-            lit_bindings = tuple([(i, lits[reg]) for i, reg in lit_vars if reg in lits])
-        else:
-            lit_bindings = ()
         found = r.found
-        found.append(new(EMatch, (regs[0], bindings_of(regs), lit_bindings)))
+        if t > r.since:
+            regs = r.regs
+            if lit_vars:
+                lits = r.lits
+                lit_bindings = tuple(
+                    [(i, lits[reg]) for i, reg in lit_vars if reg in lits]
+                )
+            else:
+                lit_bindings = ()
+            found.append(new(EMatch, (regs[0], bindings_of(regs), lit_bindings)))
+        else:
+            found.append(None)  # found before: counted, not built
         if len(found) == r.limit:
             raise _Full
 
@@ -252,21 +289,29 @@ def _yield(var_regs: tuple[int, ...], lifted: list[int]):
 
 
 def run_program(
-    g: EGraph, prog: EMatchProgram, root: int, limit: Optional[int] = None
-) -> list[EMatch]:
+    g: EGraph,
+    prog: EMatchProgram,
+    root: int,
+    limit: Optional[int] = None,
+    since: int = -1,
+) -> list[Optional[EMatch]]:
     """Depth-first execution from the class of `root`, on the graph rebuilt
     first if it is not; enumeration follows class-node insertion order. No
     match comes twice, as the graph is rebuilt (see the module docstring);
-    with a `limit` the run stops as soon as it holds that many."""
+    with a `limit` the run stops as soon as it holds that many. A match whose
+    path is no newer than rebuild `since` is None in the result."""
     if g.pending or g.analysis_worklist:
         g.rebuild()
     if limit == 0:
         return []
     if root not in g.classes:  # the classes are keyed by their canonical ids
         root = g.find(root)
-    run = _Run(g, prog.n_regs, root, limit)
+    run = _Run(g, prog.n_regs, root, limit, since)
+    # a pattern rooted at an operator reads its root class's rows; one rooted
+    # at a variable or a literal matches the class itself
+    t = -1 if prog.root_op is not None else g.classes[root].stamp
     try:
-        prog.start(run)
+        prog.start(run, t)
     except _Full:
         pass
     return run.found
@@ -282,25 +327,29 @@ def ematch_program(
     prog: EMatchProgram,
     limit: Optional[int] = None,
     deadline: Optional[float] = None,
-) -> list[EMatch]:
+    since: int = -1,
+) -> list[Optional[EMatch]]:
     """Every match of `prog`, root classes in id order, on the graph rebuilt
     first if it is not; with a `limit`, the first `limit` of them. A program
     that starts by binding an operator runs only on the classes that
     `nodes_by_op` lists under its operator and arity. Once
     `time.perf_counter()` is past `deadline`, no further root is run: the
-    matches are then those of the roots run so far."""
+    matches are then those of the roots run so far. A match whose search
+    path is no newer than rebuild `since` (see the module docstring) is
+    counted but not built: None stands in its place. With the default -1
+    every match is built."""
     if g.pending or g.analysis_worklist:
         g.rebuild()
     if prog.root_op is not None:
         roots = g.nodes_by_op().get((prog.root_op, prog.root_arity), _NO_ROWS)
     else:
         roots = g.canonical_ids()
-    out: list[EMatch] = []
+    out: list[Optional[EMatch]] = []
     for cid in roots:
         # matches of different roots differ in their class, so runs cannot
         # repeat one another's
         left = None if limit is None else limit - len(out)
-        out += run_program(g, prog, cid, left)
+        out += run_program(g, prog, cid, left, since)
         if len(out) == limit:
             break
         if deadline is not None and time.perf_counter() > deadline:

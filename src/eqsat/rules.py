@@ -125,6 +125,11 @@ class Theory:
 # Each predicate carries the two evaluation modes: a classical check over a
 # Term and an e-graph check over (EGraph, class id). `lift` names the literal
 # kind the e-matcher may bind out of a matched class (None = no lifting).
+#
+# An e-graph check reads nothing but its own class's nodes (`class_nodes`)
+# and analysis data (`getdata`). The stamped search (see `machine.py`) relies
+# on this: a class's stamp moves whenever its literals or its data change, so
+# a predicate's result on a class whose stamp has not moved is unchanged too.
 
 
 @dataclass(frozen=True)

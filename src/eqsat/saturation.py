@@ -7,7 +7,7 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Collection, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .egraph import EGraph, LitNode, OpNode
 from .errors import CapacityExceeded, SegmentUnsupported
@@ -82,7 +82,8 @@ class RuleStats:
     # counts match_limit + 1, or match_limit // 2 + 1 for a mirrored rule
     matches: int = 0
     # the matches whose right-hand side was instantiated (looked up, for a
-    # `!=` rule); a match the rule's last search already applied is not
+    # `!=` rule): those the searches built, which leaves out most matches
+    # that the rule's last applied search had found
     applied: int = 0
 
 
@@ -146,20 +147,22 @@ class BackoffState:
     ban_length: int = 5
     banned_until: int = -1
     times_banned: int = 0
-    # per direction, the matches that the rule's last unbanned search kept,
-    # once every one of them was applied; empty after a ban
-    last_applied: tuple[Collection[EMatch], ...] = ()
+    # the rebuild count (`EGraph.rebuilds`) at which the rule's last search
+    # ran, once every match it kept was applied; a search builds only the
+    # matches newer than it. -1, which builds every match, until then and
+    # after a ban
+    since: int = -1
 
 
 class BackoffScheduler:
     """Bans rules that match in exponentially growing numbers of locations,
-    and remembers which matches each rule last applied.
+    and remembers when each rule last applied all its matches.
 
     When a search's matches, each counted `weight` times, exceed the rule's
     match limit, the rule is banned for `ban_length` iterations and both the
     limit and the ban length double. With no match limit, no rule is ever
     banned and every search finds all its matches. A scheduler serves one
-    run on one graph: the matches it remembers name that graph's classes.
+    run on one graph: the rebuild counts it remembers are that graph's.
     """
 
     def __init__(self, weights: Sequence[int], match_limit: Optional[int] = 5000):
@@ -193,29 +196,14 @@ class BackoffScheduler:
             st.match_limit *= 2
             st.ban_length *= 2
             st.times_banned += 1
-            st.last_applied = ()
+            st.since = -1
             return True
         return False
 
-    def unapplied(
-        self, rule_index: int, matches: list[list[EMatch]]
-    ) -> list[list[EMatch]]:
-        """Per direction, the `matches` of a search (one list per direction),
-        in order, that the rule's last search did not apply in that
-        direction. Drops the sets of those, so that a rule holds at most one
-        search's sets at a time. A search stops before its last direction
-        only at its limit, which bans the rule, so a search that keeps its
-        matches and the last one stored hold a list for every direction."""
-        st = self.states[rule_index]
-        done, st.last_applied = st.last_applied, ()
-        if not done:
-            return matches
-        return [[m for m in ms if m not in seen] for ms, seen in zip(matches, done)]
-
-    def applied(self, rule_index: int, matches: list[list[EMatch]]) -> None:
-        """Told that every one of `matches`, all that a search of the rule
-        kept, one list per direction, was applied."""
-        self.states[rule_index].last_applied = tuple(map(set, matches))
+    def applied(self, rule_index: int, rebuilds: int) -> None:
+        """Told that every match that a search of the rule kept, made when
+        the graph had made `rebuilds` rebuilds, was applied."""
+        self.states[rule_index].since = rebuilds
 
 
 # -- compiled search plan ---------------------------------------------------
@@ -427,32 +415,45 @@ def eqsat_step(
     deadline: Optional[float] = None,
 ) -> tuple[bool, Optional[StopReason]]:
     """One search/apply/rebuild cycle, adding its times and matches to
-    `stats`. Returns (changed, early stop). Once `time.perf_counter()` is
-    past `deadline`, no further root is searched and no further match
-    applied: the step rebuilds the graph and stops with `time-limit`, and a
-    search that ran past the deadline is not reported to the scheduler."""
+    `stats`, on `g` rebuilt first if it changed since its last rebuild. Each
+    rule's search builds only the matches newer than its last applied search
+    (`BackoffState.since`). Returns (changed, early stop). Once
+    `time.perf_counter()` is past `deadline`, no further root is searched and
+    no further match applied: the step rebuilds the graph and stops with
+    `time-limit`, and a search that ran past the deadline is not reported to
+    the scheduler."""
     v0 = g.version
     stop: Optional[StopReason] = None
     for idx, cr in enumerate(compiled):
         if idx not in stats:
             stats[idx] = RuleStats(cr.rule.name)
 
-    # Phase 1: search (read-only)
-    # per rule: per direction searched, the matches its search kept, and
-    # those of them to apply
-    found: list[tuple[list[list[EMatch]], list[list[EMatch]]]] = []
+    # Phase 1: search (read-only), on a graph whose every row carries its
+    # stamp, so that `searched` is the rebuild count each search ran at
+    if not g.is_rebuilt():
+        g.rebuild()
+    searched = g.rebuilds
+    # per rule: per direction searched, the matches its search kept; None
+    # stands for a match the rule's last search kept, which was applied
+    found: list[list[list[Optional[EMatch]]]] = []
     for idx, cr in enumerate(compiled):
-        matches: list[list[EMatch]] = []
-        todo = matches
+        matches: list[list[Optional[EMatch]]] = []
         if cr.directions and sched.can_search(idx, iteration):
             t0 = time.perf_counter()
             limit = sched.search_limit(idx)
+            # A match applied before has its right-hand side in the graph, in
+            # the match's class, so applying it again on the rebuilt graph
+            # finds e-nodes that exist or merges classes that congruence
+            # would merge in the rebuild. A `!=` lookup that failed may
+            # succeed later, so it is made every time.
+            unequal = cr.rule.kind is RuleKind.UNEQUAL
+            since = -1 if unequal else sched.states[idx].since
             n = 0
             for d in cr.directions:
                 left = None if limit is None else limit - n
                 if left == 0 or _past(deadline):
                     break
-                matches.append(ematch_program(g, d.program, left, deadline))
+                matches.append(ematch_program(g, d.program, left, deadline, since))
                 n += len(matches[-1])
             st = stats[idx]
             st.search_s += time.perf_counter() - t0
@@ -462,29 +463,24 @@ def eqsat_step(
                 stop = StopReason(TIME_LIMIT)
                 break
             if sched.inform(idx, n, iteration):
-                matches = todo = []  # banned: this iteration's matches are dropped
-            elif cr.rule.kind is not RuleKind.UNEQUAL:
-                # A match applied before has its right-hand side in the graph,
-                # in the match's class, so applying it again on the rebuilt
-                # graph finds e-nodes that exist or merges classes that
-                # congruence would merge in the rebuild. A `!=` lookup that
-                # failed may succeed later, so it is made every time.
-                todo = sched.unapplied(idx, matches)
-        found.append((matches, todo))
+                matches = []  # banned: this iteration's matches are dropped
+        found.append(matches)
 
     # Phase 2: apply, one direction's matches at a time
     merge = g.merge
     try:
-        for idx, (matches, todo) in enumerate(found):
+        for idx, matches in enumerate(found):
             if stop is not None:
                 break
+            if not matches:
+                continue  # not searched, or banned
             cr = compiled[idx]
             unequal = cr.rule.kind is RuleKind.UNEQUAL
             st = stats[idx]
             t0 = time.perf_counter()
-            for d, ms in zip(cr.directions, todo):
+            for d, ms in zip(cr.directions, matches):
                 instantiate = d.instantiate
-                for m in ms:
+                for m in filter(None, ms):  # an EMatch is a non-empty tuple
                     if deadline is not None and time.perf_counter() > deadline:
                         stop = StopReason(TIME_LIMIT)
                         break
@@ -499,7 +495,7 @@ def eqsat_step(
                     break
             st.apply_s += time.perf_counter() - t0
             if stop is None and not unequal:
-                sched.applied(idx, matches)
+                sched.applied(idx, searched)
     except CapacityExceeded:
         stop = StopReason(ENODE_LIMIT)
 

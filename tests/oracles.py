@@ -249,11 +249,12 @@ class UnboundedBackoffScheduler(BackoffScheduler):
 
 
 class ApplyEveryMatchScheduler(BackoffScheduler):
-    """Backoff that remembers no applied match, so that each iteration
-    applies every match its searches keep. Skipping the matches a rule's
-    last search applied must leave the same partition, report and bans."""
+    """Backoff whose rules never record `since`, so that every search builds
+    every match and each iteration applies every match its searches keep.
+    Building only the matches newer than a rule's last applied search must
+    leave the same partition, report and bans."""
 
-    def applied(self, rule_index, matches):
+    def applied(self, rule_index, rebuilds):
         pass
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import enumerate_terms, naive_ematch
 from eqsat.analysis import analyze, sign_analysis
-from eqsat.egraph import EGraph, OpNode
+from eqsat.egraph import EGraph, LitNode, OpNode
 from eqsat.errors import InconsistentClass, SegmentUnsupported
 from eqsat.machine import (
     EMatch,
@@ -262,13 +262,13 @@ def _random_pattern(rng, depth):
 
 
 def _naive_nodes_by_op(g):
-    """`nodes_by_op` by a scan of every class's nodes."""
+    """`nodes_by_op` by a scan of every class's nodes and their stamps."""
     out = {}
     for cid in g.canonical_ids():
-        for n in g.class_nodes(cid):
+        for n, stamp in g.classes[cid].nodes.items():
             if isinstance(n, OpNode):
                 out.setdefault((n.op, len(n.children)), {}).setdefault(cid, []).append(
-                    n.children
+                    (n.children, stamp)
                 )
     return out
 
@@ -284,9 +284,125 @@ def test_nodes_by_op_lists_rows_in_id_and_node_order():
         assert ordered(index) == ordered(_naive_nodes_by_op(g))
         for rows in index.values():
             assert list(rows) == sorted(rows)  # the roots of a search, in id order
+        # a row made since the last rebuild carries the next one's stamp
+        for rows in index.values():
+            for row in rows.values():
+                assert all(0 < stamp <= g.rebuilds + 1 for _, stamp in row)
         # a rebuild can make nodes canonical without moving the version
+        before = {
+            (n, cid): stamp
+            for cid, cls in g.classes.items()
+            for n, stamp in cls.nodes.items()
+        }
         g.rebuild()
-        assert ordered(g.nodes_by_op()) == ordered(_naive_nodes_by_op(g))
+        index = g.nodes_by_op()
+        assert ordered(index) == ordered(_naive_nodes_by_op(g))
+        # a row keeps its stamp when the rebuild leaves it in its class, and
+        # otherwise takes this rebuild's
+        for (op, arity), rows in index.items():
+            for cid, row in rows.items():
+                for children, stamp in row:
+                    old = before.get((OpNode(op, children), cid))
+                    assert stamp == (g.rebuilds if old is None else old)
+
+
+# -- stamped search ---------------------------------------------------------
+
+# rooted at a variable and at a literal, with literal checks, repeated
+# variables, a literal guard (lifting) and the sign guards
+_STAMP_PATTERNS = [
+    "~v", "1", "a", "~v::number", "~v::notzero", "~v::iszero", "(f ~v)",
+    "(f ~v::number)", "(+ ~v ~v)", "(g (f ~v))", "(+ 1 ~v)", "(f 3)",
+    "(+ ~v::notzero ~w)", "(f ~v::iszero)", "(g ~v::cansimplifyfraction ~w::int)",
+]
+_SIGNS = st.sampled_from([-1, 0, 1])
+
+
+def _search(g, prog, since=-1):
+    """The search's result, or None where two literals share a class."""
+    try:
+        return ematch_program(g, prog, since=since)
+    except InconsistentClass:
+        return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_stamped_search_builds_only_the_new_matches(data):
+    draw = data.draw
+    g = EGraph()
+    analyze(g, sign_analysis({"a": draw(_SIGNS), "b": draw(_SIGNS)}))
+    pool = [g.add_term(t) for t in _leaves]
+
+    def add():
+        arity = draw(st.integers(1, 2))
+        args = tuple(draw(st.sampled_from(pool)) for _ in range(arity))
+        pool.append(g.add_enode(OpNode(draw(st.sampled_from(_ops)), args)))
+
+    for _ in range(draw(st.integers(1, 8))):
+        add()
+    for _ in range(draw(st.integers(0, 2))):
+        g.merge(draw(st.sampled_from(pool)), draw(st.sampled_from(pool)))
+    g.rebuild()
+    progs = [compile_pattern(lhs(f"{src} --> 0")) for src in _STAMP_PATTERNS]
+    first = [_search(g, prog) for prog in progs]
+    assert not any(None in ms for ms in first if ms)  # -1 builds every match
+    since = g.rebuilds
+    for prog, before in zip(progs, first):
+        if before is not None:  # on the graph searched, every match is old
+            assert _search(g, prog, since) == [None] * len(before)
+    for _ in range(draw(st.integers(1, 6))):
+        step = draw(st.sampled_from(["add", "merge", "literal", "signs", "rebuild"]))
+        if step == "add":
+            add()
+        elif step == "merge":
+            g.merge(draw(st.sampled_from(pool)), draw(st.sampled_from(pool)))
+        elif step == "literal":  # a class gains a literal by a merge alone
+            # a new literal's class has no parents, so the class keeps its id
+            lit = g.add_enode(LitNode(draw(st.sampled_from([1, 2, 3, 3]))))
+            g.merge(draw(st.sampled_from(pool)), lit)
+        elif step == "signs":  # classes change sign in `_propagate` alone
+            analyze(g, sign_analysis({"a": draw(_SIGNS), "b": draw(_SIGNS)}))
+        else:
+            g.rebuild()
+    g.rebuild()
+    for src, prog, before in zip(_STAMP_PATTERNS, progs, first):
+        every = _search(g, prog)
+        if before is None or every is None:
+            continue
+        assert None not in every
+        new = _search(g, prog, since)
+        # one entry per match, in the full search's order; an entry not built
+        # is a match of the first search
+        assert len(new) == len(every), src
+        old = set(before)
+        for m, full in zip(new, every):
+            assert m == full if m is not None else full in old, src
+
+
+def test_stamped_search_sees_a_literal_gained_by_a_merge():
+    g, (fx,) = build("(f x)")
+    x = g.lookup_term(Atom("x"))
+    srcs = ("(f ~v::number)", "(f 2)")
+    progs = [compile_pattern(lhs(f"{src} --> 0")) for src in srcs]
+    assert [ematch_program(g, prog) for prog in progs] == [[], []]
+    since = g.rebuilds
+    two = g.add_term(Lit(2))
+    assert g.merge(x, two) == x  # x keeps its id, so the row (f x) is an old one
+    g.rebuild()
+    assert ematch_program(g, progs[0], since=since) == [EMatch(fx, (x,), ((0, 2),))]
+    assert ematch_program(g, progs[1], since=since) == [EMatch(fx, (), ())]
+
+
+def test_stamped_search_sees_a_sign_set_by_propagation():
+    g, (fa,) = build("(f a)")
+    a = g.lookup_term(Atom("a"))
+    analyze(g, sign_analysis({}))  # a has no sign
+    prog = compile_pattern(lhs("(f ~v::notzero) --> 0"))
+    assert ematch_program(g, prog) == []
+    since = g.rebuilds
+    analyze(g, sign_analysis({"a": 1}))  # no row changes, only a's data
+    assert ematch_program(g, prog, since=since) == [EMatch(fa, (a,), ())]
 
 
 # rooted at a variable, a literal, a symbol, a ground term, and an operator

@@ -1,5 +1,6 @@
 import pytest
 
+from eqsat.analysis import analyze, sign_analysis
 from eqsat.egraph import EGraph
 from eqsat.errors import (
     RuleSyntaxError,
@@ -194,6 +195,44 @@ def test_egraph_predicate_checks():
     assert not iszero.egraph(g, three, ())
     assert notzero.egraph(g, three, ())
     assert not notzero.egraph(g, zero, ())
+
+
+class _OneClassView:
+    """The two readers of a class that an e-graph predicate may use, for
+    one class only; any other read fails."""
+
+    def __init__(self, g, cid):
+        self._g, self._cid = g, cid
+        self.analyses = g.analyses  # read to see the sign analysis registered
+
+    def class_nodes(self, cid):
+        assert cid == self._cid
+        return self._g.class_nodes(cid)
+
+    def getdata(self, cid, name, default=None):
+        assert cid == self._cid
+        return self._g.getdata(cid, name, default)
+
+
+def test_egraph_predicates_read_only_their_own_class():
+    # the stamped search relies on it: a class's stamp moves whenever its
+    # literals or its analysis data change, and covers nothing else
+    g = EGraph()
+    for src in ("(+ 2 x)", "(* y 3)", "0", "1e-20", "2.5", "(/ x z)", "(- k 7)"):
+        g.add_term(parse_term(src))
+    analyze(g, sign_analysis())
+    names = ("number", "int", "real", "iszero", "notzero", "cansimplifyfraction")
+    preds = [resolve_predicate(PredicateRef(n)) for n in names]
+    preds.append(resolve_predicate(PredicateRef("near_zero", (1e-13,))))
+    results = set()
+    for pred in preds:
+        params = (1e-13,) * pred.n_params
+        for cid in g.canonical_ids():
+            got = pred.egraph(_OneClassView(g, cid), cid, params)
+            assert got == pred.egraph(g, cid, params)
+            results.add((pred.name, got))
+    # each predicate holds on some class and fails on another
+    assert len(results) == 2 * len(preds)
 
 
 def test_class_literals():

@@ -970,7 +970,8 @@ def test_applied_counts_the_right_hand_sides_instantiated():
 def test_one_directions_applied_match_never_skips_the_others():
     # `(f x y) == (g y x)` is not mirrored. On (f a b), direction 0 applies
     # M = (c, (a, b), ()) in iteration 0, which puts (g b a) in c; in
-    # iteration 1 direction 1 finds on c a match equal to M, its first
+    # iteration 1 direction 1 finds on c, through that new row, a match
+    # equal to M and builds it, while direction 0 finds M on old rows only
     compiled = compile_theory(parse_theory("@vars x y\n(f x y) == (g y x)\n"))
     assert len(compiled[0].directions) == 2
     applied = [[], []]
@@ -996,9 +997,10 @@ def test_one_directions_applied_match_never_skips_the_others():
     m = EMatch(c, (a, b), ())
     eqsat_step(g, wrapped, sched, 0, stats)
     assert applied == [[m], []]
+    searched = g.rebuilds
     eqsat_step(g, wrapped, sched, 1, stats)
     assert applied == [[m], [m]]  # direction 0 skipped its repeat, 1 did not
-    assert sched.states[0].last_applied == ({m}, {m})
+    assert sched.states[0].since == searched  # both directions searched then
     assert stats[0].matches == 3 and stats[0].applied == 2
 
 
