@@ -18,6 +18,11 @@ makes again.
 An in-range id `i` with `_uf[i] == i` is canonical: hot paths use it as it is
 and call `find`, with its `UnknownId` check, only on the other ids.
 
+`classes` lists the canonical ids in increasing order, by construction: ids
+are allocated in increasing order, `add_enode` is the only place that
+inserts a class, at the end, and `merge` only deletes. So `canonical_ids` and
+`nodes_by_op` read the ids in order with no sort.
+
 `nodes_by_op` groups the operator e-nodes by operator and arity, and within
 that by class: `{(op, arity): {class id: [(children, stamp), ...]}}`, in the
 relational view of e-matching (Zhang et al., *Relational E-Matching*, POPL
@@ -332,7 +337,7 @@ class EGraph:
         return self.version == self._rebuilt_version and not self.analysis_worklist
 
     def canonical_ids(self) -> list[int]:
-        return sorted(self.classes.keys())
+        return list(self.classes)  # in increasing order (see the module docstring)
 
     def nodes_by_op(
         self,
@@ -347,9 +352,8 @@ class EGraph:
         version, index = self._by_op
         if version != self.version:
             index = {}
-            classes = self.classes
-            for cid in sorted(classes):
-                for n, stamp in classes[cid].nodes.items():
+            for cid, cls in self.classes.items():
+                for n, stamp in cls.nodes.items():
                     if type(n) is OpNode:
                         op, ch = n
                         key = (op, len(ch))

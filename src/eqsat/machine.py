@@ -15,7 +15,16 @@ it there.
 A bind reads the class's e-nodes of its operator and arity from the graph's
 per-operator index (`EGraph.nodes_by_op`) in two dict lookups, in the order
 of the class's nodes, and a search runs a pattern rooted at an operator only
-on the classes that index lists under it.
+on the classes that index lists under it. A program records every (operator,
+arity) its binds read (`EMatchProgram.ops`); in the relational view a join
+with an empty relation is empty, so a search on a graph whose index lacks one
+of them returns no match and runs no root.
+
+One search is one run state: `ematch_program` reads the index once, makes
+one `_Run` and hands it to `run_program` for each root, which only sets the
+root register, the list of the root's matches, its limit and `since`. The
+registers need no reset between roots, as every step writes a register
+before any later step reads it.
 
 A run yields each match once, with no set to deduplicate them: on a rebuilt
 graph each canonical e-node lies in exactly one class, so a match (its root
@@ -72,6 +81,7 @@ class EMatchProgram:
     n_regs: int
     root_op: Optional[str]  # the operator the root binds; None for a leaf
     root_arity: int  # the root's number of arguments; 0 for a leaf
+    ops: frozenset[tuple[str, int]]  # the (operator, arity) of every bind
 
 
 class EMatch(NamedTuple):
@@ -90,6 +100,7 @@ def compile_pattern(p: Pattern) -> EMatchProgram:
     steps: list[Callable] = []
     var_regs: dict[int, int] = {}
     lifted: list[int] = []  # registers whose literal a predicate binds
+    ops: set[tuple[str, int]] = set()
     next_reg = 1
 
     def emit(pat: Pattern, reg: int):
@@ -121,6 +132,7 @@ def compile_pattern(p: Pattern) -> EMatchProgram:
             )
         base = next_reg
         next_reg += len(pat.args)
+        ops.add((pat.op, len(pat.args)))
         steps.append(partial(_bind, reg, pat.op, len(pat.args), base))
         for k, a in enumerate(pat.args):
             emit(a, base + k)
@@ -132,9 +144,10 @@ def compile_pattern(p: Pattern) -> EMatchProgram:
     k = _yield(tuple(var_regs[i] for i in range(n_vars)), lifted)
     for step in reversed(steps):
         k = step(k)
+    ops = frozenset(ops)
     if isinstance(p, PatTerm):
-        return EMatchProgram(k, next_reg, p.op, len(p.args))
-    return EMatchProgram(k, next_reg, None, 0)
+        return EMatchProgram(k, next_reg, p.op, len(p.args), ops)
+    return EMatchProgram(k, next_reg, None, 0, ops)
 
 
 class _Full(Exception):
@@ -142,20 +155,20 @@ class _Full(Exception):
 
 
 class _Run:
-    """The state of one run of a program from one root class."""
+    """The state of the runs of one program on one rebuilt graph, one root
+    class after another; `run_program` sets the per-root fields."""
 
     __slots__ = ("g", "classes", "index", "regs", "lits", "found", "limit", "since")
 
-    def __init__(self, g, n_regs, root, limit, since):
+    def __init__(self, g: EGraph, index, n_regs: int):
         self.g = g
         self.classes = g.classes
-        self.index = g.nodes_by_op()
+        self.index = index  # `g.nodes_by_op()`
         self.regs: list[Optional[int]] = [None] * n_regs
-        self.regs[0] = root
         self.lits: dict[int, Union[Number, str]] = {}  # register -> lifted literal
         self.found: list[Optional[EMatch]] = []
-        self.limit = limit
-        self.since = since
+        self.limit: Optional[int] = None
+        self.since = -1
 
 
 # One closure maker per step: each takes the step's operands and the closure
@@ -167,17 +180,14 @@ class _Run:
 # each `saturate` call compiles a closure per step of every rule.
 
 
-# what a bind reads for an operator that no class holds
-_NO_ROWS: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-
-
 def _bind(reg: int, op: str, arity: int, base: int, k):
     key = (op, arity)
     end = base + arity
 
-    def bind(r: _Run, t, reg=reg, key=key, base=base, end=end, k=k, none=_NO_ROWS):
+    # a run starts only on an index that lists every bind's key (`ops`)
+    def bind(r: _Run, t, reg=reg, key=key, base=base, end=end, k=k):
         regs = r.regs
-        for children, stamp in r.index.get(key, none).get(regs[reg], ()):
+        for children, stamp in r.index[key].get(regs[reg], ()):
             regs[base:end] = children
             k(r, stamp if stamp > t else t)
 
@@ -294,27 +304,40 @@ def run_program(
     root: int,
     limit: Optional[int] = None,
     since: int = -1,
+    run: Optional[_Run] = None,
 ) -> list[Optional[EMatch]]:
     """Depth-first execution from the class of `root`, on the graph rebuilt
     first if it is not; enumeration follows class-node insertion order. No
     match comes twice, as the graph is rebuilt (see the module docstring);
     with a `limit` the run stops as soon as it holds that many. A match whose
-    path is no newer than rebuild `since` is None in the result."""
-    if g.pending or g.analysis_worklist:
-        g.rebuild()
-    if limit == 0:
-        return []
-    if root not in g.classes:  # the classes are keyed by their canonical ids
-        root = g.find(root)
-    run = _Run(g, prog.n_regs, root, limit, since)
+    path is no newer than rebuild `since` is None in the result. `run` is
+    the state `ematch_program` shares across its roots: a run given one takes
+    the graph as rebuilt, `root` as canonical, `limit` as None or positive,
+    and the run's index as listing every (operator, arity) of `prog.ops`."""
+    if run is None:
+        if g.pending or g.analysis_worklist:
+            g.rebuild()
+        if limit == 0:
+            return []
+        if root not in g.classes:  # the classes are keyed by their canonical ids
+            root = g.find(root)
+        index = g.nodes_by_op()
+        if not index.keys() >= prog.ops:
+            return []
+        run = _Run(g, index, prog.n_regs)
+    run.regs[0] = root
+    run.found = found = []
+    run.limit = limit
+    run.since = since
     # a pattern rooted at an operator reads its root class's rows; one rooted
     # at a variable or a literal matches the class itself
-    t = -1 if prog.root_op is not None else g.classes[root].stamp
+    t = -1 if prog.root_op is not None else run.classes[root].stamp
     try:
         prog.start(run, t)
     except _Full:
-        pass
-    return run.found
+        # the run ended inside a lift, whose undo did not run
+        run.lits.clear()
+    return found
 
 
 def ematch(g: EGraph, p: Pattern) -> list[EMatch]:
@@ -332,7 +355,9 @@ def ematch_program(
     """Every match of `prog`, root classes in id order, on the graph rebuilt
     first if it is not; with a `limit`, the first `limit` of them. A program
     that starts by binding an operator runs only on the classes that
-    `nodes_by_op` lists under its operator and arity. Once
+    `nodes_by_op` lists under its operator and arity, and none runs at all
+    when the index lacks an (operator, arity) that one of its binds reads.
+    The roots share one run state, each run through `run_program`. Once
     `time.perf_counter()` is past `deadline`, no further root is run: the
     matches are then those of the roots run so far. A match whose search
     path is no newer than rebuild `since` (see the module docstring) is
@@ -340,16 +365,20 @@ def ematch_program(
     every match is built."""
     if g.pending or g.analysis_worklist:
         g.rebuild()
+    index = g.nodes_by_op()
+    if limit == 0 or not index.keys() >= prog.ops:
+        return []
     if prog.root_op is not None:
-        roots = g.nodes_by_op().get((prog.root_op, prog.root_arity), _NO_ROWS)
+        roots = index[prog.root_op, prog.root_arity]
     else:
         roots = g.canonical_ids()
+    run = _Run(g, index, prog.n_regs)
     out: list[Optional[EMatch]] = []
     for cid in roots:
         # matches of different roots differ in their class, so runs cannot
         # repeat one another's
         left = None if limit is None else limit - len(out)
-        out += run_program(g, prog, cid, left, since)
+        out += run_program(g, prog, cid, left, since, run)
         if len(out) == limit:
             break
         if deadline is not None and time.perf_counter() > deadline:

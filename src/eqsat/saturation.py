@@ -424,76 +424,77 @@ def eqsat_step(
     the scheduler."""
     v0 = g.version
     stop: Optional[StopReason] = None
-    for idx, cr in enumerate(compiled):
-        if idx not in stats:
-            stats[idx] = RuleStats(cr.rule.name)
+    if len(stats) < len(compiled):  # a run's first step
+        for idx, cr in enumerate(compiled):
+            if idx not in stats:
+                stats[idx] = RuleStats(cr.rule.name)
 
     # Phase 1: search (read-only), on a graph whose every row carries its
     # stamp, so that `searched` is the rebuild count each search ran at
     if not g.is_rebuilt():
         g.rebuild()
     searched = g.rebuilds
-    # per rule: per direction searched, the matches its search kept; None
-    # stands for a match the rule's last search kept, which was applied
-    found: list[list[list[Optional[EMatch]]]] = []
+    # per rule searched and not banned: its index, whether it is a `!=` rule,
+    # and per direction the matches its search kept; None stands for a match
+    # the rule's last search kept, which was applied
+    found: list[tuple[int, bool, list[list[Optional[EMatch]]]]] = []
     for idx, cr in enumerate(compiled):
+        if not cr.directions or not sched.can_search(idx, iteration):
+            continue
+        t0 = time.perf_counter()
+        limit = sched.search_limit(idx)
+        # A match applied before has its right-hand side in the graph, in the
+        # match's class, so applying it again on the rebuilt graph finds
+        # e-nodes that exist or merges classes that congruence would merge in
+        # the rebuild. A `!=` lookup that failed may succeed later, so it is
+        # made every time.
+        unequal = cr.rule.kind is RuleKind.UNEQUAL
+        since = -1 if unequal else sched.states[idx].since
         matches: list[list[Optional[EMatch]]] = []
-        if cr.directions and sched.can_search(idx, iteration):
-            t0 = time.perf_counter()
-            limit = sched.search_limit(idx)
-            # A match applied before has its right-hand side in the graph, in
-            # the match's class, so applying it again on the rebuilt graph
-            # finds e-nodes that exist or merges classes that congruence
-            # would merge in the rebuild. A `!=` lookup that failed may
-            # succeed later, so it is made every time.
-            unequal = cr.rule.kind is RuleKind.UNEQUAL
-            since = -1 if unequal else sched.states[idx].since
-            n = 0
-            for d in cr.directions:
-                left = None if limit is None else limit - n
-                if left == 0 or _past(deadline):
-                    break
-                matches.append(ematch_program(g, d.program, left, deadline, since))
-                n += len(matches[-1])
-            st = stats[idx]
-            st.search_s += time.perf_counter() - t0
-            st.matches += n
-            if _past(deadline):
-                # the search may have been cut off: its count decides no ban
-                stop = StopReason(TIME_LIMIT)
+        n = 0
+        for d in cr.directions:
+            left = None if limit is None else limit - n
+            if left == 0 or deadline is not None and time.perf_counter() > deadline:
                 break
-            if sched.inform(idx, n, iteration):
-                matches = []  # banned: this iteration's matches are dropped
-        found.append(matches)
+            matches.append(ematch_program(g, d.program, left, deadline, since))
+            n += len(matches[-1])
+        st = stats[idx]
+        st.search_s += time.perf_counter() - t0
+        st.matches += n
+        if deadline is not None and time.perf_counter() > deadline:
+            # the search may have been cut off: its count decides no ban
+            stop = StopReason(TIME_LIMIT)
+            break
+        if not sched.inform(idx, n, iteration):  # a ban drops the matches
+            found.append((idx, unequal, matches))
 
     # Phase 2: apply, one direction's matches at a time
     merge = g.merge
     try:
-        for idx, matches in enumerate(found):
+        for idx, unequal, matches in found:
             if stop is not None:
                 break
-            if not matches:
-                continue  # not searched, or banned
-            cr = compiled[idx]
-            unequal = cr.rule.kind is RuleKind.UNEQUAL
-            st = stats[idx]
-            t0 = time.perf_counter()
-            for d, ms in zip(cr.directions, matches):
-                instantiate = d.instantiate
-                for m in filter(None, ms):  # an EMatch is a non-empty tuple
-                    if deadline is not None and time.perf_counter() > deadline:
-                        stop = StopReason(TIME_LIMIT)
+            # an EMatch is a non-empty tuple, a match not built None
+            if any(map(any, matches)):
+                cr = compiled[idx]
+                st = stats[idx]
+                t0 = time.perf_counter()
+                for d, ms in zip(cr.directions, matches):
+                    instantiate = d.instantiate
+                    for m in filter(None, ms):
+                        if deadline is not None and time.perf_counter() > deadline:
+                            stop = StopReason(TIME_LIMIT)
+                            break
+                        st.applied += 1
+                        rid = instantiate(g, m)
+                        if not unequal:
+                            merge(m.class_id, rid)
+                        elif rid is not None and g.find(rid) == g.find(m.class_id):
+                            stop = StopReason(CONTRADICTION, cr.rule.name)
+                            break
+                    if stop is not None:
                         break
-                    st.applied += 1
-                    rid = instantiate(g, m)
-                    if not unequal:
-                        merge(m.class_id, rid)
-                    elif rid is not None and g.find(rid) == g.find(m.class_id):
-                        stop = StopReason(CONTRADICTION, cr.rule.name)
-                        break
-                if stop is not None:
-                    break
-            st.apply_s += time.perf_counter() - t0
+                st.apply_s += time.perf_counter() - t0
             if stop is None and not unequal:
                 sched.applied(idx, searched)
     except CapacityExceeded:
@@ -502,10 +503,6 @@ def eqsat_step(
     # Phase 3: rebuild
     g.rebuild()
     return g.version != v0, stop
-
-
-def _past(deadline: Optional[float]) -> bool:
-    return deadline is not None and time.perf_counter() > deadline
 
 
 def saturate(
@@ -533,7 +530,7 @@ def saturate(
         # run, so a fixpoint reached on the last budgeted step is still
         # detected as saturation rather than reported as an iteration limit.
         for iteration in range(params.timeout + 1):
-            if _past(deadline):
+            if deadline is not None and time.perf_counter() > deadline:
                 reason = StopReason(TIME_LIMIT)
                 break
             iterations = iteration + 1

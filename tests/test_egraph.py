@@ -287,6 +287,34 @@ def test_rebuild_matches_oracle_on_random_graphs():
                     assert (rep[i] == rep[j]) == (found[i] == found[j])
 
 
+def test_classes_stay_in_increasing_id_order():
+    # `canonical_ids` and `nodes_by_op` rely on it and sort nothing
+    def assert_ordered(g):
+        assert list(g.classes) == sorted(g.classes) == g.canonical_ids()
+        for rows in g.nodes_by_op().values():
+            assert list(rows) == sorted(rows)
+
+    rng = random.Random(19)
+    for _ in range(100):
+        g = EGraph()
+        pool = [g.add_term(t) for t in _leaves]
+        for _ in range(rng.randint(1, 4)):  # add, merge, rebuild, and again
+            for _ in range(rng.randint(1, 6)):
+                args = tuple(rng.choice(pool) for _ in range(rng.randint(1, 2)))
+                pool.append(g.add_enode(OpNode(rng.choice(["f", "g", "+"]), args)))
+                assert_ordered(g)
+            for _ in range(rng.randint(0, 4)):
+                g.merge(rng.choice(pool), rng.choice(pool))
+                assert_ordered(g)
+            g.rebuild()
+            assert_ordered(g)
+    g = EGraph()
+    g.add_term(parse_term("(/ (* a (* 2 3)) 6)"))
+    saturate(g, load_bundled("comm_monoid") + load_bundled("folder"))
+    assert len(g._uf) > g.n_eclasses  # merges deleted classes
+    assert_ordered(g)
+
+
 def test_headline_ends_with_distinct_canonical_enodes():
     theory = load_bundled("comm_monoid")
     for name in ("comm_group", "folder", "div_sim"):

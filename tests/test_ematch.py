@@ -7,8 +7,10 @@ from oracles import enumerate_terms, naive_ematch
 from eqsat.analysis import analyze, sign_analysis
 from eqsat.egraph import EGraph, LitNode, OpNode
 from eqsat.errors import InconsistentClass, SegmentUnsupported
+from eqsat import machine
 from eqsat.machine import (
     EMatch,
+    _Run,
     compile_pattern,
     ematch,
     ematch_program,
@@ -524,6 +526,128 @@ def test_run_program_yields_each_match_once():
     root = g.merge(fa, fb)  # not rebuilt: both f nodes match with ~x = a
     prog = compile_pattern(lhs("(f ~x) --> ~x"))
     assert run_program(g, prog, root) == [EMatch(root, (g.find(a),), ())]
+
+
+# -- one run state per search ----------------------------------------------
+
+# rooted at a variable, a literal and a symbol; lifted literal guards, one of
+# them on a repeated variable; repeated variables; nested operators
+_SHARED_PATTERNS = [
+    "~v", "1", "a", "~v::number", "(f ~v)", "(f ~v::number)", "(+ ~v ~v)",
+    "(+ ~v::number ~w)", "(+ ~v::int ~v)", "(g (f ~v))", "(+ 1 ~v)",
+    "(g ~v::number (f ~w))", "(f (+ ~v ~w))",
+]
+
+
+def _per_root(g, prog, since):
+    """Each canonical class's own run, as a standalone `run_program` makes
+    it; None where two literals share a class."""
+    try:
+        return [run_program(g, prog, cid, None, since) for cid in g.canonical_ids()]
+    except InconsistentClass:
+        return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_shared_run_equals_the_runs_of_single_roots(data):
+    draw = data.draw
+    g = EGraph()
+    pool = [g.add_term(t) for t in _leaves + [Lit(3), Lit(2.5)]]
+
+    def grow():
+        for _ in range(draw(st.integers(1, 8))):
+            args = tuple(draw(st.sampled_from(pool)) for _ in range(draw(st.integers(1, 2))))
+            pool.append(g.add_enode(OpNode(draw(st.sampled_from(_ops)), args)))
+        for _ in range(draw(st.integers(0, 3))):
+            g.merge(draw(st.sampled_from(pool)), draw(st.sampled_from(pool)))
+        g.rebuild()
+
+    grow()
+    since = g.rebuilds
+    grow()
+    for src in _SHARED_PATTERNS:
+        prog = compile_pattern(lhs(f"{src} --> 0"))
+        for s in (-1, since):
+            runs = _per_root(g, prog, s)
+            if runs is None:
+                continue
+            every = [m for ms in runs for m in ms]
+            assert ematch_program(g, prog, since=s) == every, src
+            # small limits, some of which end a run in the middle of its
+            # root class, and the limits at and one past the end
+            for limit in {*range(1, 7), len(every), len(every) + 1} - {0}:
+                got = ematch_program(g, prog, limit, since=s)
+                assert got == every[:limit], (src, limit)
+            index = g.nodes_by_op()
+            if not index.keys() >= prog.ops:
+                assert every == []
+                continue
+            # one run state for every root, each run cut at a limit of its own
+            run = _Run(g, index, prog.n_regs)
+            for i, (cid, ms) in enumerate(zip(g.canonical_ids(), runs)):
+                limit = 1 + i % 3
+                assert run_program(g, prog, cid, limit, s, run) == ms[:limit], src
+                assert run.lits == {}  # no lifted literal is left for the next root
+
+
+def test_absent_operator_runs_no_root(monkeypatch):
+    g, _ = build("(f a)", "(f (g b))", "(+ 1 2)")
+    calls = []
+    real = machine.run_program
+
+    def counted(g, prog, root, *args):
+        calls.append(root)
+        return real(g, prog, root, *args)
+
+    monkeypatch.setattr(machine, "run_program", counted)
+    # no class holds an h node, nor a g node of two arguments
+    for src, ops in [
+        ("(f (h ~v))", {("f", 1), ("h", 1)}),
+        ("(f (g ~v ~w))", {("f", 1), ("g", 2)}),
+    ]:
+        prog = compile_pattern(lhs(f"{src} --> 0"))
+        assert prog.ops == ops
+        assert ematch_program(g, prog) == [] and calls == [], src
+        assert ematch_program(g, prog, 3, since=0) == [] and calls == [], src
+    # every key present, no match: the root still runs
+    plus = g.lookup_term(parse_term("(+ 1 2)"))
+    assert ematch_program(g, compile_pattern(lhs("(+ ~v (f 1)) --> 0"))) == []
+    assert calls == [plus]
+    calls.clear()
+    prog = compile_pattern(lhs("(f (h ~v)) --> 0"))
+    g.add_term(parse_term("(h c)"))
+    assert ematch_program(g, prog) == [] and len(calls) == 2  # both f roots
+    calls.clear()
+    fhc = g.add_term(parse_term("(f (h c))"))
+    c = g.lookup_term(Atom("c"))
+    assert ematch_program(g, prog) == [EMatch(fhc, (c,), ())] and len(calls) == 3
+
+
+def test_every_root_is_one_run_program_call(monkeypatch):
+    g, _ = build("(f a)", "(f (g b))", "(f (f 1))", "(g (f 2) a)", "(+ (f a) (f b))")
+    g.merge(g.lookup_term(parse_term("(f a)")), g.lookup_term(parse_term("(f b)")))
+    g.rebuild()
+    runs = []
+    real = machine.run_program
+
+    def counted(g, prog, root, *args):
+        out = real(g, prog, root, *args)
+        runs.append((root, out))
+        return out
+
+    monkeypatch.setattr(machine, "run_program", counted)
+    for src in ("(f ~x)", "(f (f ~x::number))", "(g ~x ~y)", "~x", "a"):
+        prog = compile_pattern(lhs(f"{src} --> 0"))
+        runs.clear()
+        found = ematch_program(g, prog)
+        assert found
+        if prog.root_op is None:
+            roots = g.canonical_ids()
+        else:
+            roots = list(g.nodes_by_op()[prog.root_op, prog.root_arity])
+        assert [root for root, _ in runs] == roots, src
+        assert [m for _, out in runs for m in out] == found, src
 
 
 def test_ematch_is_a_tuple_with_its_dicts():

@@ -2,9 +2,11 @@
 standard library."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "eqsat"
+TRACING = SRC.parent.parent / "bench" / "tracing.py"
 
 
 def package_sources() -> dict[str, str]:
@@ -143,6 +145,38 @@ def functions_naming(source: str, name: str) -> dict[str, list[int]]:
     return found
 
 
+def traced_names(source: str) -> list[str]:
+    """The dotted names, below the package, of the functions and methods
+    that the module-level dicts `SPAN_FUNCTIONS` and `SPAN_METHODS` of a
+    tracer map to `(owner, "attr")`, as "owner.attr"."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Dict):
+            continue
+        if {getattr(t, "id", None) for t in node.targets} & {
+            "SPAN_FUNCTIONS",
+            "SPAN_METHODS",
+        }:
+            for value in node.value.values:
+                owner, attr = value.elts
+                found.append(f"{ast.unparse(owner)}.{attr.value}")
+    return found
+
+
+def missing_names(names: list[str]) -> list[str]:
+    """The names "module.attr" or "module.Class.attr" of `names` that the
+    package's modules do not define as something callable."""
+    missing = []
+    for name in names:
+        module, *path = name.split(".")
+        obj = importlib.import_module(f"eqsat.{module}")
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(name)
+    return missing
+
+
 def test_unused_imports_finds_unused_names():
     source = "import os\nimport a.b\nfrom c import d, e as f\nprint(a, f)\n"
     assert unused_imports(source) == ["line 1: os", "line 3: d"]
@@ -207,6 +241,38 @@ def test_functions_naming_finds_names_and_attributes():
         "def k(g):\n    return g.finder\n"
     )
     assert functions_naming(source, "find") == {"f": [2], "h": [5], "k": []}
+
+
+def test_traced_names_reads_both_span_dicts():
+    source = (
+        "from eqsat import machine, egraph\n"
+        "SPAN_FUNCTIONS = {'m.e': (machine, 'ematch_program')}\n"
+        "SPAN_METHODS = {'e.r': (egraph.EGraph, 'rebuild')}\n"
+        "SELF_TIMES = {'m.s': 'm.e'}\n"
+    )
+    assert traced_names(source) == ["machine.ematch_program", "egraph.EGraph.rebuild"]
+    assert missing_names(["machine.ematch_program", "egraph.EGraph.rebuild"]) == []
+    assert missing_names(["machine.gone", "egraph.EGraph.gone", "egraph.gone.x"]) == [
+        "machine.gone", "egraph.EGraph.gone", "egraph.gone.x",
+    ]
+
+
+def test_every_traced_name_exists_in_the_engine():
+    # the benchmark's tracer wraps these by name; one that is gone would
+    # leave its spans and counters reading zero
+    names = traced_names(TRACING.read_text())
+    assert len(names) >= 10
+    counted = [
+        "machine.run_program",  # machine.vm_runs and vm_runs_empty
+        "egraph.EGraph.add_enode",
+        "egraph.EGraph.merge",
+        "saturation.BackoffScheduler.inform",
+    ]
+    assert missing_names(names + counted) == []
+    # the tracer sees each root's run only if the search calls the module's
+    # `run_program` by name
+    found = functions_naming(package_sources()["machine.py"], "run_program")
+    assert found["ematch_program"]
 
 
 def test_no_unused_imports_in_package():

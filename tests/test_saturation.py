@@ -1004,6 +1004,51 @@ def test_one_directions_applied_match_never_skips_the_others():
     assert stats[0].matches == 3 and stats[0].applied == 2
 
 
+def test_a_search_that_builds_nothing_still_records_since():
+    compiled = compile_theory(
+        parse_theory("@vars x\n(f x) --> (g x)\n(h x) --> (k x)\n(h x) != c\n")
+    )
+    g = EGraph()
+    for src in ("(f a)", "(f b)", "c"):
+        g.add_term(parse_term(src))
+    g.rebuild()
+    # rule 0 is banned; rules 1 and 2 find nothing; `!=` rules never record
+    sched, stats = BackoffScheduler([1, 1, 1], match_limit=1), {}
+    searched = g.rebuilds
+    eqsat_step(g, compiled, sched, 0, stats)
+    assert [st.since for st in sched.states] == [-1, searched, -1]
+    assert [st.times_banned for st in sched.states] == [1, 0, 0]
+    assert [(st.matches, st.applied) for st in stats.values()] == [(2, 0), (0, 0), (0, 0)]
+    # a search whose every match was applied before builds none, and records
+    sched, stats = BackoffScheduler([1, 1, 1], match_limit=None), {}
+    eqsat_step(g, compiled, sched, 0, stats)
+    assert stats[0].applied == 2
+    searched = g.rebuilds
+    eqsat_step(g, compiled, sched, 1, stats)
+    assert (stats[0].matches, stats[0].applied) == (4, 2)
+    assert [st.since for st in sched.states] == [searched, searched, -1]
+
+
+def test_headline_records_since_for_every_unbanned_rule(made):
+    g = EGraph()
+    g.add_term(parse_term(HEADLINE))
+    report = saturate(g, _four_theories())
+    assert (str(report.stop_reason), report.iterations) == ("iteration-limit", 9)
+    # rules 3-7 never match
+    assert [st.matches for st in report.per_rule.values()] == [
+        5055, 180, 7266, 0, 0, 0, 0, 0, 298, 6584, 8,
+    ]
+    assert [st.applied for st in report.per_rule.values()] == [
+        1859, 139, 2138, 0, 0, 0, 0, 0, 198, 1419, 3,
+    ]
+    # the last step searched at one rebuild fewer than the graph has made;
+    # the banned rules 2 and 9 keep -1
+    last = g.rebuilds - 1
+    states = made[0].states
+    assert [st.since for st in states] == [last] * 2 + [-1] + [last] * 6 + [-1, last]
+    assert [st.times_banned for st in states] == [0, 0, 1] + [0] * 6 + [1, 0]
+
+
 def test_unequal_rule_looks_up_a_repeated_match_again():
     # every iteration finds the same match of (f ~x) != g0; (f a) joins g0's
     # class in the third, so only a lookup made again in the fourth sees it
