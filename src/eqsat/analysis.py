@@ -1,5 +1,5 @@
-"""E-class analyses (make/join/modify), the sign analysis, and cost-based
-term extraction."""
+"""E-class analyses (make/join), the sign analysis, and cost-based term
+extraction."""
 
 from __future__ import annotations
 
@@ -15,12 +15,12 @@ from .terms import Atom, Compound, Lit, Term
 @dataclass(frozen=True)
 class Analysis:
     """Join-semilattice analysis: make computes a value per e-node, join
-    combines class values on merge, modify may rewrite a class from its data."""
+    combines class values on merge. An analysis never changes the graph;
+    constant folding is the job of `=>` rules."""
 
     name: str
     make: Callable[[EGraph, ENode], object]  # may return MISSING
     join: Callable[[object, object], object]
-    modify: Optional[Callable[[EGraph, int], None]] = None
 
 
 def analyze(g: EGraph, analysis: Analysis) -> None:

@@ -13,7 +13,9 @@ class no node names, so every node is canonical already.
 Registered analyses are kept up to date the same way: `make` runs when a node
 is added, `join` when two classes merge, and a merge or a node made again
 that changes a class's value queues the class's parents, which `rebuild`
-makes again.
+makes again once congruence is closed. An analysis only computes values: it
+adds no node and merges no class, so classes are merged only by rule
+applications and by congruence.
 
 An in-range id `i` with `_uf[i] == i` is canonical: hot paths use it as it is
 and call `find`, with its `UnknownId` check, only on the other ids.
@@ -177,8 +179,6 @@ class EGraph:
             v = an.make(self, n)
             if v is not MISSING:
                 cls.data[an.name] = v
-                if an.modify is not None:
-                    an.modify(self, cid)
         return cid
 
     def add_term(self, t: Term) -> int:
@@ -259,21 +259,17 @@ class EGraph:
         self.pending.extend(cb.parents)  # their nodes name b, no longer canonical
         del self.classes[b]
         self.version += 1
-        for an in self.analyses.values():
-            if an.modify is not None and an.name in ca.data:
-                an.modify(self, a)
         return a
 
     def rebuild(self) -> None:
         canonical = not (self.pending or self.analysis_worklist)
-        # a modify hook may merge classes, so congruence and propagation alternate
-        while self.pending or self.analysis_worklist:
-            while self.pending:
-                n, cid = self.pending.pop()
-                other = self.memo.setdefault(self.canonicalize(n), cid)
-                if other != cid:
-                    self.merge(other, cid)
-            self._propagate()
+        # propagation merges nothing, so it runs once congruence is closed
+        while self.pending:
+            n, cid = self.pending.pop()
+            other = self.memo.setdefault(self.canonicalize(n), cid)
+            if other != cid:
+                self.merge(other, cid)
+        self._propagate()
         now = self.rebuilds = self.rebuilds + 1
         self._rebuilt_version = self.version
         if canonical:
@@ -297,7 +293,7 @@ class EGraph:
 
     def _propagate(self) -> None:
         """Make each queued node again and join the value into its class; a
-        class whose value changes queues its parents and runs `modify`."""
+        class whose value changes queues its parents."""
         work = self.analysis_worklist
         budget = 10 * max(1, len(self.classes))
         while work:
@@ -317,8 +313,6 @@ class EGraph:
                 cls.data[an.name] = new
                 cls.stamp = self.rebuilds + 1
                 work.extend(cls.parents)
-                if an.modify is not None:
-                    an.modify(self, cls.id)
 
     # -- inspection --------------------------------------------------------
 

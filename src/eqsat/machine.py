@@ -92,9 +92,6 @@ class EMatch(NamedTuple):
     literal_bindings: tuple[tuple[int, Union[Number, str]], ...]
 
 
-_LIFTING = {"number", "int", "real"}
-
-
 def compile_pattern(p: Pattern) -> EMatchProgram:
     # the steps in pre-order, each waiting for its continuation
     steps: list[Callable] = []
@@ -116,7 +113,7 @@ def compile_pattern(p: Pattern) -> EMatchProgram:
             var_regs[pat.index] = reg
             if pat.predicate is not None:
                 pred = resolve_predicate(pat.predicate)
-                bindlit = pred.lift in _LIFTING
+                bindlit = pred.lift is not None
                 if bindlit:
                     lifted.append(reg)
                 steps.append(
@@ -221,9 +218,9 @@ def _check_predicate(
 
         return check
     kind = pred.lift
-    # a literal-kind predicate holds exactly when the class has a literal of
-    # its kind, so the literals lifted for binding decide it
-    by_literals = pred.name in _LIFTING
+    # a literal-kind predicate (one named after its kind) holds exactly when
+    # the class has a literal of its kind, so the literals lifted decide it
+    by_literals = pred.name == kind
 
     def check_lift(
         r: _Run,
@@ -240,15 +237,15 @@ def _check_predicate(
         if not by_lits and not pred.egraph(g, cid, params):
             return
         lits = class_literals(g, cid, kind)
+        if not lits:
+            # every lifting predicate is false on a class with no literal of
+            # its kind
+            return
         if len(lits) > 1:
             raise InconsistentClass(f"class c{cid} holds distinct literals {lits}")
         stamp = r.classes[cid].stamp
         if stamp > t:
             t = stamp
-        if not lits:
-            if not by_lits:
-                k(r, t)
-            return
         r.lits[reg] = lits[0]
         k(r, t)
         del r.lits[reg]

@@ -93,8 +93,8 @@ def same_value(a, b) -> bool:
 def analysis_fixpoint(g: EGraph, analysis) -> dict[int, object]:
     """Each canonical class's value of `analysis` (MISSING when it has none),
     computed from nothing by passes over the whole graph until no class
-    changes. `analysis.modify` is not run. Values the graph stores under the
-    analysis's name are set aside meanwhile and put back afterwards."""
+    changes. Values the graph stores under the analysis's name are set aside
+    meanwhile and put back afterwards."""
     name = analysis.name
     saved = {cid: cls.data.pop(name) for cid, cls in g.classes.items() if name in cls.data}
     try:

@@ -144,7 +144,7 @@ def test_sign_sound_on_literal_terms(t):
         assert s == (1 if v > 0 else -1 if v < 0 else 0)
 
 
-# -- analysis invariant and modify hook -------------------------------------
+# -- analysis invariant -----------------------------------------------------
 
 
 def test_analysis_invariant_at_fixpoint():
@@ -175,32 +175,29 @@ def test_registered_analysis_joins_on_merge():
     assert g.getdata(g.find(p), "sign") is None
 
 
-def test_modify_hook_adds_literal():
-    # synthetic analysis: classes known to be zero get a canonical 0 literal
-    def make(g, n):
-        if isinstance(n, LitNode) and not isinstance(n.value, str):
-            return n.value == 0
-        return MISSING
-
-    def modify(g, cid):
-        if g.getdata(cid, "zeroness") is True:
-            g.merge(cid, g.add_enode(LitNode(0)))
-
+def test_rebuild_propagates_what_congruence_changes():
+    # merging x with 7 changes no value, but makes (* x 2) and (* 7 2)
+    # congruent; their classes' join changes the value of (+ (* x 2) 1)
     g = EGraph()
-    g.analyses["zeroness"] = Analysis("zeroness", make, lambda a, b: a or b, modify)
-    a = g.add_term(parse_term("a"))
-    zero = g.add_term(parse_term("0"))
-    g.merge(a, zero)
+    analyze(g, sign_analysis())
+    x, seven = g.add_term(parse_term("x")), g.add_term(parse_term("7"))
+    top = g.add_term(parse_term("(+ (* x 2) 1)"))
+    g.merge(g.add_term(parse_term("(* x 2)")), g.add_term(parse_term("3")))
+    g.merge(g.add_term(parse_term("(* 7 2)")), g.add_term(parse_term("-5")))
     g.rebuild()
-    assert any(n == LitNode(0) for n in g.class_nodes(g.find(a)))
-    b = g.add_term(parse_term("0.0"))
-    assert g.find(b) == g.find(a)
+    assert g.getdata(top, "sign") == 1
+    g.merge(x, seven)
+    g.rebuild()
+    assert g.is_rebuilt()
+    assert g.getdata(g.find(top), "sign") is None
 
 
 def test_incremental_sign_matches_naive_fixpoint():
     # random adds, merges and rebuilds on a graph with the sign analysis
     # registered first; after every rebuild each class holds the value the
-    # full-graph fixpoint gives
+    # full-graph fixpoint gives, and the graph has the partition and e-nodes
+    # of a twin that replays the same steps with no analysis: an analysis
+    # never adds a node or merges a class
     rng = random.Random(7)
     leaves = [Atom(s) for s in "xyzka"] + [
         Lit(v) for v in (0, 1, -2, 2.5, math.inf, -math.inf, math.nan)
@@ -208,33 +205,47 @@ def test_incremental_sign_matches_naive_fixpoint():
     an = sign_analysis()
     checked = merged = 0
 
-    def check(g):
+    def partition(graph, ids):
+        classes = {}
+        for i in ids:
+            classes.setdefault(graph.find(i), set()).add(i)
+        return {frozenset(c) for c in classes.values()}
+
+    def check(g, twin, ids):
         nonlocal checked
         g.rebuild()
+        twin.rebuild()
+        assert partition(g, ids) == partition(twin, ids)
+        assert g.n_enodes == twin.n_enodes
         want = analysis_fixpoint(g, an)
         for cid in g.canonical_ids():
             assert same_value(g.getdata(cid, "sign", MISSING), want[cid]), g.dump()
             checked += 1
 
     for _ in range(300):
-        g = EGraph()
+        g, twin = EGraph(), EGraph()
         analyze(g, an)
         ids = []
         for _ in range(rng.randint(4, 30)):
             r = rng.random()
             if r < 0.25 or len(ids) < 2:
-                ids.append(g.add_term(rng.choice(leaves)))
+                leaf = rng.choice(leaves)
+                ids.append(g.add_term(leaf))
+                assert twin.add_term(leaf) == ids[-1]
             elif r < 0.6:
                 op = rng.choice(["+", "-", "*", "/", "f"])
                 arity = 1 if op == "f" else 2
                 children = tuple(rng.choice(ids) for _ in range(arity))
                 ids.append(g.add_enode(OpNode(op, children)))
+                assert twin.add_enode(OpNode(op, children)) == ids[-1]
             elif r < 0.85:
-                g.merge(rng.choice(ids), rng.choice(ids))
+                a, b = rng.choice(ids), rng.choice(ids)
+                g.merge(a, b)
+                twin.merge(a, b)
                 merged += 1
             else:
-                check(g)
-        check(g)
+                check(g, twin, ids)
+        check(g, twin, ids)
     assert checked > 3000 and merged > 1000
 
 

@@ -130,19 +130,28 @@ def self_calling_functions(source: str) -> list[str]:
 
 
 def functions_naming(source: str, name: str) -> dict[str, list[int]]:
-    """Module-level function -> the lines where its body, nested functions
-    and default arguments included, names `name` as a variable or an
-    attribute."""
-    found = {}
-    for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            found[node.name] = [
-                n.lineno
-                for n in ast.walk(node)
-                if (isinstance(n, ast.Name) and n.id == name)
-                or (isinstance(n, ast.Attribute) and n.attr == name)
-            ]
-    return found
+    """Module-level function, or method of a module-level class as
+    "Class.method" -> the lines where its body, nested functions and default
+    arguments included, names `name` as a variable or an attribute."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    body = ast.parse(source).body
+    functions = [(node.name, node) for node in body if isinstance(node, defs)]
+    functions += [
+        (f"{cls.name}.{node.name}", node)
+        for cls in body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, defs)
+    ]
+    return {
+        qualname: [
+            n.lineno
+            for n in ast.walk(node)
+            if (isinstance(n, ast.Name) and n.id == name)
+            or (isinstance(n, ast.Attribute) and n.attr == name)
+        ]
+        for qualname, node in functions
+    }
 
 
 def traced_names(source: str) -> list[str]:
@@ -239,8 +248,12 @@ def test_functions_naming_finds_names_and_attributes():
         "def f(g):\n    def inner(x=g.find): return x\n    return inner\n"
         "def h(find):\n    return find(1)\n"
         "def k(g):\n    return g.finder\n"
+        "class C:\n    def m(self, g):\n        return g.find\n"
+        "    def n(self): pass\n"
     )
-    assert functions_naming(source, "find") == {"f": [2], "h": [5], "k": []}
+    assert functions_naming(source, "find") == {
+        "f": [2], "h": [5], "k": [], "C.m": [10], "C.n": [],
+    }
 
 
 def test_traced_names_reads_both_span_dicts():
@@ -273,6 +286,18 @@ def test_every_traced_name_exists_in_the_engine():
     # `run_program` by name
     found = functions_naming(package_sources()["machine.py"], "run_program")
     assert found["ematch_program"]
+
+
+def test_only_apply_and_congruence_merge_classes():
+    # an analysis adds no node and merges no class, so every union comes
+    # from a rule's application or from congruence
+    found = {
+        f"{path.removesuffix('.py').replace('/', '.')}.{qualname}"
+        for path, source in package_sources().items()
+        for qualname, lines in functions_naming(source, "merge").items()
+        if lines
+    }
+    assert found == {"saturation.eqsat_step", "egraph.EGraph.rebuild"}
 
 
 def test_no_unused_imports_in_package():

@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from eqsat import rules
 from eqsat.analysis import analyze, sign_analysis
 from eqsat.egraph import EGraph
 from eqsat.errors import (
@@ -21,7 +24,7 @@ from eqsat.rules import (
     parse_theory,
     resolve_predicate,
 )
-from eqsat.terms import parse_term
+from eqsat.terms import Lit, parse_term
 
 
 def test_parse_rewrite_rule():
@@ -233,6 +236,28 @@ def test_egraph_predicates_read_only_their_own_class():
             results.add((pred.name, got))
     # each predicate holds on some class and fails on another
     assert len(results) == 2 * len(preds)
+
+
+def test_lifting_predicates_fail_without_a_literal_of_their_kind():
+    # the matcher's lifting check drops a class with no literal of the
+    # predicate's kind without running the predicate, which is right only
+    # because the predicate is false there
+    g = EGraph()
+    for t in ("a", "(f a)", "x", "(+ 2 x)", "-3", "2.5", "1e-20", "(/ x z)"):
+        g.add_term(parse_term(t))
+    for v in (0.0, math.nan, math.inf, -math.inf):
+        g.add_term(Lit(v))
+    g.merge(g.add_term(parse_term("y")), g.add_term(parse_term("7")))
+    g.rebuild()
+    lifting = [p for p in rules._REGISTRY.values() if p.lift is not None]
+    assert {p.name for p in lifting} >= {"number", "int", "real", "near_zero"}
+    for pred in lifting:
+        params = (math.inf,) * pred.n_params  # the widest tolerance
+        without = [
+            cid for cid in g.canonical_ids() if not class_literals(g, cid, pred.lift)
+        ]
+        assert len(without) >= 4
+        assert not any(pred.egraph(g, cid, params) for cid in without)
 
 
 def test_class_literals():
