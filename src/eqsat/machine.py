@@ -30,8 +30,10 @@ A run yields each match once, with no set to deduplicate them: on a rebuilt
 graph each canonical e-node lies in exactly one class, so a match (its root
 class and the classes of its variables) fixes, bottom-up, the class of every
 pattern position and the e-node bound at every operator. A search path is
-thus a function of its match, and a lifted literal is a function of its
-class.
+thus a function of its match. A match holds class ids and nothing else, as
+egg's `Subst` does: a guard only checks its class, and a `=>` rule reads a
+guarded variable's literal from the class when it builds (see
+`EMatchProgram.lifts`).
 
 A search given `since`, a rebuild count (`EGraph.rebuilds`), builds only the
 matches that are new since then, in the manner of semi-naive evaluation
@@ -57,7 +59,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Union
 
 from .egraph import EGraph, LitNode
-from .errors import InconsistentClass, SegmentUnsupported
+from .errors import SegmentUnsupported
 from .rules import (
     PatLit,
     PatSegment,
@@ -65,7 +67,6 @@ from .rules import (
     PatVar,
     Pattern,
     Predicate,
-    class_literals,
     resolve_predicate,
 )
 from .terms import Number
@@ -82,6 +83,8 @@ class EMatchProgram:
     root_op: Optional[str]  # the operator the root binds; None for a leaf
     root_arity: int  # the root's number of arguments; 0 for a leaf
     ops: frozenset[tuple[str, int]]  # the (operator, arity) of every bind
+    # variable index -> the literal kind its guard lifts (`Predicate.lift`)
+    lifts: dict[int, str]
 
 
 class EMatch(NamedTuple):
@@ -89,14 +92,13 @@ class EMatch(NamedTuple):
 
     class_id: int
     bindings: tuple[int, ...]  # the class of variable i at position i
-    literal_bindings: tuple[tuple[int, Union[Number, str]], ...]
 
 
 def compile_pattern(p: Pattern) -> EMatchProgram:
     # the steps in pre-order, each waiting for its continuation
     steps: list[Callable] = []
     var_regs: dict[int, int] = {}
-    lifted: list[int] = []  # registers whose literal a predicate binds
+    lifts: dict[int, str] = {}
     ops: set[tuple[str, int]] = set()
     next_reg = 1
 
@@ -113,12 +115,9 @@ def compile_pattern(p: Pattern) -> EMatchProgram:
             var_regs[pat.index] = reg
             if pat.predicate is not None:
                 pred = resolve_predicate(pat.predicate)
-                bindlit = pred.lift is not None
-                if bindlit:
-                    lifted.append(reg)
-                steps.append(
-                    partial(_check_predicate, reg, pred, pat.predicate.params, bindlit)
-                )
+                if pred.lift is not None:
+                    lifts[pat.index] = pred.lift
+                steps.append(partial(_check_predicate, reg, pred, pat.predicate.params))
             return
         if isinstance(pat, PatLit):
             steps.append(partial(_check_lit, reg, pat.value))
@@ -138,13 +137,13 @@ def compile_pattern(p: Pattern) -> EMatchProgram:
     del emit  # the closure refers to itself; clearing it spares the cycle collector
     n_vars = len(var_regs)
     assert sorted(var_regs) == list(range(n_vars))
-    k = _yield(tuple(var_regs[i] for i in range(n_vars)), lifted)
+    k = _yield(tuple(var_regs[i] for i in range(n_vars)))
     for step in reversed(steps):
         k = step(k)
     ops = frozenset(ops)
     if isinstance(p, PatTerm):
-        return EMatchProgram(k, next_reg, p.op, len(p.args), ops)
-    return EMatchProgram(k, next_reg, None, 0, ops)
+        return EMatchProgram(k, next_reg, p.op, len(p.args), ops, lifts)
+    return EMatchProgram(k, next_reg, None, 0, ops, lifts)
 
 
 class _Full(Exception):
@@ -155,14 +154,13 @@ class _Run:
     """The state of the runs of one program on one rebuilt graph, one root
     class after another; `run_program` sets the per-root fields."""
 
-    __slots__ = ("g", "classes", "index", "regs", "lits", "found", "limit", "since")
+    __slots__ = ("g", "classes", "index", "regs", "found", "limit", "since")
 
     def __init__(self, g: EGraph, index, n_regs: int):
         self.g = g
         self.classes = g.classes
         self.index = index  # `g.nodes_by_op()`
         self.regs: list[Optional[int]] = [None] * n_regs
-        self.lits: dict[int, Union[Number, str]] = {}  # register -> lifted literal
         self.found: list[Optional[EMatch]] = []
         self.limit: Optional[int] = None
         self.since = -1
@@ -203,54 +201,16 @@ def _check_lit(reg: int, value: Union[Number, str], k):
     return check_lit
 
 
-def _check_predicate(
-    reg: int, pred: Predicate, params: tuple[float, ...], bindlit: bool, k
-):
-    if not bindlit:
-
-        def check(r: _Run, t, pred=pred, reg=reg, params=params, k=k):
-            cid = r.regs[reg]
-            if pred.egraph(r.g, cid, params):
-                # read after the check: a graph's first sign guard registers
-                # the sign analysis, which stamps the classes it sets
-                stamp = r.classes[cid].stamp
-                k(r, stamp if stamp > t else t)
-
-        return check
-    kind = pred.lift
-    # a literal-kind predicate (one named after its kind) holds exactly when
-    # the class has a literal of its kind, so the literals lifted decide it
-    by_literals = pred.name == kind
-
-    def check_lift(
-        r: _Run,
-        t,
-        pred=pred,
-        reg=reg,
-        params=params,
-        kind=kind,
-        by_lits=by_literals,
-        k=k,
-    ):
-        g = r.g
+def _check_predicate(reg: int, pred: Predicate, params: tuple[float, ...], k):
+    def check(r: _Run, t, pred=pred, reg=reg, params=params, k=k):
         cid = r.regs[reg]
-        if not by_lits and not pred.egraph(g, cid, params):
-            return
-        lits = class_literals(g, cid, kind)
-        if not lits:
-            # every lifting predicate is false on a class with no literal of
-            # its kind
-            return
-        if len(lits) > 1:
-            raise InconsistentClass(f"class c{cid} holds distinct literals {lits}")
-        stamp = r.classes[cid].stamp
-        if stamp > t:
-            t = stamp
-        r.lits[reg] = lits[0]
-        k(r, t)
-        del r.lits[reg]
+        if pred.egraph(r.g, cid, params):
+            # read after the check: a graph's first sign guard registers the
+            # sign analysis, which stamps the classes it sets
+            stamp = r.classes[cid].stamp
+            k(r, stamp if stamp > t else t)
 
-    return check_lift
+    return check
 
 
 def _compare(i: int, j: int, k):
@@ -262,8 +222,7 @@ def _compare(i: int, j: int, k):
     return compare
 
 
-def _yield(var_regs: tuple[int, ...], lifted: list[int]):
-    lit_vars = [(i, reg) for i, reg in enumerate(var_regs) if reg in lifted]
+def _yield(var_regs: tuple[int, ...]):
     # the bindings tuple, read in C; `itemgetter` of one register gives a
     # bare value and of none is an error, so those two cases have their own
     if len(var_regs) > 1:
@@ -273,20 +232,11 @@ def _yield(var_regs: tuple[int, ...], lifted: list[int]):
     else:
         bindings_of = lambda regs: ()
 
-    def yield_(
-        r: _Run, t, bindings_of=bindings_of, lit_vars=lit_vars, new=tuple.__new__
-    ):
+    def yield_(r: _Run, t, bindings_of=bindings_of, new=tuple.__new__):
         found = r.found
         if t > r.since:
             regs = r.regs
-            if lit_vars:
-                lits = r.lits
-                lit_bindings = tuple(
-                    [(i, lits[reg]) for i, reg in lit_vars if reg in lits]
-                )
-            else:
-                lit_bindings = ()
-            found.append(new(EMatch, (regs[0], bindings_of(regs), lit_bindings)))
+            found.append(new(EMatch, (regs[0], bindings_of(regs))))
         else:
             found.append(None)  # found before: counted, not built
         if len(found) == r.limit:
@@ -332,8 +282,7 @@ def run_program(
     try:
         prog.start(run, t)
     except _Full:
-        # the run ended inside a lift, whose undo did not run
-        run.lits.clear()
+        pass
     return found
 
 

@@ -16,6 +16,7 @@ from typing import Callable, Optional, Union
 from . import terms
 from .egraph import LitNode
 from .errors import (
+    InconsistentClass,
     RuleSyntaxError,
     SExprSyntaxError,
     UnboundRhsVariable,
@@ -124,7 +125,8 @@ class Theory:
 #
 # Each predicate carries the two evaluation modes: a classical check over a
 # Term and an e-graph check over (EGraph, class id). `lift` names the literal
-# kind the e-matcher may bind out of a matched class (None = no lifting).
+# kind a class that passes the e-graph check holds (None = no lifting): the
+# check reads it with `class_literal`, and a `=>` rule builds with it.
 #
 # An e-graph check reads nothing but its own class's nodes (`class_nodes`)
 # and analysis data (`getdata`). The stamped search (see `machine.py`) relies
@@ -177,6 +179,15 @@ def class_literals(g, cid, kind: str = "number") -> list:
     return out
 
 
+def class_literal(g, cid, kind: str = "number"):
+    """The one literal of the given kind in an e-class, or None. Raises
+    InconsistentClass when the class holds two distinct ones."""
+    lits = class_literals(g, cid, kind)
+    if len(lits) > 1:
+        raise InconsistentClass(f"class c{cid} holds distinct literals {lits}")
+    return lits[0] if lits else None
+
+
 def _sign_of(g, cid):
     from .analysis import class_sign
 
@@ -190,7 +201,7 @@ def _builtin_predicates() -> dict[str, Predicate]:
             return v is not None and _kind_ok(v, kind)
 
         def egraph(g, cid, params):
-            return bool(class_literals(g, cid, kind))
+            return class_literal(g, cid, kind) is not None
 
         return Predicate(kind, 0, classical, egraph, lift=kind)
 
@@ -199,10 +210,8 @@ def _builtin_predicates() -> dict[str, Predicate]:
         return v is not None and not math.isnan(v) and abs(v) <= params[0]
 
     def near_zero_egraph(g, cid, params):
-        return any(
-            not math.isnan(v) and abs(v) <= params[0]
-            for v in class_literals(g, cid, "number")
-        )
+        v = class_literal(g, cid, "number")
+        return v is not None and not math.isnan(v) and abs(v) <= params[0]
 
     def iszero_classical(t, params):
         v = _lit_value(t)
@@ -270,6 +279,9 @@ class _VarTable:
         self.indices: dict[str, int] = {}
         self.order: list[str] = []
         self.read: set[int] = set()  # the indices the RHS reads
+        # the guard of each variable's first occurrence on the side being
+        # read, when a matcher searches that side; None when none does
+        self.guards: Optional[dict[int, Optional[PredicateRef]]] = {}
 
     def index(self, name: str, allocate: bool) -> int:
         if name not in self.indices:
@@ -308,6 +320,21 @@ def _leaf_pattern(tok: str, table: _VarTable, allocate: bool) -> Pattern:
     if not base or not ATOM_RE.fullmatch(base):
         raise RuleSyntaxError(f"bad variable name in {tok!r}")
     idx = table.index(base, allocate)
+    # a matcher checks a guard at a variable's first occurrence on the side it
+    # searches, and compares a later occurrence's class with the first one's
+    guards = table.guards
+    if guards is None:
+        if pred is not None:
+            raise RuleSyntaxError(
+                f"guard in {tok!r} on a right-hand side that no matcher searches"
+            )
+    else:
+        first = guards.setdefault(idx, pred)
+        if pred is not None and pred != first:
+            raise RuleSyntaxError(
+                f"guard in {tok!r} is not that of the first ~{base} of its side,"
+                " which is the one a matcher checks"
+            )
     if segment:
         return PatSegment(base, idx, pred)
     return PatVar(base, idx, pred)
@@ -352,6 +379,7 @@ def parse_rule(line: str, declared_vars: set[str], name: str = "") -> Rule:
         if end != opi:
             raise RuleSyntaxError(f"trailing tokens before operator in {line!r}")
         rhs_toks = toks[opi + 1 :]
+        table.guards = {} if kind is RuleKind.EQUALITY else None
         rhs, end = _read_pattern(rhs_toks, table, allocate=False)
         if end != len(rhs_toks):
             raise RuleSyntaxError(f"trailing tokens after RHS in {line!r}")

@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence, Union
 from .egraph import EGraph, LitNode, OpNode
 from .errors import CapacityExceeded, SegmentUnsupported
 from .machine import EMatch, EMatchProgram, compile_pattern, ematch_program
-from .rules import PatLit, PatTerm, PatVar, Pattern, Rule, RuleKind, Theory
+from .rules import PatLit, PatTerm, PatVar, Pattern, Rule, RuleKind, Theory, class_literal
 from .terms import BUILTIN_OPS, Term, eval_builtin
 
 # -- stop reasons -----------------------------------------------------------
@@ -250,8 +250,10 @@ def compile_theory(theory: Theory) -> CompiledTheory:
                 program = compile_pattern(lhs)
                 if rule.kind is RuleKind.UNEQUAL:
                     instantiate = _compile_lookup(rhs)
+                elif rule.kind is RuleKind.DYNAMIC:
+                    instantiate = _compile_builder(rhs, program.lifts)
                 else:
-                    instantiate = _compile_builder(rhs, rule.kind is RuleKind.DYNAMIC)
+                    instantiate = _compile_builder(rhs)
                 dirs.append(_Direction(program, instantiate))
         except SegmentUnsupported as exc:
             warnings.warn(f"rule {rule.name!r} skipped in e-graph mode: {exc}")
@@ -292,12 +294,16 @@ def mirrored(lhs: Pattern, rhs: Pattern) -> bool:
 
 # -- instantiation into the graph ------------------------------------------
 #
-# A right-hand side compiles once into closures over (graph, bindings,
-# literal bindings), the `EMatch.bindings` and `EMatch.literal_bindings`
-# tuples. Bound variables map directly to their e-class ids; no term is
-# reconstructed from the graph. A closure returns a class id (an int), or a
-# literal not yet added to the graph as a 1-tuple: a literal child is added
-# after all of its siblings, and a literal folded into its parent never is.
+# A right-hand side compiles once into closures over (graph, bindings), the
+# `EMatch.bindings` tuple. Bound variables map directly to their e-class ids;
+# no term is reconstructed from the graph. In a `=>` rule, a variable whose
+# guard lifts a literal kind (`EMatchProgram.lifts`) stands for its class's
+# literal of that kind, read when the rule builds: a class only gains nodes,
+# so that is the literal the guard saw, unless the class has gained a second
+# one since, which raises InconsistentClass. A closure returns a class id
+# (an int), or a literal not yet added to the graph as a 1-tuple: a literal
+# child is added after all of its siblings, and a literal folded into its
+# parent never is.
 # The graph's methods are looked up on each call, so wrappers put on them
 # later see every call. As in the matcher (see `machine.py`), closures get
 # what they need as default arguments, which spares the cycle collector.
@@ -312,49 +318,47 @@ def _operator(p: Pattern) -> str:
     return p.op
 
 
-def _compile_builder(pat: Pattern, dynamic: bool) -> Callable[[EGraph, EMatch], int]:
+def _compile_builder(
+    pat: Pattern, lifts: Optional[dict[int, str]] = None
+) -> Callable[[EGraph, EMatch], int]:
     """Adds the instantiation of `pat` under a match and returns its class.
-    With `dynamic`, a literal-bound variable stands for its literal, and a
-    builtin over two numeric literals folds into one."""
-    f = _build_node(pat, dynamic)
+    With `lifts`, those of a `=>` rule's left-hand side, a lifted variable
+    stands for its literal, and a builtin over two numeric literals folds
+    into one."""
+    f = _build_node(pat, lifts)
 
     def instantiate(g: EGraph, m: EMatch, f=f) -> int:
-        r = f(g, m.bindings, m.literal_bindings)
+        r = f(g, m.bindings)
         return r if type(r) is int else g.add_enode(LitNode(r[0]))
 
     return instantiate
 
 
-def _build_node(p: Pattern, dynamic: bool):
+def _build_node(p: Pattern, lifts: Optional[dict[int, str]]):
     if isinstance(p, PatVar):
         idx = p.index
-        if dynamic:
+        if lifts is not None and idx in lifts:
 
-            def var_or_literal(g, binds, lits, idx=idx):
-                for i, v in lits:
-                    if i == idx:
-                        return (v,)
-                return binds[idx]
+            def literal(g, binds, idx=idx, kind=lifts[idx]):
+                return (class_literal(g, binds[idx], kind),)
 
-            return var_or_literal
-        return lambda g, binds, lits, idx=idx: binds[idx]
+            return literal
+        return lambda g, binds, idx=idx: binds[idx]
     if isinstance(p, PatLit):
         lit = (p.value,)
-        return lambda g, binds, lits, lit=lit: lit
+        return lambda g, binds, lit=lit: lit
     op = _operator(p)
-    fs = [_build_node(a, dynamic) for a in p.args]
+    fs = [_build_node(a, lifts) for a in p.args]
     if len(fs) == 2:
         f0, f1 = fs
         # a builtin folds when both arguments turn out numeric literals, which
         # a symbol never is
         symbol = any(isinstance(a, PatLit) and isinstance(a.value, str) for a in p.args)
-        can_fold = dynamic and op in BUILTIN_OPS and not symbol
+        can_fold = lifts is not None and op in BUILTIN_OPS and not symbol
 
-        def node2(
-            g, binds, lits, f0=f0, f1=f1, can_fold=can_fold, op=op, new=tuple.__new__
-        ):
-            x = f0(g, binds, lits)
-            y = f1(g, binds, lits)
+        def node2(g, binds, f0=f0, f1=f1, can_fold=can_fold, op=op, new=tuple.__new__):
+            x = f0(g, binds)
+            y = f1(g, binds)
             if type(x) is not int:
                 if can_fold and type(y) is not int:
                     return (eval_builtin(op, (x[0], y[0])),)
@@ -365,8 +369,8 @@ def _build_node(p: Pattern, dynamic: bool):
 
         return node2
 
-    def node(g, binds, lits, fs=fs, op=op, new=tuple.__new__):
-        vals = [f(g, binds, lits) for f in fs]
+    def node(g, binds, fs=fs, op=op, new=tuple.__new__):
+        vals = [f(g, binds) for f in fs]
         children = tuple(
             [v if type(v) is int else g.add_enode(LitNode(v[0])) for v in vals]
         )
@@ -447,9 +451,10 @@ def eqsat_step(
         # match's class, so applying it again on the rebuilt graph finds
         # e-nodes that exist or merges classes that congruence would merge in
         # the rebuild. A `!=` lookup that failed may succeed later, so it is
-        # made every time.
+        # made every time: a `!=` rule never tells the scheduler it applied,
+        # so its `since` stays -1.
         unequal = cr.rule.kind is RuleKind.UNEQUAL
-        since = -1 if unequal else sched.states[idx].since
+        since = sched.states[idx].since
         matches: list[list[Optional[EMatch]]] = []
         n = 0
         for d in cr.directions:

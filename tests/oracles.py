@@ -14,7 +14,8 @@ from unittest import mock
 from eqsat import saturation
 from eqsat.classical import compile_matcher, instantiate
 from eqsat.egraph import MISSING, EGraph, LitNode, OpNode
-from eqsat.rules import PatLit, PatTerm, PatVar, Rule, Theory
+from eqsat.errors import InconsistentClass
+from eqsat.rules import PatLit, PatTerm, PatVar, Rule, Theory, class_literals
 from eqsat.saturation import BackoffScheduler, CompiledTheory
 from eqsat.terms import Atom, Compound, Lit, Term, UnknownBuiltin, eval_builtin
 
@@ -175,13 +176,15 @@ def naive_ematch(g: EGraph, pattern) -> set[tuple[int, tuple[int, ...]]]:
 # -- right-hand-side instantiation --------------------------------------------
 
 
-def add_pattern(g: EGraph, pat, m, dynamic: bool) -> int:
+def add_pattern(g: EGraph, pat, m, lifts=None) -> int:
     """Add the instantiation of `pat` under match `m`, returning its class,
     by walking the pattern on every call. Operator children are added left to
-    right, and literal children after all of their siblings. Dynamic RHS
-    nodes fold builtins over literal bindings bottom-up."""
+    right, and literal children after all of their siblings. With `lifts`, a
+    `=>` rule's {variable: literal kind}, a lifted variable stands for its
+    class's one literal of that kind, and nodes fold builtins over literals
+    bottom-up."""
     bindings = dict(enumerate(m.bindings))
-    lits = dict(m.literal_bindings)
+    dynamic = lifts is not None
 
     def lit_id(v) -> int:
         return g.add_enode(LitNode(v))
@@ -189,8 +192,11 @@ def add_pattern(g: EGraph, pat, m, dynamic: bool) -> int:
     def go(p):
         # returns ("lit", value) or ("id", class id)
         if isinstance(p, PatVar):
-            if dynamic and p.index in lits:
-                return ("lit", lits[p.index])
+            if dynamic and p.index in lifts:
+                (v, *more) = class_literals(g, bindings[p.index], lifts[p.index])
+                if more:
+                    raise InconsistentClass(f"c{bindings[p.index]} holds {v} and {more}")
+                return ("lit", v)
             return ("id", bindings[p.index])
         if isinstance(p, PatLit):
             return ("lit", p.value)

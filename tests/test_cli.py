@@ -159,6 +159,20 @@ def test_bad_rule_reported_once_with_its_line(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["simplify", "rewrite"])
+def test_unchecked_guard_exits_1(tmp_path, capsys, command):
+    # neither matcher checks a guard on a later occurrence of a variable, so
+    # the rule would turn (f x x) into ok
+    th = tmp_path / "t.theory"
+    th.write_text("(f ~a ~a::number) --> ok\n")
+    code, out, err = run(capsys, command, "--theory", str(th), "--expr", "(f x x)")
+    assert code == 1 and out == ""
+    assert err == (
+        "error: line 1: guard in '~a::number' is not that of the first ~a of its"
+        " side, which is the one a matcher checks\n"
+    )
+
+
 @pytest.mark.parametrize(
     "directive, message",
     [

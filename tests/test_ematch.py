@@ -16,12 +16,22 @@ from eqsat.machine import (
     ematch_program,
     run_program,
 )
-from eqsat.rules import PatTerm, PatVar, parse_rule
+from eqsat.rules import PatTerm, PatVar, Theory, class_literal, parse_rule
+from eqsat.saturation import compile_theory
 from eqsat.terms import Atom, Compound, Lit, parse_term
 
 
 def lhs(line):
     return parse_rule(line, set()).lhs
+
+
+def built(g, line, since=-1):
+    """The literal that a `=>` rule builds for each match its search builds
+    on `g`."""
+    (cr,) = compile_theory(Theory("t", [parse_rule(line, set())]))
+    (d,) = cr.directions
+    matches = ematch_program(g, d.program, since=since)
+    return [class_literal(g, d.instantiate(g, m)) for m in matches]
 
 
 def build(*srcs):
@@ -40,8 +50,8 @@ def test_compile_golden():
     assert prog.n_regs == 3  # the root, then one register per argument
     g, (i, _, j) = build("(* x 1)", "(* y 2)", "(* z 1.0)")
     assert ematch_program(g, prog) == [
-        EMatch(g.find(i), (g.lookup_term(Atom("x")),), ()),
-        EMatch(g.find(j), (g.lookup_term(Atom("z")),), ()),
+        EMatch(g.find(i), (g.lookup_term(Atom("x")),)),
+        EMatch(g.find(j), (g.lookup_term(Atom("z")),)),
     ]
 
 
@@ -50,29 +60,27 @@ def test_compile_bare_variable():
     assert prog.root_op is None
     assert prog.n_regs == 1
     g, (i,) = build("a")
-    assert ematch_program(g, prog) == [EMatch(i, (i,), ())]
+    assert ematch_program(g, prog) == [EMatch(i, (i,))]
 
 
 def test_compile_repeated_var_compares():
     prog = compile_pattern(lhs("(* (sin ~x) (cos ~x)) --> ~x"))
     g, (i, j) = build("(* (sin a) (cos a))", "(* (sin a) (cos b))")
     a = g.lookup_term(Atom("a"))
-    assert ematch_program(g, prog) == [EMatch(g.find(i), (a,), ())]
+    assert ematch_program(g, prog) == [EMatch(g.find(i), (a,))]
     g.merge(a, g.lookup_term(Atom("b")))
     g.rebuild()  # the two products are now congruent
     assert g.find(i) == g.find(j)
-    assert ematch_program(g, prog) == [EMatch(g.find(i), (g.find(a),), ())]
+    assert ematch_program(g, prog) == [EMatch(g.find(i), (g.find(a),))]
 
 
 def test_compile_predicate():
     prog = compile_pattern(lhs("(+ ~a::number ~b) --> ~b"))
     assert prog.root_op == "+"
+    assert prog.lifts == {0: "number"}  # the literal kind the guard checks
     g, (i, _) = build("(+ 2 x)", "(+ y x)")
     x = g.lookup_term(Atom("x"))
-    # the literal the predicate checks is lifted into the match
-    assert ematch_program(g, prog) == [
-        EMatch(g.find(i), (g.lookup_term(Lit(2)), x), ((0, 2),))
-    ]
+    assert ematch_program(g, prog) == [EMatch(g.find(i), (g.lookup_term(Lit(2)), x))]
 
 
 def test_compile_ground_subterm():
@@ -82,7 +90,7 @@ def test_compile_ground_subterm():
     assert prog.n_regs == 5
     g, (i, _, _) = build("(f (g 1 2) a)", "(f (g 1 3) b)", "(f (h 1 2) c)")
     assert ematch_program(g, prog) == [
-        EMatch(g.find(i), (g.lookup_term(Atom("a")),), ())
+        EMatch(g.find(i), (g.lookup_term(Atom("a")),))
     ]
 
 
@@ -138,10 +146,9 @@ def test_repeated_variable_after_merge():
 
 
 def test_literal_lifting():
+    # a `=>` rule builds with the literal its guard checks
     g, (i,) = build("(+ 2 x)")
-    matches = ematch(g, lhs("(+ ~a::number ~b) --> ~b"))
-    assert len(matches) == 1
-    assert dict(matches[0].literal_bindings) == {0: 2}
+    assert built(g, "(+ ~a::number ~b) => (+ ~a 1)") == [3]
 
 
 @pytest.mark.parametrize(
@@ -149,8 +156,8 @@ def test_literal_lifting():
 )
 def test_literal_kind_predicates(kind, lifted):
     g, _ = build("(f 2)", "(f 2.5)", "(f x)")
-    matches = ematch(g, lhs(f"(f ~a::{kind}) --> ~a"))
-    assert [dict(m.literal_bindings)[0] for m in matches] == lifted
+    assert compile_pattern(lhs(f"(f ~a::{kind}) --> ~a")).lifts == {0: kind}
+    assert built(g, f"(f ~a::{kind}) => (* ~a 2)") == [2 * v for v in lifted]
 
 
 def test_literal_lifting_after_merge():
@@ -158,9 +165,7 @@ def test_literal_lifting_after_merge():
     g, (fx, two) = build("(f x)", "2")
     g.merge(g.lookup_term(Atom("x")), two)
     g.rebuild()
-    matches = ematch(g, lhs("(f ~a::number) --> ~a"))
-    assert len(matches) == 1
-    assert dict(matches[0].literal_bindings) == {0: 2}
+    assert built(g, "(f ~a::number) => (+ ~a 1)") == [3]
 
 
 def test_inconsistent_class_detected():
@@ -392,8 +397,9 @@ def test_stamped_search_sees_a_literal_gained_by_a_merge():
     two = g.add_term(Lit(2))
     assert g.merge(x, two) == x  # x keeps its id, so the row (f x) is an old one
     g.rebuild()
-    assert ematch_program(g, progs[0], since=since) == [EMatch(fx, (x,), ((0, 2),))]
-    assert ematch_program(g, progs[1], since=since) == [EMatch(fx, (), ())]
+    assert ematch_program(g, progs[0], since=since) == [EMatch(fx, (x,))]
+    assert ematch_program(g, progs[1], since=since) == [EMatch(fx, ())]
+    assert built(g, "(f ~v::number) => (+ ~v 1)", since) == [3]
 
 
 def test_stamped_search_sees_a_sign_set_by_propagation():
@@ -404,7 +410,7 @@ def test_stamped_search_sees_a_sign_set_by_propagation():
     assert ematch_program(g, prog) == []
     since = g.rebuilds
     analyze(g, sign_analysis({"a": 1}))  # no row changes, only a's data
-    assert ematch_program(g, prog, since=since) == [EMatch(fa, (a,), ())]
+    assert ematch_program(g, prog, since=since) == [EMatch(fa, (a,))]
 
 
 # rooted at a variable, a literal, a symbol, a ground term, and an operator
@@ -417,15 +423,17 @@ _LIFTING_PATTERNS = [
 ]
 
 
-def _variables(p) -> dict[int, bool]:
-    """Variable index -> whether a literal-kind predicate lifts it."""
-    out: dict[int, bool] = {}
+def _variables(p) -> dict[int, str]:
+    """Variable index -> the literal kind a literal-kind predicate guards it
+    with, or ""."""
+    out: dict[int, str] = {}
     todo = [p]
     while todo:
         q = todo.pop()
         if isinstance(q, PatVar):
-            lifts = q.predicate is not None and q.predicate.name in ("number", "int", "real")
-            out[q.index] = out.get(q.index, False) or lifts
+            ref = q.predicate
+            kind = ref.name if ref and ref.name in ("number", "int", "real") else ""
+            out[q.index] = out.get(q.index) or kind
         elif isinstance(q, PatTerm):
             todo += q.args
     return out
@@ -433,10 +441,10 @@ def _variables(p) -> dict[int, bool]:
 
 def _assert_match_shapes(p, got) -> None:
     variables = _variables(p)
+    assert compile_pattern(p).lifts == {i: k for i, k in variables.items() if k}
     for m in got:
         assert type(m) is EMatch
         assert type(m.bindings) is tuple and len(m.bindings) == len(variables)
-        assert all(variables[i] for i, _ in m.literal_bindings)
 
 
 def test_indexed_ematch_matches_naive_oracle():
@@ -473,8 +481,9 @@ def test_indexed_ematch_matches_naive_oracle():
                 assert len(set(got)) == len(got), src
                 _assert_match_shapes(p, got)
                 shapes.update(len(m.bindings) for m in got)
+                lifted = compile_pattern(p).lifts
                 for m in got:
-                    for i, _ in m.literal_bindings:
+                    for i in lifted:
                         nodes = g.class_nodes(m.bindings[i])
                         mixed += any(isinstance(n, OpNode) for n in nodes)
     assert mixed >= 500
@@ -525,7 +534,7 @@ def test_run_program_yields_each_match_once():
     g.merge(a, b)
     root = g.merge(fa, fb)  # not rebuilt: both f nodes match with ~x = a
     prog = compile_pattern(lhs("(f ~x) --> ~x"))
-    assert run_program(g, prog, root) == [EMatch(root, (g.find(a),), ())]
+    assert run_program(g, prog, root) == [EMatch(root, (g.find(a),))]
 
 
 # -- one run state per search ----------------------------------------------
@@ -588,7 +597,6 @@ def test_shared_run_equals_the_runs_of_single_roots(data):
             for i, (cid, ms) in enumerate(zip(g.canonical_ids(), runs)):
                 limit = 1 + i % 3
                 assert run_program(g, prog, cid, limit, s, run) == ms[:limit], src
-                assert run.lits == {}  # no lifted literal is left for the next root
 
 
 def test_absent_operator_runs_no_root(monkeypatch):
@@ -621,7 +629,7 @@ def test_absent_operator_runs_no_root(monkeypatch):
     calls.clear()
     fhc = g.add_term(parse_term("(f (h c))"))
     c = g.lookup_term(Atom("c"))
-    assert ematch_program(g, prog) == [EMatch(fhc, (c,), ())] and len(calls) == 3
+    assert ematch_program(g, prog) == [EMatch(fhc, (c,))] and len(calls) == 3
 
 
 def test_every_root_is_one_run_program_call(monkeypatch):
@@ -651,11 +659,11 @@ def test_every_root_is_one_run_program_call(monkeypatch):
 
 
 def test_ematch_is_a_tuple_with_its_dicts():
-    m = EMatch(4, (2, 3), ((1, 7),))
-    assert m == (4, (2, 3), ((1, 7),)) and hash(m) == hash(tuple(m))
+    m = EMatch(4, (2, 3))
+    assert EMatch._fields == ("class_id", "bindings")  # class ids, nothing else
+    assert m == (4, (2, 3)) and hash(m) == hash(tuple(m))
     assert m.class_id == 4
     assert dict(enumerate(m.bindings)) == {0: 2, 1: 3}
-    assert dict(m.literal_bindings) == {1: 7}
 
 
 def test_guarded_search_on_a_rebuilt_graph_calls_no_find(monkeypatch):

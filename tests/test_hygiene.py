@@ -154,6 +154,17 @@ def functions_naming(source: str, name: str) -> dict[str, list[int]]:
     }
 
 
+def raised_names(source: str) -> set[str]:
+    """The names of the exceptions that `raise` statements raise, called or
+    not, bare re-raises left out."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            found.add(getattr(exc, "id", None) or getattr(exc, "attr", None))
+    return found
+
+
 def traced_names(source: str) -> list[str]:
     """The dotted names, below the package, of the functions and methods
     that the module-level dicts `SPAN_FUNCTIONS` and `SPAN_METHODS` of a
@@ -256,6 +267,14 @@ def test_functions_naming_finds_names_and_attributes():
     }
 
 
+def test_raised_names_finds_raised_exceptions():
+    source = (
+        "def f(x):\n    if x:\n        raise KeyError(x)\n    raise errors.Bad\n"
+        "try:\n    f(1)\nexcept KeyError:\n    raise\n"
+    )
+    assert raised_names(source) == {"KeyError", "Bad"}
+
+
 def test_traced_names_reads_both_span_dicts():
     source = (
         "from eqsat import machine, egraph\n"
@@ -298,6 +317,17 @@ def test_only_apply_and_congruence_merge_classes():
         if lines
     }
     assert found == {"saturation.eqsat_step", "egraph.EGraph.rebuild"}
+
+
+def test_only_rules_raises_inconsistent_class():
+    # "a class holds one literal of a kind" is known in one place,
+    # `rules.class_literal`
+    found = {
+        path
+        for path, source in package_sources().items()
+        if "InconsistentClass" in raised_names(source)
+    }
+    assert found == {"rules.py"}
 
 
 def test_no_unused_imports_in_package():

@@ -6,6 +6,7 @@ from eqsat import rules
 from eqsat.analysis import analyze, sign_analysis
 from eqsat.egraph import EGraph
 from eqsat.errors import (
+    InconsistentClass,
     RuleSyntaxError,
     UnboundRhsVariable,
     UnknownPredicate,
@@ -19,6 +20,7 @@ from eqsat.rules import (
     Rule,
     RuleKind,
     Theory,
+    class_literal,
     class_literals,
     parse_rule,
     parse_theory,
@@ -149,6 +151,47 @@ def test_theory_directive_is_the_first_word(directive, message):
 # -- predicates -------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "(f ~a ~a::number) --> ok",
+        "(f ~a::int ~a::real) --> ok",
+        "(f (g ~a::number) ~a::near_zero(1)) => ~a",
+        # an `==` rule searches its right-hand side too
+        "(g ~a) == (f ~a ~a::number)",
+    ],
+)
+def test_guard_on_a_later_occurrence_is_a_syntax_error(line):
+    # a matcher checks the guard of a variable's first occurrence and only
+    # compares the class of a later one, so a different later guard would
+    # be ignored
+    with pytest.raises(RuleSyntaxError, match="is not that of the first ~a"):
+        parse_rule(line, set())
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["(f ~a) --> (g ~a::number)", "(f ~a::number) => (g ~a::number)", "(f ~a) != ~a::int"],
+)
+def test_guard_on_a_right_hand_side_that_is_not_searched_is_a_syntax_error(line):
+    with pytest.raises(RuleSyntaxError, match="right-hand side that no matcher searches"):
+        parse_rule(line, set())
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "(/ a::cansimplifyfraction a::cansimplifyfraction) --> 1",  # div_sim's
+        "(+ ~a::int ~a) --> ~a",  # a bare later occurrence is compared only
+        "(f ~a::number) == (g ~a::number ~a)",
+        "(f ~a ~a) == (g ~a::int)",  # each side has its own first occurrence
+    ],
+)
+def test_checked_guards_parse(line):
+    r = parse_rule(line, {"a"})
+    assert parse_rule(str(r), set()).lhs == r.lhs
+
+
 def test_predicate_parsing():
     r = parse_rule("(+ ~a::number ~b::number) => (+ ~a ~b)", set())
     assert r.lhs.args[0].predicate == PredicateRef("number")
@@ -239,9 +282,8 @@ def test_egraph_predicates_read_only_their_own_class():
 
 
 def test_lifting_predicates_fail_without_a_literal_of_their_kind():
-    # the matcher's lifting check drops a class with no literal of the
-    # predicate's kind without running the predicate, which is right only
-    # because the predicate is false there
+    # a `=>` rule builds with the literal of its kind in a class that a
+    # lifting predicate passed, so there must be one
     g = EGraph()
     for t in ("a", "(f a)", "x", "(+ 2 x)", "-3", "2.5", "1e-20", "(/ x z)"):
         g.add_term(parse_term(t))
@@ -268,6 +310,23 @@ def test_class_literals():
     g.rebuild()
     assert class_literals(g, g.find(a), "number") == [3]
     assert class_literals(g, g.find(a), "real") == []
+
+
+def test_class_literal_is_the_one_literal_of_its_kind():
+    g = EGraph()
+    x, three, half = (g.add_term(parse_term(s)) for s in ("x", "3", "0.5"))
+    g.merge(x, three)
+    g.rebuild()
+    assert class_literal(g, x) == 3 and class_literal(g, x, "int") == 3
+    assert class_literal(g, x, "real") is None
+    g.merge(x, half)  # two distinct numbers in one class
+    assert class_literal(g, x, "int") == 3 and class_literal(g, x, "real") == 0.5
+    with pytest.raises(InconsistentClass):
+        class_literal(g, x)
+    # a lifting predicate reads the class's literal, so it raises there too
+    for name, params in (("number", ()), ("near_zero", (1e-13,))):
+        with pytest.raises(InconsistentClass):
+            resolve_predicate(PredicateRef(name, params)).egraph(g, x, params)
 
 
 # -- theory files -----------------------------------------------------------

@@ -19,8 +19,19 @@ from oracles import (
 from eqsat import machine, saturation, theories
 from eqsat.analysis import astsize, extract
 from eqsat.egraph import EGraph, OpNode
-from eqsat.machine import EMatch, EMatchProgram
-from eqsat.rules import PatLit, PatTerm, PatVar, Rule, RuleKind, Theory, parse_theory
+from eqsat.errors import InconsistentClass
+from eqsat.machine import EMatch, EMatchProgram, ematch_program
+from eqsat.rules import (
+    PatLit,
+    PatTerm,
+    PatVar,
+    PredicateRef,
+    Rule,
+    RuleKind,
+    Theory,
+    class_literals,
+    parse_theory,
+)
 from eqsat.saturation import (
     AreEqual,
     BackoffScheduler,
@@ -443,46 +454,85 @@ def _random_graph(seed):
     return g, pool
 
 
-def _random_match(rng, pool):
-    lits = [(i, rng.choice([0, 1, -3, 0.5, 2])) for i in range(3) if rng.random() < 0.5]
-    binds = tuple(rng.choice(pool) for _ in range(3))
-    return EMatch(rng.choice(pool), binds, tuple(lits))
+def _random_match(rng, g, pool, lifts):
+    """A match whose lifted variables are bound to classes that hold a
+    literal of their kind, as their guards make sure."""
+
+    def bind(i):
+        kind = lifts.get(i)
+        return rng.choice([c for c in pool if kind is None or class_literals(g, c, kind)])
+
+    return EMatch(rng.choice(pool), tuple(bind(i) for i in range(3)))
 
 
-def _instantiator(kind, rhs):
-    rule = Rule(kind, PatTerm("q", _RHS_VARS), rhs, "r", ("x", "y", "z"))
+def _instantiator(kind, rhs, guards=(None, None, None)):
+    """The instantiation of `rhs` in a rule whose left-hand side guards the
+    variables x, y and z with the literal kinds `guards` (None: no guard)."""
+    lhs_vars = tuple(
+        replace(v, predicate=k and PredicateRef(k)) for v, k in zip(_RHS_VARS, guards)
+    )
+    rule = Rule(kind, PatTerm("q", lhs_vars), rhs, "r", ("x", "y", "z"))
     (d,) = compile_theory(Theory("t", [rule]))[0].directions
+    assert d.program.lifts == {i: k for i, k in enumerate(guards) if k}
     return d.instantiate
 
 
 @pytest.mark.parametrize("kind", [RuleKind.REWRITE, RuleKind.DYNAMIC])
 def test_compiled_builder_matches_interpreted(kind):
     rng = random.Random(21)
-    dynamic = kind is RuleKind.DYNAMIC
+    inconsistent = 0  # builds that read a class holding two distinct literals
     for trial in range(300):
         want_g, pool = _random_graph(trial)
         got_g, _ = _random_graph(trial)
         rhs = _random_rhs(rng, 3)
-        build = _instantiator(kind, rhs)
+        guards = tuple(rng.choice([None, "number", "int", "real"]) for _ in range(3))
+        build = _instantiator(kind, rhs, guards)
+        lifts = {i: k for i, k in enumerate(guards) if k}
         for _ in range(3):  # each merge leaves the next one a graph to repair
-            m = _random_match(rng, pool)
-            want = add_pattern(want_g, rhs, m, dynamic)
+            m = _random_match(rng, want_g, pool, lifts)
+            if kind is RuleKind.DYNAMIC:
+                try:
+                    want = add_pattern(want_g, rhs, m, lifts)
+                except InconsistentClass:
+                    with pytest.raises(InconsistentClass):
+                        build(got_g, m)
+                    assert got_g.dump() == want_g.dump(), rhs
+                    inconsistent += 1
+                    break
+            else:
+                want = add_pattern(want_g, rhs, m)
             got = build(got_g, m)
             assert got == want, rhs
             assert got_g.dump() == want_g.dump(), rhs
             want_g.merge(m.class_id, want)
             got_g.merge(m.class_id, got)
+    assert kind is RuleKind.REWRITE or inconsistent > 10
 
 
 def test_compiled_builder_folds_nested_literals():
     rhs = PatTerm("+", (PatTerm("*", (PatVar("x", 0), PatLit(2))),
                         PatTerm("/", (PatVar("y", 1), PatLit(4)))))
-    g, pool = _random_graph(0)
+    g = EGraph()
+    three, two = g.add_term(Lit(3)), g.add_term(Lit(2))
     n = g.n_enodes
-    m = EMatch(pool[0], (pool[0], pool[1], pool[2]), ((0, 3), (1, 2)))
-    cid = _instantiator(RuleKind.DYNAMIC, rhs)(g, m)
+    m = EMatch(three, (three, two, two))
+    cid = _instantiator(RuleKind.DYNAMIC, rhs, ("number", "int", None))(g, m)
     assert g.n_enodes == n + 1  # the folded 6.5 alone
     assert g.lookup_term(Lit(6.5)) == cid
+
+
+def test_dynamic_rule_reads_its_literal_when_it_builds():
+    (cr,) = compile_theory(parse_theory("(f ~a::number) => (+ ~a 1)\n"))
+    (d,) = cr.directions
+    g = EGraph()
+    g.add_term(parse_term("(f 2)"))
+    g.rebuild()
+    (m,) = ematch_program(g, d.program)
+    assert g.find(d.instantiate(g, m)) == g.lookup_term(Lit(3))
+    # the class of 2 gains a second literal between the search and the apply
+    g.merge(g.lookup_term(Lit(2)), g.add_term(Lit(4)))
+    with pytest.raises(InconsistentClass):
+        d.instantiate(g, m)
 
 
 def test_compiled_lookup_matches_interpreted():
@@ -494,7 +544,7 @@ def test_compiled_lookup_matches_interpreted():
         lookup = _instantiator(RuleKind.UNEQUAL, rhs)
         before = g.dump()
         for _ in range(3):
-            m = _random_match(rng, pool)
+            m = _random_match(rng, g, pool, {})
             want = lookup_pattern(g, rhs, m)
             assert lookup(g, m) == want, rhs
             found += want is not None
@@ -994,7 +1044,7 @@ def test_one_directions_applied_match_never_skips_the_others():
     g.rebuild()
     a, b = g.lookup_term(parse_term("a")), g.lookup_term(parse_term("b"))
     sched, stats = BackoffScheduler([1], match_limit=None), {}
-    m = EMatch(c, (a, b), ())
+    m = EMatch(c, (a, b))
     eqsat_step(g, wrapped, sched, 0, stats)
     assert applied == [[m], []]
     searched = g.rebuilds
