@@ -10,6 +10,16 @@ after a rebuild `memo` holds exactly the canonical e-nodes. A rebuild that
 finds no queued work skips the pass: every merge since the last one was of a
 class no node names, so every node is canonical already.
 
+Every key of `memo` is an e-node of the class it maps to (up to `find`),
+whether it is canonical or stale: it was canonical when `add_enode` or
+`rebuild` stored it, and a merge since then only made its children stale.
+So `add_enode` and `lookup` first probe `memo` with the node as given, and
+canonicalize it and probe again only on a miss. A node equal to a stale key
+has the key's children, so it is the key's e-node and lies in its class.
+Most nodes a rule adds are found this way, with no `canonicalize` call; a
+stale node found so resolves to its own class before the next rebuild, where
+a canonical probe could find a class it is not yet merged with.
+
 Registered analyses are kept up to date the same way: `make` runs when a node
 is added, `join` when two classes merge, and a merge or a node made again
 that changes a class's value queues the class's parents, which `rebuild`
@@ -157,8 +167,12 @@ class EGraph:
         return n
 
     def add_enode(self, n: ENode) -> int:
-        n = self.canonicalize(n)
-        cid = self.memo.get(n)
+        cid = self.memo.get(n)  # a memo key, stale or not, names its node's class
+        if cid is None:
+            m = self.canonicalize(n)
+            if m is not n:
+                n = m
+                cid = self.memo.get(n)
         if cid is not None:
             # a memo id was allocated, so it is in range
             return cid if self._uf[cid] == cid else self.find(cid)
@@ -185,7 +199,11 @@ class EGraph:
         return self._fold(t, self.add_enode)
 
     def lookup(self, n: ENode) -> Optional[int]:
-        cid = self.memo.get(self.canonicalize(n))
+        cid = self.memo.get(n)  # as in `add_enode`
+        if cid is None:
+            m = self.canonicalize(n)
+            if m is not n:
+                cid = self.memo.get(m)
         if cid is None or self._uf[cid] == cid:  # a memo id is in range
             return cid
         return self.find(cid)

@@ -4,7 +4,10 @@ A pattern compiles straight to a chain of closures, one per step of a
 pre-order walk of the pattern: bind an operator's e-node, check a literal,
 check a predicate, compare two registers, and last yield the match. Each
 closure calls the next as its continuation (the idiom of the classical
-matchers); machine registers hold e-class ids. A search reads a rebuilt
+matchers); machine registers hold e-class ids. A variable's first
+occurrence with no guard emits no step, so most patterns end in a bind:
+that leaf bind yields the match of each row it binds itself, one call per
+match fewer than a bind followed by a yield. A search reads a rebuilt
 graph: `ematch_program` and `run_program` first rebuild a graph with pending
 merges or analysis updates, so every e-node's children are canonical ids,
 every register holds one, and the search itself merges nothing. A ground
@@ -137,7 +140,11 @@ def compile_pattern(p: Pattern) -> EMatchProgram:
     del emit  # the closure refers to itself; clearing it spares the cycle collector
     n_vars = len(var_regs)
     assert sorted(var_regs) == list(range(n_vars))
-    k = _yield(tuple(var_regs[i] for i in range(n_vars)))
+    var_regs = tuple(var_regs[i] for i in range(n_vars))
+    if steps and steps[-1].func is _bind:  # the leaf bind yields
+        k = _bind_yield(*steps.pop().args, var_regs)
+    else:
+        k = _yield(var_regs)
     for step in reversed(steps):
         k = step(k)
     ops = frozenset(ops)
@@ -167,9 +174,10 @@ class _Run:
 
 
 # One closure maker per step: each takes the step's operands and the closure
-# of the step after it. A closure takes the run and the newest stamp on the
-# path so far. The graph is rebuilt, so every register holds a canonical class
-# id and no closure calls `find`.
+# of the step after it, but the last step (a yield, or a leaf bind that
+# yields) takes the registers of the variables. A closure takes the run and
+# the newest stamp on the path so far. The graph is rebuilt, so every register
+# holds a canonical class id and no closure calls `find`.
 # A closure gets what it needs as default arguments, not from enclosing
 # cells: every cell is one more object for the cycle collector to track, and
 # each `saturate` call compiles a closure per step of every rule.
@@ -222,15 +230,45 @@ def _compare(i: int, j: int, k):
     return compare
 
 
-def _yield(var_regs: tuple[int, ...]):
+def _bindings_of(var_regs: tuple[int, ...]):
     # the bindings tuple, read in C; `itemgetter` of one register gives a
     # bare value and of none is an error, so those two cases have their own
     if len(var_regs) > 1:
-        bindings_of = itemgetter(*var_regs)
-    elif var_regs:
-        bindings_of = lambda regs, reg=var_regs[0]: (regs[reg],)
-    else:
-        bindings_of = lambda regs: ()
+        return itemgetter(*var_regs)
+    if var_regs:
+        return lambda regs, reg=var_regs[0]: (regs[reg],)
+    return lambda regs: ()
+
+
+def _bind_yield(reg: int, op: str, arity: int, base: int, var_regs: tuple[int, ...]):
+    # a bind that is the last step, with the yield inlined: no later step
+    # reads the registers it writes, so it writes them only to build a match
+    key = (op, arity)
+    end = base + arity
+    bindings_of = _bindings_of(var_regs)
+
+    def bind_yield(
+        r: _Run, t, reg=reg, key=key, base=base, end=end,
+        bindings_of=bindings_of, new=tuple.__new__,
+    ):
+        regs = r.regs
+        found = r.found
+        since = r.since
+        limit = r.limit
+        for children, stamp in r.index[key].get(regs[reg], ()):
+            if t > since or stamp > since:
+                regs[base:end] = children
+                found.append(new(EMatch, (regs[0], bindings_of(regs))))
+            else:
+                found.append(None)  # found before: counted, not built
+            if len(found) == limit:
+                raise _Full
+
+    return bind_yield
+
+
+def _yield(var_regs: tuple[int, ...]):
+    bindings_of = _bindings_of(var_regs)
 
     def yield_(r: _Run, t, bindings_of=bindings_of, new=tuple.__new__):
         found = r.found

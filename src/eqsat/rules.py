@@ -379,10 +379,21 @@ def parse_rule(line: str, declared_vars: set[str], name: str = "") -> Rule:
         if end != opi:
             raise RuleSyntaxError(f"trailing tokens before operator in {line!r}")
         rhs_toks = toks[opi + 1 :]
+        lhs_guards = table.guards
         table.guards = {} if kind is RuleKind.EQUALITY else None
         rhs, end = _read_pattern(rhs_toks, table, allocate=False)
         if end != len(rhs_toks):
             raise RuleSyntaxError(f"trailing tokens after RHS in {line!r}")
+        # each direction of an `==` rule checks the guards of the side it
+        # searches, so a guard holds both ways only if both sides carry it
+        if kind is RuleKind.EQUALITY:
+            for idx, guard in table.guards.items():
+                if guard != lhs_guards[idx]:
+                    raise RuleSyntaxError(
+                        f"~{table.order[idx]} is guarded differently on the two"
+                        f" sides of {line!r}, so one direction would not check"
+                        " its guard"
+                    )
     except SExprSyntaxError as exc:
         raise RuleSyntaxError(exc.args[0]) from None
     if isinstance(lhs, PatSegment) or isinstance(rhs, PatSegment):

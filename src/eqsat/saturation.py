@@ -7,6 +7,7 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Callable, Optional, Sequence, Union
 
 from .egraph import EGraph, LitNode, OpNode
@@ -294,16 +295,29 @@ def mirrored(lhs: Pattern, rhs: Pattern) -> bool:
 
 # -- instantiation into the graph ------------------------------------------
 #
-# A right-hand side compiles once into closures over (graph, bindings), the
-# `EMatch.bindings` tuple. Bound variables map directly to their e-class ids;
-# no term is reconstructed from the graph. In a `=>` rule, a variable whose
-# guard lifts a literal kind (`EMatchProgram.lifts`) stands for its class's
-# literal of that kind, read when the rule builds: a class only gains nodes,
-# so that is the literal the guard saw, unless the class has gained a second
-# one since, which raises InconsistentClass. A closure returns a class id
-# (an int), or a literal not yet added to the graph as a 1-tuple: a literal
-# child is added after all of its siblings, and a literal folded into its
-# parent never is.
+# A right-hand side compiles once into closures over (graph, match). A match
+# is a tuple and `m[1]` its bindings, read by index (in C, where
+# `m.bindings` would be a descriptor call). Bound variables map directly to
+# their e-class ids; no term is reconstructed from the graph.
+#
+# An operator node whose children all give class ids takes a lean form that
+# returns a class id (an int) and tests no child's result:
+# - when its children are all variables, it picks them from the bindings
+#   with one `itemgetter`;
+# - otherwise it calls each operator child, left to right, and picks its
+#   children from the bindings followed by those ids.
+# A variable costs no call of its own. A right-hand side rooted at a variable
+# or at a lean node is the direction's `instantiate` itself.
+#
+# A literal child, a lifted variable or a child that may fold puts its parent
+# in the general form. In a `=>` rule, a variable whose guard lifts a literal
+# kind (`EMatchProgram.lifts`) stands for its class's literal of that kind,
+# read when the rule builds: a class only gains nodes, so that is the literal
+# the guard saw, unless the class has gained a second one since, which raises
+# InconsistentClass. A closure of the general form returns a class id, or a
+# literal not yet added to the graph as a 1-tuple: a literal child is added
+# after all of its siblings, and a literal folded into its parent never is.
+#
 # The graph's methods are looked up on each call, so wrappers put on them
 # later see every call. As in the matcher (see `machine.py`), closures get
 # what they need as default arguments, which spares the cycle collector.
@@ -325,52 +339,123 @@ def _compile_builder(
     With `lifts`, those of a `=>` rule's left-hand side, a lifted variable
     stands for its literal, and a builtin over two numeric literals folds
     into one."""
-    f = _build_node(pat, lifts)
+    f, gives_id = _build_node(pat, lifts)
+    if gives_id:
+        return f
 
     def instantiate(g: EGraph, m: EMatch, f=f) -> int:
-        r = f(g, m.bindings)
+        r = f(g, m)
         return r if type(r) is int else g.add_enode(LitNode(r[0]))
 
     return instantiate
 
 
 def _build_node(p: Pattern, lifts: Optional[dict[int, str]]):
+    """The closure of (graph, match) that adds `p`, and whether it always
+    returns a class id; otherwise it may return a literal as a 1-tuple."""
     if isinstance(p, PatVar):
-        idx = p.index
-        if lifts is not None and idx in lifts:
-
-            def literal(g, binds, idx=idx, kind=lifts[idx]):
-                return (class_literal(g, binds[idx], kind),)
-
-            return literal
-        return lambda g, binds, idx=idx: binds[idx]
+        if lifts is not None and p.index in lifts:
+            return _literal(p.index, lifts[p.index]), False
+        return _variable(p.index), True
     if isinstance(p, PatLit):
-        lit = (p.value,)
-        return lambda g, binds, lit=lit: lit
+        return _constant(p.value), False
     op = _operator(p)
-    fs = [_build_node(a, lifts) for a in p.args]
-    if len(fs) == 2:
-        f0, f1 = fs
-        # a builtin folds when both arguments turn out numeric literals, which
-        # a symbol never is
-        symbol = any(isinstance(a, PatLit) and isinstance(a.value, str) for a in p.args)
-        can_fold = lifts is not None and op in BUILTIN_OPS and not symbol
+    # a variable read as its class is its index, any other child is built
+    kids = [
+        a.index
+        if isinstance(a, PatVar) and (lifts is None or a.index not in lifts)
+        else _build_node(a, lifts)
+        for a in p.args
+    ]
+    built = [k for k in kids if type(k) is tuple]
+    if not built:
+        return _node_of_vars(op, _picker(kids)), True
+    if all(gives_id for _, gives_id in built):
+        # the built ids follow the bindings, so the j-th of n is at j - n
+        j = iter(range(-len(built), 0))
+        pick = _picker([k if type(k) is int else next(j) for k in kids])
+        fs = [f for f, _ in built]
+        return _node_of_ids(op, fs, pick), True
+    fs = [_variable(k) if type(k) is int else k[0] for k in kids]
+    if len(fs) != 2:
+        return _node(op, fs), True
+    # a builtin folds when both arguments turn out numeric literals, which a
+    # symbol never is
+    symbol = any(isinstance(a, PatLit) and isinstance(a.value, str) for a in p.args)
+    can_fold = lifts is not None and op in BUILTIN_OPS and not symbol
+    gives_id = not can_fold or any(type(k) is int or k[1] for k in kids)
+    return _node2(op, fs, can_fold), gives_id
 
-        def node2(g, binds, f0=f0, f1=f1, can_fold=can_fold, op=op, new=tuple.__new__):
-            x = f0(g, binds)
-            y = f1(g, binds)
-            if type(x) is not int:
-                if can_fold and type(y) is not int:
-                    return (eval_builtin(op, (x[0], y[0])),)
-                x = g.add_enode(LitNode(x[0]))
-            if type(y) is not int:
-                y = g.add_enode(LitNode(y[0]))
-            return g.add_enode(new(OpNode, (op, (x, y))))
 
-        return node2
+def _picker(positions: list[int]) -> Callable[[tuple], tuple]:
+    """The tuple of the items at `positions` of a tuple, read in C; an
+    `itemgetter` of one index would give a bare item, so one position is a
+    slice."""
+    if len(positions) == 1:
+        (i,) = positions
+        return itemgetter(slice(i, i + 1 or None))
+    return itemgetter(*positions) if positions else itemgetter(slice(0, 0))
 
-    def node(g, binds, fs=fs, op=op, new=tuple.__new__):
-        vals = [f(g, binds) for f in fs]
+
+# The closure makers. Each closure takes (graph, match); those of a variable
+# read as its class and of the lean forms return a class id.
+
+
+def _variable(idx: int):
+    return lambda g, m, idx=idx: m[1][idx]
+
+
+def _literal(idx: int, kind: str):
+    return lambda g, m, idx=idx, kind=kind: (class_literal(g, m[1][idx], kind),)
+
+
+def _constant(value):
+    return lambda g, m, lit=(value,): lit
+
+
+def _node_of_vars(op: str, pick):
+    def node_of_vars(g, m, op=op, pick=pick, new=tuple.__new__):
+        return g.add_enode(new(OpNode, (op, pick(m[1]))))
+
+    return node_of_vars
+
+
+def _node_of_ids(op: str, fs: list, pick):
+    if len(fs) == 1:  # as in `(+ ~a (+ ~b ~c))`, with no list to make
+        (f,) = fs
+
+        def node_of_id(g, m, op=op, f=f, pick=pick, new=tuple.__new__):
+            return g.add_enode(new(OpNode, (op, pick(m[1] + (f(g, m),)))))
+
+        return node_of_id
+
+    def node_of_ids(g, m, op=op, fs=fs, pick=pick, new=tuple.__new__):
+        ids = m[1] + tuple([f(g, m) for f in fs])
+        return g.add_enode(new(OpNode, (op, pick(ids))))
+
+    return node_of_ids
+
+
+def _node2(op: str, fs: list, can_fold: bool):
+    f0, f1 = fs
+
+    def node2(g, m, f0=f0, f1=f1, can_fold=can_fold, op=op, new=tuple.__new__):
+        x = f0(g, m)
+        y = f1(g, m)
+        if type(x) is not int:
+            if can_fold and type(y) is not int:
+                return (eval_builtin(op, (x[0], y[0])),)
+            x = g.add_enode(LitNode(x[0]))
+        if type(y) is not int:
+            y = g.add_enode(LitNode(y[0]))
+        return g.add_enode(new(OpNode, (op, (x, y))))
+
+    return node2
+
+
+def _node(op: str, fs: list):
+    def node(g, m, fs=fs, op=op, new=tuple.__new__):
+        vals = [f(g, m) for f in fs]
         children = tuple(
             [v if type(v) is int else g.add_enode(LitNode(v[0])) for v in vals]
         )
@@ -379,26 +464,19 @@ def _build_node(p: Pattern, lifts: Optional[dict[int, str]]):
     return node
 
 
-def _compile_lookup(pat: Pattern) -> Callable[[EGraph, EMatch], Optional[int]]:
-    """Resolves the instantiation of `pat` by lookup only (no graph growth)."""
-    f = _lookup_node(pat)
-    return lambda g, m, f=f: f(g, m.bindings)
-
-
-def _lookup_node(p: Pattern):
+def _compile_lookup(p: Pattern) -> Callable[[EGraph, EMatch], Optional[int]]:
+    """Resolves the instantiation of `p` by lookup only (no graph growth)."""
     if isinstance(p, PatVar):
-        idx = p.index
-        return lambda g, binds, idx=idx: g.find(binds[idx])
+        return lambda g, m, idx=p.index: g.find(m[1][idx])
     if isinstance(p, PatLit):
-        node = LitNode(p.value)
-        return lambda g, binds, node=node: g.lookup(node)
+        return lambda g, m, node=LitNode(p.value): g.lookup(node)
     op = _operator(p)
-    fs = [_lookup_node(a) for a in p.args]
+    fs = [_compile_lookup(a) for a in p.args]
 
-    def lookup(g, binds, fs=fs, op=op):
+    def lookup(g, m, fs=fs, op=op):
         children = []
         for f in fs:
-            cid = f(g, binds)
+            cid = f(g, m)
             if cid is None:
                 return None
             children.append(cid)
@@ -492,11 +570,12 @@ def eqsat_step(
                             break
                         st.applied += 1
                         rid = instantiate(g, m)
-                        if not unequal:
+                        if unequal:
+                            if rid is not None and g.find(rid) == g.find(m.class_id):
+                                stop = StopReason(CONTRADICTION, cr.rule.name)
+                                break
+                        elif rid != m.class_id:  # most right-hand sides are there
                             merge(m.class_id, rid)
-                        elif rid is not None and g.find(rid) == g.find(m.class_id):
-                            stop = StopReason(CONTRADICTION, cr.rule.name)
-                            break
                     if stop is not None:
                         break
                 st.apply_s += time.perf_counter() - t0

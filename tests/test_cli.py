@@ -173,6 +173,21 @@ def test_unchecked_guard_exits_1(tmp_path, capsys, command):
     )
 
 
+def test_one_sided_equality_guard_exits_1(tmp_path, capsys):
+    # the right-to-left direction searches (g ~a) unguarded, so the rule
+    # would prove (f x) equal to (g x) for the symbol x
+    th = tmp_path / "t.theory"
+    th.write_text("(f ~a::number) == (g ~a)\n")
+    code, out, err = run(
+        capsys, "prove", "--theory", str(th), "--expr", "(f x)", "--expr", "(g x)"
+    )
+    assert code == 1 and out == ""
+    assert err == (
+        "error: line 1: ~a is guarded differently on the two sides of"
+        " '(f ~a::number) == (g ~a)', so one direction would not check its guard\n"
+    )
+
+
 @pytest.mark.parametrize(
     "directive, message",
     [

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import congruence_closure, enumerate_terms
+from oracles import congruence_closure, enumerate_terms, subterm_partition
 from eqsat.egraph import EGraph, LitNode, OpNode
 from eqsat.errors import CapacityExceeded, UnknownId
 from eqsat.saturation import SaturationParams, saturate
@@ -285,6 +285,82 @@ def test_rebuild_matches_oracle_on_random_graphs():
             for i in range(len(universe)):
                 for j in range(len(universe)):
                     assert (rep[i] == rep[j]) == (found[i] == found[j])
+
+
+class _CanonicalFirst(EGraph):
+    """Probes the hashcons with canonical e-nodes only, the reference for
+    `add_enode` and `lookup`, which probe with the node as given first."""
+
+    def add_enode(self, n):
+        return super().add_enode(self.canonicalize(n))
+
+    def lookup(self, n):
+        return super().lookup(self.canonicalize(n))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(term_pools(), st.data())
+def test_memo_probe_with_stale_nodes_matches_canonical_probe(pool, data):
+    draw = data.draw
+    pool = list(pool)
+    graphs = (EGraph(), _CanonicalFirst())
+    # per graph: each term's class and its e-node as first added, whose
+    # children go stale as the classes below them merge
+    ids = [{} for _ in graphs]
+    nodes = [{} for _ in graphs]
+
+    def node_of(k, t):
+        if isinstance(t, Compound):
+            return OpNode(t.op, tuple(ids[k][a] for a in t.args))
+        return LitNode(t.name if isinstance(t, Atom) else t.value)
+
+    def place(t):
+        for k, g in enumerate(graphs):
+            nodes[k][t] = node_of(k, t)
+            ids[k][t] = g.add_enode(nodes[k][t])
+
+    for t in pool:
+        place(t)
+    ops = st.sampled_from(["f", "g", "+"])
+    merges, found = [], []  # found: (graph, term, class) of each probe that hit
+    for _ in range(draw(st.integers(1, 3))):  # rounds that end in a rebuild
+        for _ in range(draw(st.integers(1, 4))):
+            a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+            merges.append((a, b))
+            for k, g in enumerate(graphs):
+                g.merge(ids[k][a], ids[k][b])
+        # new nodes over the classes their arguments had when added
+        for _ in range(draw(st.integers(0, 2))):
+            args = tuple(draw(st.sampled_from(pool)) for _ in range(draw(st.integers(1, 2))))
+            t = Compound(draw(ops), args)
+            if t not in ids[0]:
+                pool.append(t)
+                place(t)
+        probes = pool + [Compound(draw(ops), (draw(st.sampled_from(pool)),))]
+        for t in probes:
+            got = [g.lookup(node_of(k, t)) for k, g in enumerate(graphs)]
+            # a stale key can only add hits to those of the canonical probe
+            assert got[1] is None or got[0] is not None
+            found += [(k, t, cid) for k, cid in enumerate(got) if cid is not None]
+        # the e-nodes made so far again, with the ids they were made of
+        for t in pool:
+            for k, g in enumerate(graphs):
+                found.append((k, t, g.add_enode(nodes[k][t])))
+        for g in graphs:
+            g.rebuild()
+    for g in graphs:
+        assert_rebuilt(g)
+    g, twin = graphs
+    assert subterm_partition(g, pool) == subterm_partition(twin, pool)
+    assert (g.n_enodes, g.n_eclasses) == (twin.n_enodes, twin.n_eclasses)
+    # every class a probe gave, stale or not, holds the term probed for
+    for k, t, cid in found:
+        assert graphs[k].find(cid) == graphs[k].lookup_term(t)
+    rep, universe = congruence_closure(pool, merges)
+    classes = [g.lookup_term(t) for t in universe]
+    for i in range(len(universe)):
+        for j in range(len(universe)):
+            assert (rep[i] == rep[j]) == (classes[i] == classes[j])
 
 
 def test_classes_stay_in_increasing_id_order():

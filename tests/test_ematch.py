@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -316,11 +317,14 @@ def test_nodes_by_op_lists_rows_in_id_and_node_order():
 # -- stamped search ---------------------------------------------------------
 
 # rooted at a variable and at a literal, with literal checks, repeated
-# variables, a literal guard (lifting) and the sign guards
+# variables, a literal guard (lifting) and the sign guards; ending in a bind
+# that yields (a leaf bind) at the root and at depths 1 and 2, one of them
+# after a guard
 _STAMP_PATTERNS = [
     "~v", "1", "a", "~v::number", "~v::notzero", "~v::iszero", "(f ~v)",
     "(f ~v::number)", "(+ ~v ~v)", "(g (f ~v))", "(+ 1 ~v)", "(f 3)",
     "(+ ~v::notzero ~w)", "(f ~v::iszero)", "(g ~v::cansimplifyfraction ~w::int)",
+    "(+ (f ~v) ~w)", "(g (+ ~v (f ~w)))", "(+ ~v::notzero (g ~w))",
 ]
 _SIGNS = st.sampled_from([-1, 0, 1])
 
@@ -540,11 +544,13 @@ def test_run_program_yields_each_match_once():
 # -- one run state per search ----------------------------------------------
 
 # rooted at a variable, a literal and a symbol; lifted literal guards, one of
-# them on a repeated variable; repeated variables; nested operators
+# them on a repeated variable; repeated variables; nested operators; a leaf
+# bind at the root and at depths 1 and 2
 _SHARED_PATTERNS = [
     "~v", "1", "a", "~v::number", "(f ~v)", "(f ~v::number)", "(+ ~v ~v)",
     "(+ ~v::number ~w)", "(+ ~v::int ~v)", "(g (f ~v))", "(+ 1 ~v)",
-    "(g ~v::number (f ~w))", "(f (+ ~v ~w))",
+    "(g ~v::number (f ~w))", "(f (+ ~v ~w))", "(+ (f ~v) ~w)",
+    "(g (+ ~v (f ~w)))",
 ]
 
 
@@ -597,6 +603,54 @@ def test_shared_run_equals_the_runs_of_single_roots(data):
             for i, (cid, ms) in enumerate(zip(g.canonical_ids(), runs)):
                 limit = 1 + i % 3
                 assert run_program(g, prog, cid, limit, s, run) == ms[:limit], src
+
+
+def _last_step(prog):
+    """The name of the closure that ends the program's chain of steps."""
+    f = prog.start
+    while "k" in inspect.signature(f).parameters:
+        f = inspect.signature(f).parameters["k"].default
+    return f.__name__
+
+
+@pytest.mark.parametrize(
+    "src, last",
+    [
+        ("(f ~v)", "bind_yield"),
+        ("(+ (f ~v) ~w)", "bind_yield"),
+        ("(g (+ ~v (f ~w)))", "bind_yield"),
+        ("(+ ~v::number (f ~w))", "bind_yield"),
+        ("~v", "yield_"),
+        ("(f ~v::number)", "yield_"),
+        ("(+ 1 ~v)", "yield_"),
+        ("(+ (f ~v) ~v)", "yield_"),
+    ],
+)
+def test_a_program_that_ends_in_a_bind_yields_from_it(src, last):
+    assert _last_step(compile_pattern(lhs(f"{src} --> 0"))) == last
+
+
+def test_leaf_bind_stops_inside_its_rows():
+    # one class holds three f rows, and a g row names it: the leaf bind of
+    # each pattern reads those three rows in one loop
+    g = EGraph()
+    a, b, c = (g.add_term(Atom(x)) for x in "abc")
+    f0, f1, f2 = (g.add_enode(OpNode("f", (x,))) for x in (a, b, c))
+    g.merge(f0, f1)
+    g.merge(f0, f2)
+    g.add_enode(OpNode("g", (f0,)))
+    g.rebuild()
+    for src in ("(f ~v)", "(g (f ~v))"):
+        prog = compile_pattern(lhs(f"{src} --> 0"))
+        every = ematch_program(g, prog)
+        assert [m.bindings for m in every] == [(a,), (b,), (c,)], src
+        (root,) = {m.class_id for m in every}
+        for limit in (1, 2, 3, 4):
+            assert ematch_program(g, prog, limit) == every[:limit], src
+            assert run_program(g, prog, root, limit) == every[:limit], src
+            # rows as old as the search are counted, not built
+            old = ematch_program(g, prog, limit, since=g.rebuilds)
+            assert old == [None] * min(limit, 3), src
 
 
 def test_absent_operator_runs_no_root(monkeypatch):

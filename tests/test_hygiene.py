@@ -374,5 +374,5 @@ def test_text_layers_do_not_recurse():
 def test_matcher_steps_never_call_find():
     # a search reads a rebuilt graph, whose registers hold canonical ids
     found = functions_naming(package_sources()["machine.py"], "find")
-    makers = ("_bind", "_check_lit", "_compare", "_yield")
+    makers = ("_bind", "_check_lit", "_compare", "_bind_yield", "_yield")
     assert {m: found.get(m) for m in makers} == {m: [] for m in makers}

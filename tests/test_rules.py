@@ -181,10 +181,27 @@ def test_guard_on_a_right_hand_side_that_is_not_searched_is_a_syntax_error(line)
 @pytest.mark.parametrize(
     "line",
     [
+        "(f ~a::number) == (g ~a)",
+        "(f ~a) == (g ~a::number)",
+        "(f ~a::number) == (g ~a::int)",
+        "(f ~a ~a) == (g ~a::int)",  # the left first occurrence is bare
+        "(+ ~a::number ~b) == (+ ~b ~a)",
+    ],
+)
+def test_guard_on_one_side_of_an_equality_is_a_syntax_error(line):
+    # each direction checks the guards of the side it searches: a guard on
+    # one side only would hold one way
+    with pytest.raises(RuleSyntaxError, match="~a is guarded differently"):
+        parse_rule(line, set())
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
         "(/ a::cansimplifyfraction a::cansimplifyfraction) --> 1",  # div_sim's
         "(+ ~a::int ~a) --> ~a",  # a bare later occurrence is compared only
         "(f ~a::number) == (g ~a::number ~a)",
-        "(f ~a ~a) == (g ~a::int)",  # each side has its own first occurrence
+        "(f ~a::int ~a) == (g ~a::int)",  # each side has its own first occurrence
     ],
 )
 def test_checked_guards_parse(line):

@@ -3,6 +3,7 @@ import json
 import random
 import time
 import weakref
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -428,15 +429,48 @@ def test_backoff_banned_rule_contributes_zero_matches():
 # -- compiled right-hand sides ----------------------------------------------
 
 _RHS_VARS = (PatVar("x", 0), PatVar("y", 1), PatVar("z", 2))
-_RHS_LEAVES = _RHS_VARS + (PatLit(0), PatLit(2), PatLit(2.5), PatLit("a"))
+_RHS_LITERALS = (PatLit(0), PatLit(2), PatLit(2.5), PatLit("a"))
 
 
 def _random_rhs(rng, depth):
     if depth == 0 or rng.random() < 0.3:
-        return rng.choice(_RHS_LEAVES)
+        # variables twice as often as literals, so that nodes of variables
+        # alone and repeated variables are common
+        return rng.choice(_RHS_VARS if rng.random() < 2 / 3 else _RHS_LITERALS)
     op = rng.choice(["+", "*", "/", "-", "f", "g"])
     n = 2 if rng.random() < 0.7 else rng.randint(0, 3)
     return PatTerm(op, tuple(_random_rhs(rng, depth - 1) for _ in range(n)))
+
+
+def _builder_kinds(rhs, lifts):
+    """The kinds of right-hand-side node that `rhs` holds: operator nodes of
+    variables alone, of variables and operator nodes, of two or more
+    operator nodes alone and with a literal child; repeated variables, and
+    variables that stand for their literal (`lifts`)."""
+    kinds = set()
+    seen = set()
+    todo = [rhs]
+    while todo:
+        p = todo.pop()
+        if isinstance(p, PatVar):
+            if p.index in seen:
+                kinds.add("repeated")
+            if p.index in lifts:
+                kinds.add("lifted")
+            seen.add(p.index)
+        elif isinstance(p, PatTerm) and p.args:
+            todo += p.args
+            plain = sum(isinstance(a, PatVar) and a.index not in lifts for a in p.args)
+            nodes = sum(isinstance(a, PatTerm) for a in p.args)
+            if any(isinstance(a, PatLit) for a in p.args):
+                kinds.add("literal child")
+            elif plain == len(p.args):
+                kinds.add("variables")
+            elif plain + nodes == len(p.args) and plain:
+                kinds.add("variables and nodes")
+            elif nodes == len(p.args) and nodes > 1:
+                kinds.add("nodes")
+    return kinds
 
 
 def _random_graph(seed):
@@ -481,13 +515,15 @@ def _instantiator(kind, rhs, guards=(None, None, None)):
 def test_compiled_builder_matches_interpreted(kind):
     rng = random.Random(21)
     inconsistent = 0  # builds that read a class holding two distinct literals
+    drawn = Counter()  # the right-hand sides that hold each kind of node
     for trial in range(300):
         want_g, pool = _random_graph(trial)
         got_g, _ = _random_graph(trial)
         rhs = _random_rhs(rng, 3)
-        guards = tuple(rng.choice([None, "number", "int", "real"]) for _ in range(3))
+        guards = tuple(rng.choice([None, None, "number", "int", "real"]) for _ in range(3))
         build = _instantiator(kind, rhs, guards)
         lifts = {i: k for i, k in enumerate(guards) if k}
+        drawn.update(_builder_kinds(rhs, lifts if kind is RuleKind.DYNAMIC else {}))
         for _ in range(3):  # each merge leaves the next one a graph to repair
             m = _random_match(rng, want_g, pool, lifts)
             if kind is RuleKind.DYNAMIC:
@@ -507,6 +543,10 @@ def test_compiled_builder_matches_interpreted(kind):
             want_g.merge(m.class_id, want)
             got_g.merge(m.class_id, got)
     assert kind is RuleKind.REWRITE or inconsistent > 10
+    kinds = ["variables", "variables and nodes", "nodes", "literal child", "repeated"]
+    if kind is RuleKind.DYNAMIC:
+        kinds.append("lifted")
+    assert {k: drawn[k] >= 30 for k in kinds} == dict.fromkeys(kinds, True), drawn
 
 
 def test_compiled_builder_folds_nested_literals():
@@ -802,7 +842,7 @@ def test_search_limits():
         ("(+ a b) == (+ b a)", True),  # commutativity
         ("(+ a (+ b c)) == (+ (+ a b) c)", False),  # associativity
         ("(f a b c) == (f b c a)", False),  # a 3-cycle swaps no two sides
-        ("(+ ~a::number ~b) == (+ ~b ~a)", False),  # predicates differ
+        ("(+ ~a::number ~b) == (+ ~b ~a::number)", False),  # predicates differ
         ("(+ ~a::number ~b::number) == (+ ~b::number ~a::number)", True),
         ("(~h a b) == (~h b a)", False),  # an operator variable
         ("(f a a) == (f a a)", True),
@@ -1079,6 +1119,33 @@ def test_a_search_that_builds_nothing_still_records_since():
     assert [st.since for st in sched.states] == [searched, searched, -1]
 
 
+def test_a_match_already_in_its_class_merges_nothing(monkeypatch):
+    # (* a b) and (* b a) share a class, so each of the two matches of the
+    # commutativity rule finds its right-hand side there
+    g = EGraph()
+    ab = g.add_term(parse_term("(* a b)"))
+    g.merge(ab, g.add_term(parse_term("(* b a)")))
+    g.rebuild()
+    merged = []
+    real = EGraph.merge
+
+    def merge(self, a, b):
+        merged.append((a, b))
+        return real(self, a, b)
+
+    monkeypatch.setattr(EGraph, "merge", merge)
+    compiled = compile_theory(parse_theory("(* ~a ~b) == (* ~b ~a)"))
+    stats = {}
+    changed, stop = eqsat_step(g, compiled, BackoffScheduler([2]), 0, stats)
+    assert (changed, stop) == (False, None)
+    assert (stats[0].matches, stats[0].applied) == (2, 2)
+    assert merged == []
+    # a right-hand side that is not there yet is merged into the class
+    g.add_term(parse_term("(* c d)"))
+    eqsat_step(g, compiled, BackoffScheduler([2]), 1, stats)
+    assert len(merged) == 1 and stats[0].applied == 2 + 3
+
+
 def test_headline_records_since_for_every_unbanned_rule(made):
     g = EGraph()
     g.add_term(parse_term(HEADLINE))
@@ -1142,13 +1209,28 @@ def test_benchmark_tracer_counts_the_headline(monkeypatch):
     import tracing
 
     tracer = tracing.Tracer(time.perf_counter)
+    # the theory is compiled and the graph built before the wrappers go on,
+    # so that a right-hand side that bound a graph method when it was
+    # compiled, and not on each call, adds no e-node the tracer sees
+    compiled = compile_theory(_four_theories())
+    g = EGraph()
+    g.add_term(parse_term(HEADLINE))
     tracer.install()
     try:
-        g = EGraph()
-        g.add_term(parse_term(HEADLINE))
-        report = saturation.saturate(g, _four_theories(), SaturationParams())
+        report = saturation.saturate(g, compiled, SaturationParams())
     finally:
         tracer.uninstall()
     _, counts = tracer.take()
     assert tracing.cross_check(counts, [report]) == []
     assert counts["machine.vm_runs"] > 0
+    # each applied match of a rule whose two sides are operator nodes adds
+    # at least the node at its root
+    builds = sum(
+        st.applied
+        for i, st in report.per_rule.items()
+        if compiled[i].rule.kind is not RuleKind.UNEQUAL
+        and isinstance(compiled[i].rule.lhs, PatTerm)
+        and isinstance(compiled[i].rule.rhs, PatTerm)
+    )
+    assert counts["egraph.add_enode_calls"] >= builds > 0
+    assert counts["egraph.merge_calls"] > 0
