@@ -14,6 +14,7 @@ from enum import Enum
 from typing import Callable, Optional, Union
 
 from . import terms
+from .analysis import class_sign
 from .egraph import LitNode
 from .errors import (
     InconsistentClass,
@@ -188,12 +189,6 @@ def class_literal(g, cid, kind: str = "number"):
     return lits[0] if lits else None
 
 
-def _sign_of(g, cid):
-    from .analysis import class_sign
-
-    return class_sign(g, cid)
-
-
 def _builtin_predicates() -> dict[str, Predicate]:
     def lit_kind_pred(kind):
         def classical(t, params):
@@ -218,14 +213,14 @@ def _builtin_predicates() -> dict[str, Predicate]:
         return v is not None and v == 0
 
     def iszero_egraph(g, cid, params):
-        return _sign_of(g, cid) == 0
+        return class_sign(g, cid) == 0
 
     def notzero_classical(t, params):
         v = _lit_value(t)
         return v is not None and not math.isnan(v) and v != 0
 
     def notzero_egraph(g, cid, params):
-        s = _sign_of(g, cid)
+        s = class_sign(g, cid)
         return s is not None and not math.isnan(s) and s != 0
 
     def csf_classical(t, params):
@@ -235,7 +230,7 @@ def _builtin_predicates() -> dict[str, Predicate]:
         )
 
     def csf_egraph(g, cid, params):
-        s = _sign_of(g, cid)
+        s = class_sign(g, cid)
         return s is not None and s in (1, -1)
 
     preds = [lit_kind_pred(kind) for kind in ("number", "int", "real")] + [

@@ -210,7 +210,7 @@ class BackoffScheduler:
 # -- compiled search plan ---------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)  # hashed by identity, in C, as a match's key
+@dataclass(frozen=True, eq=False)  # by identity: a closure has no useful equality
 class _Direction:
     program: EMatchProgram
     # adds the right-hand side under a match and returns its class; for an
@@ -242,6 +242,7 @@ def compile_theory(theory: Theory) -> CompiledTheory:
     compiled = []
     for rule in theory.rules:
         dirs = []
+        n_vars = len(rule.patvar_names)
         pairs = [(rule.lhs, rule.rhs)]
         mirror = rule.kind is RuleKind.EQUALITY and mirrored(rule.lhs, rule.rhs)
         if rule.kind is RuleKind.EQUALITY and not mirror:
@@ -250,11 +251,11 @@ def compile_theory(theory: Theory) -> CompiledTheory:
             for lhs, rhs in pairs:
                 program = compile_pattern(lhs)
                 if rule.kind is RuleKind.UNEQUAL:
-                    instantiate = _compile_lookup(rhs)
+                    instantiate = _compile_lookup(rhs, n_vars)
                 elif rule.kind is RuleKind.DYNAMIC:
-                    instantiate = _compile_builder(rhs, program.lifts)
+                    instantiate = _compile_builder(rhs, n_vars, program.lifts)
                 else:
-                    instantiate = _compile_builder(rhs)
+                    instantiate = _compile_builder(rhs, n_vars)
                 dirs.append(_Direction(program, instantiate))
         except SegmentUnsupported as exc:
             warnings.warn(f"rule {rule.name!r} skipped in e-graph mode: {exc}")
@@ -295,99 +296,129 @@ def mirrored(lhs: Pattern, rhs: Pattern) -> bool:
 
 # -- instantiation into the graph ------------------------------------------
 #
-# A right-hand side compiles once into closures over (graph, match). A match
-# is a tuple and `m[1]` its bindings, read by index (in C, where
-# `m.bindings` would be a descriptor call). Bound variables map directly to
-# their e-class ids; no term is reconstructed from the graph.
+# A right-hand side compiles once, walked on a stack, into a flat plan, as
+# egg instantiates a pattern from its post-order node list. The plan has one
+# step per operator node, in post-order with children left to right, and in
+# a `=>` rule one step per lifted variable, at its place in the walk. A run
+# fills one sequence of values: the match's bindings (`m[1]`, the class of
+# variable i at i, read by index in C), then one value per step. A step
+# names each child by its position in that sequence, or holds a literal
+# child as a 1-tuple. Bound variables map directly to their e-class ids; no
+# term is reconstructed from the graph, and nothing recurses, so a
+# right-hand side of any depth runs.
 #
-# An operator node whose children all give class ids takes a lean form that
-# returns a class id (an int) and tests no child's result:
-# - when its children are all variables, it picks them from the bindings
-#   with one `itemgetter`;
-# - otherwise it calls each operator child, left to right, and picks its
-#   children from the bindings followed by those ids.
-# A variable costs no call of its own. A right-hand side rooted at a variable
-# or at a lean node is the direction's `instantiate` itself.
+# A plan is lean when every value is a class id: no literal, no lifted
+# variable, so nothing folds. Each step of a lean plan picks its children
+# with one `itemgetter`; a plan of one or two nodes runs as straight-line
+# code, a longer one in a loop.
 #
-# A literal child, a lifted variable or a child that may fold puts its parent
-# in the general form. In a `=>` rule, a variable whose guard lifts a literal
-# kind (`EMatchProgram.lifts`) stands for its class's literal of that kind,
-# read when the rule builds: a class only gains nodes, so that is the literal
-# the guard saw, unless the class has gained a second one since, which raises
-# InconsistentClass. A closure of the general form returns a class id, or a
-# literal not yet added to the graph as a 1-tuple: a literal child is added
-# after all of its siblings, and a literal folded into its parent never is.
+# Every other plan runs in `_run`, where a value is a class id or a literal
+# not yet added to the graph, as a 1-tuple. A literal child is added after
+# all of its siblings, and in a `=>` rule a builtin over two numeric
+# literals folds into one, which is never added. A lifted variable stands
+# for its class's literal of the kind its guard lifts
+# (`EMatchProgram.lifts`), read at its step: a class only gains nodes, so
+# that is the literal the guard saw, unless the class has gained a second
+# one since, which raises InconsistentClass. A `!=` rule's plan runs there
+# too, looking each node up instead of adding it.
 #
 # The graph's methods are looked up on each call, so wrappers put on them
 # later see every call. As in the matcher (see `machine.py`), closures get
 # what they need as default arguments, which spares the cycle collector.
 
 
-def _operator(p: Pattern) -> str:
-    if not isinstance(p, PatTerm) or not isinstance(p.op, str):
-        raise SegmentUnsupported(
-            "segment and operation-position variables cannot be instantiated"
-            " in an e-graph"
-        )
-    return p.op
+def _plan(pat: Pattern, n_vars: int, lifts: Optional[dict[int, str]]):
+    """The steps of `pat`'s plan, and its root: the position of its value,
+    or a literal as a 1-tuple. A step is (operator, children, whether a
+    builtin over two literals folds), or (None, variable, kind) for a
+    lifted variable. `lifts` is a `=>` rule's; with None nothing folds."""
+    steps: list[tuple] = []
+    vals: list = []  # the children walked whose parent has no step yet
+    # a stack of subpatterns; a node's (op, arity) sits below its arguments
+    todo: list = [pat]
+    while todo:
+        p = todo.pop()
+        if type(p) is tuple:
+            op, k = p
+            kids = tuple(vals[len(vals) - k :])
+            del vals[len(vals) - k :]
+            # a builtin folds when both arguments turn out numeric literals,
+            # which a symbol never is
+            symbol = any(type(c) is tuple and type(c[0]) is str for c in kids)
+            fold = lifts is not None and k == 2 and op in BUILTIN_OPS and not symbol
+            vals.append(n_vars + len(steps))
+            steps.append((op, kids, fold))
+        elif isinstance(p, PatLit):
+            vals.append((p.value,))
+        elif isinstance(p, PatVar) and p.index not in (lifts or ()):
+            vals.append(p.index)
+        elif isinstance(p, PatVar):
+            vals.append(n_vars + len(steps))
+            steps.append((None, p.index, lifts[p.index]))
+        elif isinstance(p, PatTerm) and isinstance(p.op, str):
+            todo.append((p.op, len(p.args)))
+            todo += reversed(p.args)
+        else:
+            raise SegmentUnsupported(
+                "segment and operation-position variables cannot be instantiated"
+                " in an e-graph"
+            )
+    (root,) = vals
+    return steps, root
 
 
 def _compile_builder(
-    pat: Pattern, lifts: Optional[dict[int, str]] = None
+    pat: Pattern, n_vars: int, lifts: Optional[dict[int, str]] = None
 ) -> Callable[[EGraph, EMatch], int]:
-    """Adds the instantiation of `pat` under a match and returns its class.
-    With `lifts`, those of a `=>` rule's left-hand side, a lifted variable
-    stands for its literal, and a builtin over two numeric literals folds
-    into one."""
-    f, gives_id = _build_node(pat, lifts)
-    if gives_id:
-        return f
+    """Adds the instantiation of `pat` under a match of `n_vars` bindings
+    and returns its class. With `lifts`, those of a `=>` rule's left-hand
+    side, a lifted variable stands for its literal, and a builtin over two
+    numeric literals folds into one."""
+    steps, root = _plan(pat, n_vars, lifts)
+    if not steps and type(root) is int:  # a variable
+        return lambda g, m, i=root: m[1][i]
+    if type(root) is tuple or any(
+        op is None or tuple in map(type, kids) for op, kids, _ in steps
+    ):  # a literal, as the root or a child, or a lifted variable
+        return lambda g, m, steps=steps, root=root: _run(g, m, steps, root, g.add_enode)
+    lean = [(op, _picker(kids)) for op, kids, _ in steps]
+    if len(lean) == 1:
+        ((op, pick),) = lean
+        return lambda g, m, op=op, pick=pick, new=tuple.__new__: g.add_enode(
+            new(OpNode, (op, pick(m[1])))
+        )
+    if len(lean) == 2:  # as in `(+ ~a (+ ~b ~c))`
+        (op0, pick0), (op1, pick1) = lean
 
-    def instantiate(g: EGraph, m: EMatch, f=f) -> int:
-        r = f(g, m)
-        return r if type(r) is int else g.add_enode(LitNode(r[0]))
+        def two_nodes(g, m, op0=op0, pick0=pick0, op1=op1, pick1=pick1,
+                      new=tuple.__new__):
+            b = m[1]
+            cid = g.add_enode(new(OpNode, (op0, pick0(b))))
+            return g.add_enode(new(OpNode, (op1, pick1(b + (cid,)))))
 
-    return instantiate
+        return two_nodes
 
+    def nodes(g, m, lean=lean, new=tuple.__new__):
+        vals = m[1]
+        for op, pick in lean:
+            vals += (g.add_enode(new(OpNode, (op, pick(vals)))),)
+        return vals[-1]
 
-def _build_node(p: Pattern, lifts: Optional[dict[int, str]]):
-    """The closure of (graph, match) that adds `p`, and whether it always
-    returns a class id; otherwise it may return a literal as a 1-tuple."""
-    if isinstance(p, PatVar):
-        if lifts is not None and p.index in lifts:
-            return _literal(p.index, lifts[p.index]), False
-        return _variable(p.index), True
-    if isinstance(p, PatLit):
-        return _constant(p.value), False
-    op = _operator(p)
-    # a variable read as its class is its index, any other child is built
-    kids = [
-        a.index
-        if isinstance(a, PatVar) and (lifts is None or a.index not in lifts)
-        else _build_node(a, lifts)
-        for a in p.args
-    ]
-    built = [k for k in kids if type(k) is tuple]
-    if not built:
-        return _node_of_vars(op, _picker(kids)), True
-    if all(gives_id for _, gives_id in built):
-        # the built ids follow the bindings, so the j-th of n is at j - n
-        j = iter(range(-len(built), 0))
-        pick = _picker([k if type(k) is int else next(j) for k in kids])
-        fs = [f for f, _ in built]
-        return _node_of_ids(op, fs, pick), True
-    fs = [_variable(k) if type(k) is int else k[0] for k in kids]
-    if len(fs) != 2:
-        return _node(op, fs), True
-    # a builtin folds when both arguments turn out numeric literals, which a
-    # symbol never is
-    symbol = any(isinstance(a, PatLit) and isinstance(a.value, str) for a in p.args)
-    can_fold = lifts is not None and op in BUILTIN_OPS and not symbol
-    gives_id = not can_fold or any(type(k) is int or k[1] for k in kids)
-    return _node2(op, fs, can_fold), gives_id
+    return nodes
 
 
-def _picker(positions: list[int]) -> Callable[[tuple], tuple]:
+def _compile_lookup(
+    pat: Pattern, n_vars: int
+) -> Callable[[EGraph, EMatch], Optional[int]]:
+    """Resolves the instantiation of `pat` under a match of `n_vars`
+    bindings by lookup only (no graph growth): its class, or None."""
+    steps, root = _plan(pat, n_vars, None)
+    if not steps and type(root) is int:  # a variable
+        return lambda g, m, i=root: g.find(m[1][i])
+    return lambda g, m, steps=steps, root=root: _run(g, m, steps, root, g.lookup)
+
+
+def _picker(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
     """The tuple of the items at `positions` of a tuple, read in C; an
     `itemgetter` of one index would give a bare item, so one position is a
     slice."""
@@ -397,92 +428,26 @@ def _picker(positions: list[int]) -> Callable[[tuple], tuple]:
     return itemgetter(*positions) if positions else itemgetter(slice(0, 0))
 
 
-# The closure makers. Each closure takes (graph, match); those of a variable
-# read as its class and of the lean forms return a class id.
-
-
-def _variable(idx: int):
-    return lambda g, m, idx=idx: m[1][idx]
-
-
-def _literal(idx: int, kind: str):
-    return lambda g, m, idx=idx, kind=kind: (class_literal(g, m[1][idx], kind),)
-
-
-def _constant(value):
-    return lambda g, m, lit=(value,): lit
-
-
-def _node_of_vars(op: str, pick):
-    def node_of_vars(g, m, op=op, pick=pick, new=tuple.__new__):
-        return g.add_enode(new(OpNode, (op, pick(m[1]))))
-
-    return node_of_vars
-
-
-def _node_of_ids(op: str, fs: list, pick):
-    if len(fs) == 1:  # as in `(+ ~a (+ ~b ~c))`, with no list to make
-        (f,) = fs
-
-        def node_of_id(g, m, op=op, f=f, pick=pick, new=tuple.__new__):
-            return g.add_enode(new(OpNode, (op, pick(m[1] + (f(g, m),)))))
-
-        return node_of_id
-
-    def node_of_ids(g, m, op=op, fs=fs, pick=pick, new=tuple.__new__):
-        ids = m[1] + tuple([f(g, m) for f in fs])
-        return g.add_enode(new(OpNode, (op, pick(ids))))
-
-    return node_of_ids
-
-
-def _node2(op: str, fs: list, can_fold: bool):
-    f0, f1 = fs
-
-    def node2(g, m, f0=f0, f1=f1, can_fold=can_fold, op=op, new=tuple.__new__):
-        x = f0(g, m)
-        y = f1(g, m)
-        if type(x) is not int:
-            if can_fold and type(y) is not int:
-                return (eval_builtin(op, (x[0], y[0])),)
-            x = g.add_enode(LitNode(x[0]))
-        if type(y) is not int:
-            y = g.add_enode(LitNode(y[0]))
-        return g.add_enode(new(OpNode, (op, (x, y))))
-
-    return node2
-
-
-def _node(op: str, fs: list):
-    def node(g, m, fs=fs, op=op, new=tuple.__new__):
-        vals = [f(g, m) for f in fs]
-        children = tuple(
-            [v if type(v) is int else g.add_enode(LitNode(v[0])) for v in vals]
-        )
-        return g.add_enode(new(OpNode, (op, children)))
-
-    return node
-
-
-def _compile_lookup(p: Pattern) -> Callable[[EGraph, EMatch], Optional[int]]:
-    """Resolves the instantiation of `p` by lookup only (no graph growth)."""
-    if isinstance(p, PatVar):
-        return lambda g, m, idx=p.index: g.find(m[1][idx])
-    if isinstance(p, PatLit):
-        return lambda g, m, node=LitNode(p.value): g.lookup(node)
-    op = _operator(p)
-    fs = [_compile_lookup(a) for a in p.args]
-
-    def lookup(g, m, fs=fs, op=op):
-        children = []
-        for f in fs:
-            cid = f(g, m)
-            if cid is None:
-                return None
-            children.append(cid)
-        return g.lookup(OpNode(op, tuple(children)))
-
-    return lookup
+def _run(g: EGraph, m: EMatch, steps: list[tuple], root, place) -> Optional[int]:
+    """Runs a plan that is not lean under `m`, with `place` adding an e-node
+    (`g.add_enode`) or looking it up (`g.lookup`): the class of the root, or
+    None once `place` finds no node."""
+    vals = list(m[1])
+    for op, kids, fold in steps:
+        if op is None:  # a lifted variable; `kids` is its index, `fold` its kind
+            vals.append((class_literal(g, vals[kids], fold),))
+            continue
+        xs = [k if type(k) is tuple else vals[k] for k in kids]
+        if fold and type(xs[0]) is tuple and type(xs[1]) is tuple:
+            vals.append((eval_builtin(op, (xs[0][0], xs[1][0])),))
+            continue
+        xs = [x if type(x) is int else place(LitNode(x[0])) for x in xs]
+        cid = None if None in xs else place(tuple.__new__(OpNode, (op, tuple(xs))))
+        if cid is None:
+            return None
+        vals.append(cid)
+    r = root if type(root) is tuple else vals[root]
+    return r if type(r) is int else place(LitNode(r[0]))
 
 
 # -- the driver -------------------------------------------------------------

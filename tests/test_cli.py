@@ -377,6 +377,42 @@ def test_too_deep_theory_is_a_clean_error(tmp_path, capsys, command):
     assert err == "error: expression nested too deeply\n"
 
 
+def _deep(head, leaf, depth=3000):
+    return f"({head} " * depth + leaf + ")" * depth
+
+
+@pytest.mark.parametrize(
+    "rule, argv, code, want",
+    [
+        ("(f ~x) --> " + _deep("g", "~x"), ["simplify", "--expr", "(f a)"], 0,
+         "(f a)"),
+        ("@vars x\n(f x) => " + _deep("+ 1", "2"), ["simplify", "--expr", "(f a)"],
+         0, "3002"),
+        ("(q ~x) != " + _deep("g", "~x"),
+         ["prove", "--expr", "(q a)", "--expr", "b"], 3, "unknown"),
+    ],
+    ids=["rewrite", "dynamic-fold", "unequal"],
+)
+def test_deep_right_hand_side_runs(tmp_path, capsys, rule, argv, code, want):
+    # a right-hand side compiles to a flat plan, so only a searched side is
+    # bounded by the recursion limit
+    th = tmp_path / "deep.theory"
+    th.write_text(rule + "\n")
+    command, *rest = argv
+    got_code, out, err = run(capsys, command, "--theory", str(th), *rest)
+    assert (got_code, out.strip(), err) == (code, want, "")
+
+
+def test_deep_equality_rule_is_a_clean_error(tmp_path, capsys):
+    # each side of an `==` rule is searched, and compiling a matcher recurses
+    th = tmp_path / "deep.theory"
+    th.write_text("(f ~x) == " + _deep("g", "~x") + "\n")
+    code, out, err = run(capsys, "simplify", "--theory", str(th), "--expr", "(f a)")
+    assert code == 1
+    assert out == ""
+    assert err == "error: expression nested too deeply\n"
+
+
 # -- optimize-stream --------------------------------------------------------
 
 

@@ -371,6 +371,12 @@ def test_text_layers_do_not_recurse():
     assert found == {"terms.py": [], "rules.py": []}
 
 
+def test_rule_compiler_does_not_recurse():
+    # a right-hand side compiles to a flat plan and runs in a loop, so it
+    # may be of any depth
+    assert self_calling_functions(package_sources()["saturation.py"]) == []
+
+
 def test_matcher_steps_never_call_find():
     # a search reads a rebuilt graph, whose registers hold canonical ids
     found = functions_naming(package_sources()["machine.py"], "find")

@@ -19,7 +19,7 @@ from oracles import (
 )
 from eqsat import machine, saturation, theories
 from eqsat.analysis import astsize, extract
-from eqsat.egraph import EGraph, OpNode
+from eqsat.egraph import EGraph, LitNode, OpNode
 from eqsat.errors import InconsistentClass
 from eqsat.machine import EMatch, EMatchProgram, ematch_program
 from eqsat.rules import (
@@ -45,7 +45,7 @@ from eqsat.saturation import (
     prove_equal,
     saturate,
 )
-from eqsat.terms import Lit, parse_term, print_term
+from eqsat.terms import BUILTIN_OPS, Lit, parse_term, print_term
 from eqsat.theories import load_bundled, stream_optimize
 
 
@@ -432,44 +432,79 @@ _RHS_VARS = (PatVar("x", 0), PatVar("y", 1), PatVar("z", 2))
 _RHS_LITERALS = (PatLit(0), PatLit(2), PatLit(2.5), PatLit("a"))
 
 
-def _random_rhs(rng, depth):
+def _random_rhs(rng, depth, literals=_RHS_LITERALS):
     if depth == 0 or rng.random() < 0.3:
         # variables twice as often as literals, so that nodes of variables
         # alone and repeated variables are common
-        return rng.choice(_RHS_VARS if rng.random() < 2 / 3 else _RHS_LITERALS)
+        return rng.choice(_RHS_VARS if rng.random() < 2 / 3 else literals)
     op = rng.choice(["+", "*", "/", "-", "f", "g"])
     n = 2 if rng.random() < 0.7 else rng.randint(0, 3)
-    return PatTerm(op, tuple(_random_rhs(rng, depth - 1) for _ in range(n)))
+    return PatTerm(op, tuple(_random_rhs(rng, depth - 1, literals) for _ in range(n)))
 
 
 def _builder_kinds(rhs, lifts):
     """The kinds of right-hand-side node that `rhs` holds: operator nodes of
     variables alone, of variables and operator nodes, of two or more
-    operator nodes alone and with a literal child; repeated variables, and
-    variables that stand for their literal (`lifts`)."""
+    operator nodes alone and with a literal child; repeated variables,
+    variables that stand for their literal, and builtins that fold (`lifts`,
+    a `=>` rule's; None for another rule). Also the form of its plan: a
+    variable or a literal root; a lean plan, all of whose values are class
+    ids, of one, two, or three or more nodes; or a plan that is not lean
+    with a lean subtree."""
+    lifted = lifts or {}
+
+    def class_var(p):
+        return isinstance(p, PatVar) and p.index not in lifted
+
+    def lean(p):
+        return class_var(p) or isinstance(p, PatTerm) and all(map(lean, p.args))
+
+    def literal(p):  # a number, a lifted variable or a fold gives a literal
+        if isinstance(p, PatTerm):
+            return (
+                lifts is not None and p.op in BUILTIN_OPS and len(p.args) == 2
+                and all(map(literal, p.args))
+            )
+        return p.index in lifted if isinstance(p, PatVar) else type(p.value) is not str
+
     kinds = set()
     seen = set()
+    nodes = []  # the operator nodes of `rhs`
     todo = [rhs]
     while todo:
         p = todo.pop()
         if isinstance(p, PatVar):
             if p.index in seen:
                 kinds.add("repeated")
-            if p.index in lifts:
+            if p.index in lifted:
                 kinds.add("lifted")
             seen.add(p.index)
-        elif isinstance(p, PatTerm) and p.args:
+        elif isinstance(p, PatTerm):
+            nodes.append(p)
             todo += p.args
-            plain = sum(isinstance(a, PatVar) and a.index not in lifts for a in p.args)
-            nodes = sum(isinstance(a, PatTerm) for a in p.args)
+            if literal(p):
+                kinds.add("fold")
+            if not p.args:
+                continue
+            plain = sum(map(class_var, p.args))
+            n_nodes = sum(isinstance(a, PatTerm) for a in p.args)
             if any(isinstance(a, PatLit) for a in p.args):
                 kinds.add("literal child")
             elif plain == len(p.args):
                 kinds.add("variables")
-            elif plain + nodes == len(p.args) and plain:
+            elif plain + n_nodes == len(p.args) and plain:
                 kinds.add("variables and nodes")
-            elif nodes == len(p.args) and nodes > 1:
+            elif n_nodes == len(p.args) and n_nodes > 1:
                 kinds.add("nodes")
+    if class_var(rhs):
+        kinds.add("variable root")
+    elif isinstance(rhs, PatLit):
+        kinds.add("constant root")
+    elif lean(rhs):
+        sizes = {1: "one lean node", 2: "two lean nodes"}
+        kinds.add(sizes.get(len(nodes), "three or more lean nodes"))
+    elif any(map(lean, nodes)):
+        kinds.add("lean subtree")
     return kinds
 
 
@@ -516,14 +551,25 @@ def test_compiled_builder_matches_interpreted(kind):
     rng = random.Random(21)
     inconsistent = 0  # builds that read a class holding two distinct literals
     drawn = Counter()  # the right-hand sides that hold each kind of node
-    for trial in range(300):
+    for trial in range(600):
         want_g, pool = _random_graph(trial)
         got_g, _ = _random_graph(trial)
-        rhs = _random_rhs(rng, 3)
+        # so that each form of plan is drawn, every other right-hand side has
+        # variables alone, none of them lifted, 1 to 3 deep, and one in ten
+        # is a literal
+        lean = trial % 2 == 0
+        if lean:
+            rhs = _random_rhs(rng, (1, 2, 2, 3)[trial // 2 % 4], _RHS_VARS)
+        elif trial % 10 == 1:
+            rhs = rng.choice(_RHS_LITERALS)
+        else:
+            rhs = _random_rhs(rng, 3)
         guards = tuple(rng.choice([None, None, "number", "int", "real"]) for _ in range(3))
+        if lean:
+            guards = (None, None, None)
         build = _instantiator(kind, rhs, guards)
         lifts = {i: k for i, k in enumerate(guards) if k}
-        drawn.update(_builder_kinds(rhs, lifts if kind is RuleKind.DYNAMIC else {}))
+        drawn.update(_builder_kinds(rhs, lifts if kind is RuleKind.DYNAMIC else None))
         for _ in range(3):  # each merge leaves the next one a graph to repair
             m = _random_match(rng, want_g, pool, lifts)
             if kind is RuleKind.DYNAMIC:
@@ -544,8 +590,10 @@ def test_compiled_builder_matches_interpreted(kind):
             got_g.merge(m.class_id, got)
     assert kind is RuleKind.REWRITE or inconsistent > 10
     kinds = ["variables", "variables and nodes", "nodes", "literal child", "repeated"]
+    kinds += ["variable root", "constant root", "one lean node", "two lean nodes"]
+    kinds += ["three or more lean nodes", "lean subtree"]
     if kind is RuleKind.DYNAMIC:
-        kinds.append("lifted")
+        kinds += ["lifted", "fold"]
     assert {k: drawn[k] >= 30 for k in kinds} == dict.fromkeys(kinds, True), drawn
 
 
@@ -578,9 +626,23 @@ def test_dynamic_rule_reads_its_literal_when_it_builds():
 def test_compiled_lookup_matches_interpreted():
     rng = random.Random(22)
     found = 0
+    drawn = Counter()
+    # no graph holds 7 or c, so a literal child may be absent
+    literals = _RHS_LITERALS + (PatLit(7), PatLit("c"))
     for trial in range(300):
         g, pool = _random_graph(trial)
-        rhs = _random_rhs(rng, 2)
+        # one right-hand side in ten is a literal
+        rhs = rng.choice(literals) if trial % 10 == 1 else _random_rhs(rng, 2, literals)
+        drawn["constant root"] += isinstance(rhs, PatLit)
+        todo = [rhs]
+        while todo:
+            p = todo.pop()
+            if isinstance(p, PatTerm):
+                todo += p.args
+                lits = [a for a in p.args if isinstance(a, PatLit)]
+                if any(g.lookup(LitNode(a.value)) is None for a in lits):
+                    drawn["absent literal child"] += 1
+                    break
         lookup = _instantiator(RuleKind.UNEQUAL, rhs)
         before = g.dump()
         for _ in range(3):
@@ -590,6 +652,7 @@ def test_compiled_lookup_matches_interpreted():
             found += want is not None
         assert g.dump() == before
     assert found > 50  # the comparison covers lookups that succeed
+    assert min(drawn["constant root"], drawn["absent literal child"]) >= 30, drawn
 
 
 def test_rhs_operator_variable_skips_rule():
