@@ -21,7 +21,7 @@ from .rules import (
     RuleKind,
     resolve_predicate,
 )
-from .terms import Atom, Compound, Lit, Term, eval_builtin, UnknownBuiltin
+from .terms import BUILTIN_OPS, Atom, Compound, Lit, Term, eval_builtin
 
 Substitution = dict[int, Union[Term, tuple[Term, ...]]]
 Rewriter = Callable[[Term], Optional[Term]]
@@ -149,55 +149,53 @@ def _segment_matcher(p: PatSegment):
 # Instantiation and rule application
 
 
-def instantiate(rhs: Pattern, s: Substitution) -> Term:
-    if isinstance(rhs, PatVar):
-        if rhs.index not in s:
-            raise ContractViolation(f"unbound variable ~{rhs.name}")
-        v = s[rhs.index]
-        if isinstance(v, tuple):
-            raise ContractViolation(f"segment ~~{rhs.name} used as a single term")
-        return v
-    if isinstance(rhs, PatLit):
-        return Atom(rhs.value) if isinstance(rhs.value, str) else Lit(rhs.value)
+def instantiate(rhs: Pattern, s: Substitution, fold: bool = False) -> Term:
+    """The term `rhs` stands for under `s`, built without recursing. With
+    `fold` (a `=>` rule), a builtin node whose operator the rule writes, and
+    whose two arguments are built as numeric literals, becomes the literal
+    it evaluates to."""
     if isinstance(rhs, PatSegment):
         raise ContractViolation("segment outside argument position")
-    op = rhs.op
-    if isinstance(op, PatVar):
-        bound = s.get(op.index)
-        if not isinstance(bound, Atom):
-            raise ContractViolation(f"operation variable ~{op.name} not bound to a symbol")
-        op = bound.name
-    args: list[Term] = []
-    for a in rhs.args:
-        if isinstance(a, PatSegment):
-            chunk = s.get(a.index)
-            if not isinstance(chunk, tuple):
-                raise ContractViolation(f"unbound segment ~~{a.name}")
-            args.extend(chunk)
-        else:
-            args.append(instantiate(a, s))
-    return Compound(op, tuple(args))
-
-
-def eval_dynamic(rhs: Pattern, s: Substitution) -> Term:
-    """Instantiate a dynamic RHS, folding builtin nodes over literal children."""
-    if isinstance(rhs, PatTerm) and isinstance(rhs.op, str):
-        args: list[Term] = []
-        for a in rhs.args:
-            if isinstance(a, PatSegment):
-                chunk = s.get(a.index)
-                if not isinstance(chunk, tuple):
-                    raise ContractViolation(f"unbound segment ~~{a.name}")
-                args.extend(chunk)
+    built: list[Term] = []  # the terms built whose parent is not yet
+    # a stack of subpatterns; a node's (operator, whether it folds, where its
+    # arguments start in `built`) sits below its arguments
+    todo: list = [rhs]
+    while todo:
+        p = todo.pop()
+        if type(p) is tuple:
+            op, folds, start = p
+            args = tuple(built[start:])
+            del built[start:]
+            if folds and len(args) == 2 and all(isinstance(a, Lit) for a in args):
+                built.append(Lit(eval_builtin(op, [a.value for a in args])))
             else:
-                args.append(eval_dynamic(a, s))
-        if len(args) == 2 and all(isinstance(a, Lit) for a in args):
-            try:
-                return Lit(eval_builtin(rhs.op, [a.value for a in args]))
-            except UnknownBuiltin:
-                pass
-        return Compound(rhs.op, tuple(args))
-    return instantiate(rhs, s)
+                built.append(Compound(op, args))
+        elif isinstance(p, PatTerm):
+            op = p.op  # a variable is not a builtin, so its node never folds
+            folds = fold and op in BUILTIN_OPS
+            if isinstance(op, PatVar):
+                op = s.get(op.index)
+                if not isinstance(op, Atom):
+                    raise ContractViolation(
+                        f"operation variable ~{p.op.name} not bound to a symbol"
+                    )
+                op = op.name
+            todo.append((op, folds, len(built)))
+            todo += reversed(p.args)
+        elif isinstance(p, PatLit):
+            built.append(Atom(p.value) if isinstance(p.value, str) else Lit(p.value))
+        elif isinstance(p, PatSegment):
+            chunk = s.get(p.index)
+            if not isinstance(chunk, tuple):
+                raise ContractViolation(f"unbound segment ~~{p.name}")
+            built += chunk
+        elif p.index not in s:
+            raise ContractViolation(f"unbound variable ~{p.name}")
+        elif isinstance(s[p.index], tuple):
+            raise ContractViolation(f"segment ~~{p.name} used as a single term")
+        else:
+            built.append(s[p.index])
+    return built[0]
 
 
 def apply_rule(rule: Rule, t: Term) -> Optional[Term]:
@@ -216,12 +214,11 @@ def rule_rewriter(rule: Rule) -> Rewriter:
             f"{rule.kind.value} rules are not supported by the classical backend"
         )
     match = compile_matcher(rule.lhs)
-    build = eval_dynamic if rule.kind is RuleKind.DYNAMIC else instantiate
-    rhs = rule.rhs
+    rhs, fold = rule.rhs, rule.kind is RuleKind.DYNAMIC
 
     def rewrite(t: Term) -> Optional[Term]:
         sub = match(t)
-        return None if sub is None else build(rhs, sub)
+        return None if sub is None else instantiate(rhs, sub, fold)
 
     return rewrite
 

@@ -104,9 +104,9 @@ def compile_pattern(p: Pattern) -> EMatchProgram:
     lifts: dict[int, str] = {}
     ops: set[tuple[str, int]] = set()
     next_reg = 1
-
-    def emit(pat: Pattern, reg: int):
-        nonlocal next_reg
+    todo = [(p, 0)]  # the subpatterns still to walk, the next on top, and their registers
+    while todo:
+        pat, reg = todo.pop()
         if isinstance(pat, PatSegment):
             raise SegmentUnsupported(
                 "segment variables are not supported by the e-graph matcher"
@@ -114,17 +114,17 @@ def compile_pattern(p: Pattern) -> EMatchProgram:
         if isinstance(pat, PatVar):
             if pat.index in var_regs:
                 steps.append(partial(_compare, var_regs[pat.index], reg))
-                return
+                continue
             var_regs[pat.index] = reg
             if pat.predicate is not None:
                 pred = resolve_predicate(pat.predicate)
                 if pred.lift is not None:
                     lifts[pat.index] = pred.lift
                 steps.append(partial(_check_predicate, reg, pred, pat.predicate.params))
-            return
+            continue
         if isinstance(pat, PatLit):
             steps.append(partial(_check_lit, reg, pat.value))
-            return
+            continue
         if isinstance(pat.op, PatVar):
             raise SegmentUnsupported(
                 "operation-position variables are not supported by the e-graph matcher"
@@ -133,11 +133,7 @@ def compile_pattern(p: Pattern) -> EMatchProgram:
         next_reg += len(pat.args)
         ops.add((pat.op, len(pat.args)))
         steps.append(partial(_bind, reg, pat.op, len(pat.args), base))
-        for k, a in enumerate(pat.args):
-            emit(a, base + k)
-
-    emit(p, 0)
-    del emit  # the closure refers to itself; clearing it spares the cycle collector
+        todo += zip(reversed(pat.args), range(next_reg - 1, base - 1, -1))
     n_vars = len(var_regs)
     assert sorted(var_regs) == list(range(n_vars))
     var_regs = tuple(var_regs[i] for i in range(n_vars))

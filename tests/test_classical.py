@@ -18,8 +18,8 @@ from eqsat.classical import (
     parse_strategy,
     rule_rewriter,
 )
-from eqsat.errors import UnsupportedRuleKind
-from eqsat.rules import parse_rule, parse_theory
+from eqsat.errors import ContractViolation, UnsupportedRuleKind
+from eqsat.rules import PatSegment, parse_rule, parse_theory
 from eqsat.terms import Atom, Compound, Lit, parse_term, print_term
 
 FOLDER = parse_theory(
@@ -102,6 +102,46 @@ def test_instantiate_bare_variable():
 def test_instantiate_empty_splice():
     rule = parse_rule("(g ~~s) --> (f ~~s)", set())
     assert instantiate(rule.rhs, {0: ()}) == Compound("f", ())
+
+
+@pytest.mark.parametrize("fold", [False, True])
+@pytest.mark.parametrize(
+    "line, s, message",
+    [
+        ("(f ~x) --> (g ~x)", {}, "unbound variable ~x"),
+        ("(f ~x) --> (g ~x)", {0: (Atom("a"),)}, "segment ~~x used as a single term"),
+        ("(~h ~x) --> (~h 1)", {0: Lit(3)}, "operation variable ~h not bound to a symbol"),
+        ("(f ~~s) --> (g ~~s)", {}, "unbound segment ~~s"),
+        ("(f ~~s) --> (g ~~s)", {0: Atom("a")}, "unbound segment ~~s"),
+    ],
+)
+def test_instantiate_contract_violations(line, s, message, fold):
+    with pytest.raises(ContractViolation, match=message):
+        instantiate(parse_rule(line, set()).rhs, s, fold)
+
+
+@pytest.mark.parametrize("fold", [False, True])
+def test_instantiate_rejects_a_segment_at_the_root(fold):
+    with pytest.raises(ContractViolation, match="segment outside argument position"):
+        instantiate(PatSegment("s", 0), {0: (Lit(1),)}, fold)
+
+
+@pytest.mark.parametrize(
+    "line, term, want",
+    [
+        # a node whose operator the rule writes folds, under an operator
+        # variable too
+        ("(~f ~x::number) => (~f (+ ~x 1))", "(g 2)", "(g 3)"),
+        ("(h ~x::number) => (k (+ ~x 1))", "(h 2)", "(k 3)"),
+        # a node whose operator is a variable never folds
+        ("(~f ~x::number ~y::number) => (~f ~x ~y)", "(+ 1 2)", "(+ 1 2)"),
+        # spliced arguments fold
+        ("(f ~~s::number) => (* ~~s)", "(f 2 3)", "6"),
+        ("(f ~~s::number) => (* ~~s)", "(f 2 3 4)", "(* 2 3 4)"),
+    ],
+)
+def test_dynamic_rule_folds_every_node_it_writes(line, term, want):
+    assert apply_rule(parse_rule(line, set()), parse_term(term)) == parse_term(want)
 
 
 # -- apply_rule -------------------------------------------------------------

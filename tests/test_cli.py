@@ -366,9 +366,19 @@ def test_too_deep_input_is_a_clean_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["simplify", "rewrite"])
+def test_deep_left_hand_side_compiles(tmp_path, capsys):
+    # the theory parses and its matcher compiles at any depth; the graph of
+    # `a` has no (g, 1) row, so the matcher never runs
+    th = tmp_path / "deep.theory"
+    th.write_text("@vars x\n" + "(g " * 3000 + "x" + ")" * 3000 + " --> x\n")
+    code, out, err = run(capsys, "simplify", "--theory", str(th), "--expr", "a")
+    assert (code, out, err) == (0, "a\n", "")
+
+
+@pytest.mark.parametrize("command", ["rewrite"])
 def test_too_deep_theory_is_a_clean_error(tmp_path, capsys, command):
-    # the theory parses at any depth; compiling its matchers recurses
+    # the theory parses at any depth; the classical matcher compiler
+    # recurses on its left-hand side
     th = tmp_path / "deep.theory"
     th.write_text("@vars x\n" + "(g " * 3000 + "x" + ")" * 3000 + " --> x\n")
     code, out, err = run(capsys, command, "--theory", str(th), "--expr", "a")
@@ -390,12 +400,19 @@ def _deep(head, leaf, depth=3000):
          0, "3002"),
         ("(q ~x) != " + _deep("g", "~x"),
          ["prove", "--expr", "(q a)", "--expr", "b"], 3, "unknown"),
+        ("(f ~x) --> " + _deep("g", "~x"), ["rewrite", "--expr", "(f a)"], 0,
+         _deep("g", "a")),
+        ("@vars x\n(f x) => " + _deep("+ 1", "2"), ["rewrite", "--expr", "(f x)"],
+         0, "3002"),
     ],
-    ids=["rewrite", "dynamic-fold", "unequal"],
+    ids=[
+        "rewrite", "dynamic-fold", "unequal",
+        "classical-rewrite", "classical-dynamic-fold",
+    ],
 )
 def test_deep_right_hand_side_runs(tmp_path, capsys, rule, argv, code, want):
-    # a right-hand side compiles to a flat plan, so only a searched side is
-    # bounded by the recursion limit
+    # both backends build a right-hand side without recursing, so only a
+    # searched side is bounded by the recursion limit
     th = tmp_path / "deep.theory"
     th.write_text(rule + "\n")
     command, *rest = argv
@@ -404,7 +421,8 @@ def test_deep_right_hand_side_runs(tmp_path, capsys, rule, argv, code, want):
 
 
 def test_deep_equality_rule_is_a_clean_error(tmp_path, capsys):
-    # each side of an `==` rule is searched, and compiling a matcher recurses
+    # each side of an `==` rule is searched, and a compiled matcher calls one
+    # closure per pattern step
     th = tmp_path / "deep.theory"
     th.write_text("(f ~x) == " + _deep("g", "~x") + "\n")
     code, out, err = run(capsys, "simplify", "--theory", str(th), "--expr", "(f a)")
