@@ -383,6 +383,20 @@ def test_only_run_time_matchers_and_the_strategy_parser_recurse():
     assert found == ["classical.py run", "classical.py parse"]
 
 
+def test_text_layers_do_not_recurse():
+    # the S-expression reader and printer, and the rule parser on top of
+    # them, must take input of any depth
+    sources = package_sources()
+    found = {name: self_calling_functions(sources[name]) for name in ("terms.py", "rules.py")}
+    assert found == {"terms.py": [], "rules.py": []}
+
+
+def test_rule_compiler_does_not_recurse():
+    # a right-hand side compiles to a flat plan and runs in a loop, so it
+    # may be of any depth
+    assert self_calling_functions(package_sources()["saturation.py"]) == []
+
+
 def test_matcher_steps_never_call_find():
     # a search reads a rebuilt graph, whose registers hold canonical ids
     found = functions_naming(package_sources()["machine.py"], "find")
