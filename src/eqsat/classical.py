@@ -21,7 +21,7 @@ from .rules import (
     RuleKind,
     resolve_predicate,
 )
-from .terms import BUILTIN_OPS, Atom, Compound, Lit, Term, eval_builtin
+from .terms import BUILTIN_OPS, Atom, Compound, Lit, Term, eval_builtin, fold_tree
 
 Substitution = dict[int, Union[Term, tuple[Term, ...]]]
 Rewriter = Callable[[Term], Optional[Term]]
@@ -150,52 +150,44 @@ def _segment_matcher(p: PatSegment):
 
 
 def instantiate(rhs: Pattern, s: Substitution, fold: bool = False) -> Term:
-    """The term `rhs` stands for under `s`, built without recursing. With
-    `fold` (a `=>` rule), a builtin node whose operator the rule writes, and
-    whose two arguments are built as numeric literals, becomes the literal
-    it evaluates to."""
+    """The term `rhs` stands for under `s`. With `fold` (a `=>` rule), a
+    builtin node whose operator the rule writes, and whose two arguments are
+    built as numeric literals, becomes the literal it evaluates to."""
     if isinstance(rhs, PatSegment):
         raise ContractViolation("segment outside argument position")
-    built: list[Term] = []  # the terms built whose parent is not yet
-    # a stack of subpatterns; a node's (operator, whether it folds, where its
-    # arguments start in `built`) sits below its arguments
-    todo: list = [rhs]
-    while todo:
-        p = todo.pop()
-        if type(p) is tuple:
-            op, folds, start = p
-            args = tuple(built[start:])
-            del built[start:]
-            if folds and len(args) == 2 and all(isinstance(a, Lit) for a in args):
-                built.append(Lit(eval_builtin(op, [a.value for a in args])))
-            else:
-                built.append(Compound(op, args))
-        elif isinstance(p, PatTerm):
-            op = p.op  # a variable is not a builtin, so its node never folds
-            folds = fold and op in BUILTIN_OPS
-            if isinstance(op, PatVar):
-                op = s.get(op.index)
-                if not isinstance(op, Atom):
-                    raise ContractViolation(
-                        f"operation variable ~{p.op.name} not bound to a symbol"
-                    )
-                op = op.name
-            todo.append((op, folds, len(built)))
-            todo += reversed(p.args)
-        elif isinstance(p, PatLit):
-            built.append(Atom(p.value) if isinstance(p.value, str) else Lit(p.value))
-        elif isinstance(p, PatSegment):
+
+    def leaf(p):  # a term, or a segment's tuple of terms
+        if isinstance(p, PatLit):
+            return Atom(p.value) if isinstance(p.value, str) else Lit(p.value)
+        if isinstance(p, PatSegment):
             chunk = s.get(p.index)
             if not isinstance(chunk, tuple):
                 raise ContractViolation(f"unbound segment ~~{p.name}")
-            built += chunk
-        elif p.index not in s:
+            return chunk
+        if p.index not in s:
             raise ContractViolation(f"unbound variable ~{p.name}")
-        elif isinstance(s[p.index], tuple):
+        if isinstance(s[p.index], tuple):
             raise ContractViolation(f"segment ~~{p.name} used as a single term")
-        else:
-            built.append(s[p.index])
-    return built[0]
+        return s[p.index]
+
+    def node(p, values):
+        op = p.op  # a variable is not a builtin, so its node never folds
+        folds = fold and op in BUILTIN_OPS
+        if isinstance(op, PatVar):
+            op = s.get(op.index)
+            if not isinstance(op, Atom):
+                raise ContractViolation(
+                    f"operation variable ~{p.op.name} not bound to a symbol"
+                )
+            op = op.name
+        args: list[Term] = []
+        for v in values:
+            args += v if type(v) is tuple else (v,)
+        if folds and len(args) == 2 and all(isinstance(a, Lit) for a in args):
+            return Lit(eval_builtin(op, [a.value for a in args]))
+        return Compound(op, tuple(args))
+
+    return fold_tree(rhs, PatTerm, leaf, node)
 
 
 def apply_rule(rule: Rule, t: Term) -> Optional[Term]:
@@ -253,32 +245,16 @@ def Postwalk(rw: Rewriter) -> Rewriter:
     """Applies `rw` to every subterm, children left to right before their
     parent, which it sees with the children's results in place."""
 
+    def node(t, results):  # a result is None where nothing changed
+        if results.count(None) == len(results):
+            return rw(t)
+        args = tuple(a if r is None else r for a, r in zip(t.args, results))
+        t = Compound(t.op, args)
+        r = rw(t)
+        return t if r is None else r
+
     def walk(t):
-        # open compounds, innermost last: [term, results of its arguments
-        # walked so far, whether one of them changed]
-        stack = []
-        while True:
-            while isinstance(t, Compound) and t.args:
-                stack.append([t, [], False])
-                t = t.args[0]
-            r = rw(t)  # t has no arguments left to walk
-            while stack:
-                node, args, changed = frame = stack[-1]
-                if r is None:
-                    args.append(node.args[len(args)])
-                else:
-                    args.append(r)
-                    changed = frame[2] = True
-                if len(args) < len(node.args):
-                    t = node.args[len(args)]
-                    break
-                stack.pop()
-                t = Compound(node.op, tuple(args)) if changed else node
-                r = rw(t)
-                if r is None and changed:
-                    r = t
-            else:
-                return r
+        return fold_tree(t, Compound, rw, node)
 
     return walk
 

@@ -62,7 +62,9 @@ from operator import is_
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import AnalysisDiverged, CapacityExceeded, UnknownId
-from .terms import Atom, Compound, Lit, Number, Term, num_eq, num_key, print_number
+from .terms import (
+    Atom, Compound, Lit, Number, Term, fold_tree, num_eq, num_key, print_number
+)
 
 # Sentinel for "analysis value not computable yet" (distinct from any domain
 # value, including None-as-unknown).
@@ -213,33 +215,20 @@ class EGraph:
 
     def _fold(self, t: Term, place) -> Optional[int]:
         """`place` applied to the e-node of every subterm of `t`, children
-        first and left to right; the class of `t`, or None as soon as `place`
-        gives None. Iterative, so that nesting depth is not bounded by the
-        recursion limit."""
-        ids: list[int] = []  # classes of the subterms placed, until their parent is
-        # a stack of subterms; a compound's (op, arity) sits below its arguments
-        todo: list = [t]
-        while todo:
-            x = todo.pop()
-            if type(x) is tuple:
-                op, k = x
-                n = OpNode(op, tuple(ids[len(ids) - k :]))
-                del ids[len(ids) - k :]
-            elif isinstance(x, Compound):
-                todo.append((x.op, len(x.args)))
-                todo += reversed(x.args)
-                continue
-            elif isinstance(x, Atom):
-                n = LitNode(x.name)
-            elif isinstance(x, Lit):
-                n = LitNode(x.value)
-            else:
-                raise TypeError(f"not a term: {x!r}")
-            cid = place(n)
-            if cid is None:
-                return None
-            ids.append(cid)
-        return ids[0]
+        first and left to right: the class of `t`, or None when `place`
+        gives None for some subterm, whose parents are then not placed."""
+
+        def leaf(x):
+            if isinstance(x, Atom):
+                return place(LitNode(x.name))
+            if isinstance(x, Lit):
+                return place(LitNode(x.value))
+            raise TypeError(f"not a term: {x!r}")
+
+        def node(x, ids):
+            return None if None in ids else place(OpNode(x.op, tuple(ids)))
+
+        return fold_tree(t, Compound, leaf, node)
 
     # -- merging and rebuilding --------------------------------------------
 

@@ -14,7 +14,7 @@ from .egraph import EGraph, LitNode, OpNode
 from .errors import CapacityExceeded, SegmentUnsupported
 from .machine import EMatch, EMatchProgram, compile_pattern, ematch_program
 from .rules import PatLit, PatTerm, PatVar, Pattern, Rule, RuleKind, Theory, class_literal
-from .terms import BUILTIN_OPS, Term, eval_builtin
+from .terms import BUILTIN_OPS, Term, eval_builtin, fold_tree
 
 # -- stop reasons -----------------------------------------------------------
 
@@ -296,16 +296,16 @@ def mirrored(lhs: Pattern, rhs: Pattern) -> bool:
 
 # -- instantiation into the graph ------------------------------------------
 #
-# A right-hand side compiles once, walked on a stack, into a flat plan, as
-# egg instantiates a pattern from its post-order node list. The plan has one
-# step per operator node, in post-order with children left to right, and in
-# a `=>` rule one step per lifted variable, at its place in the walk. A run
-# fills one sequence of values: the match's bindings (`m[1]`, the class of
-# variable i at i, read by index in C), then one value per step. A step
-# names each child by its position in that sequence, or holds a literal
-# child as a 1-tuple. Bound variables map directly to their e-class ids; no
-# term is reconstructed from the graph, and nothing recurses, so a
-# right-hand side of any depth runs.
+# A right-hand side compiles once, folded by `terms.fold_tree`, into a flat
+# plan, as egg instantiates a pattern from its post-order node list. The
+# plan has one step per operator node, in post-order with children left to
+# right, and in a `=>` rule one step per lifted variable, at its place in
+# the walk. A run fills one sequence of values: the match's bindings
+# (`m[1]`, the class of variable i at i, read by index in C), then one value
+# per step. A step names each child by its position in that sequence, or
+# holds a literal child as a 1-tuple. Bound variables map directly to their
+# e-class ids; no term is reconstructed from the graph, and nothing
+# recurses, so a right-hand side of any depth runs.
 #
 # A plan is lean when every value is a class id: no literal, no lifted
 # variable, so nothing folds. Each step of a lean plan picks its children
@@ -333,37 +333,30 @@ def _plan(pat: Pattern, n_vars: int, lifts: Optional[dict[int, str]]):
     builtin over two literals folds), or (None, variable, kind) for a
     lifted variable. `lifts` is a `=>` rule's; with None nothing folds."""
     steps: list[tuple] = []
-    vals: list = []  # the children walked whose parent has no step yet
-    # a stack of subpatterns; a node's (op, arity) sits below its arguments
-    todo: list = [pat]
-    while todo:
-        p = todo.pop()
-        if type(p) is tuple:
-            op, k = p
-            kids = tuple(vals[len(vals) - k :])
-            del vals[len(vals) - k :]
-            # a builtin folds when both arguments turn out numeric literals,
-            # which a symbol never is
-            symbol = any(type(c) is tuple and type(c[0]) is str for c in kids)
-            fold = lifts is not None and k == 2 and op in BUILTIN_OPS and not symbol
-            vals.append(n_vars + len(steps))
-            steps.append((op, kids, fold))
-        elif isinstance(p, PatLit):
-            vals.append((p.value,))
-        elif isinstance(p, PatVar) and p.index not in (lifts or ()):
-            vals.append(p.index)
-        elif isinstance(p, PatVar):
-            vals.append(n_vars + len(steps))
+
+    def leaf(p):
+        if isinstance(p, PatLit):
+            return (p.value,)
+        if isinstance(p, PatVar) and p.index not in (lifts or ()):
+            return p.index
+        if isinstance(p, PatVar):
             steps.append((None, p.index, lifts[p.index]))
-        elif isinstance(p, PatTerm) and isinstance(p.op, str):
-            todo.append((p.op, len(p.args)))
-            todo += reversed(p.args)
-        else:
+            return n_vars + len(steps) - 1
+        raise SegmentUnsupported("a segment cannot be instantiated in an e-graph")
+
+    def node(p, kids):
+        if not isinstance(p.op, str):
             raise SegmentUnsupported(
-                "segment and operation-position variables cannot be instantiated"
-                " in an e-graph"
+                "an operation-position variable cannot be instantiated in an e-graph"
             )
-    (root,) = vals
+        # a builtin folds when both arguments turn out numeric literals,
+        # which a symbol never is
+        symbol = any(type(c) is tuple and type(c[0]) is str for c in kids)
+        fold = lifts is not None and len(kids) == 2 and p.op in BUILTIN_OPS and not symbol
+        steps.append((p.op, tuple(kids), fold))
+        return n_vars + len(steps) - 1
+
+    root = fold_tree(pat, PatTerm, leaf, node)
     return steps, root
 
 

@@ -79,15 +79,42 @@ class Compound(Term):
         return tree_hash(self)
 
 
-# Equality and hashing of trees of one node type, each node with `op` and
-# `args`: terms, and the patterns of `rules.py`. They are iterative, so that
-# nesting depth is not bounded by the recursion limit, and a subtree shared by
-# both sides compares equal without a walk.
+# Walks of trees of one node type, each node with `op` and `args`: terms, and
+# the patterns of `rules.py`. They are iterative, so that nesting depth is not
+# bounded by the recursion limit.
+
+
+def fold_tree(
+    t, kind: type, leaf: Callable[[object], T], node: Callable[[object, list[T]], T]
+) -> T:
+    """Fold tree `t`: each node of type `kind` becomes `node(x, values)`,
+    where `values` is a new list of the values of `x.args` in order, and
+    everything else becomes `leaf(x)`. Children are folded before their
+    parent, left to right."""
+    if not isinstance(t, kind):
+        return leaf(t)
+    # open nodes, innermost last: (node, its children not yet visited, the
+    # values of those visited)
+    todo = [(t, iter(t.args), [])]
+    while todo:
+        x, rest, values = todo[-1]
+        for a in rest:
+            if isinstance(a, kind):
+                todo.append((a, iter(a.args), []))
+                break
+            values.append(leaf(a))
+        else:
+            todo.pop()
+            value = node(x, values)
+            if not todo:
+                return value
+            todo[-1][2].append(value)
 
 
 def tree_eq(a, b) -> bool:
     """Whether trees `a` and `b`, both of `type(a)`, are equal; leaves
-    compare with `==`."""
+    compare with `==`, and a subtree shared by both sides compares equal
+    without a walk."""
     kind = type(a)
     todo = [(a, b)]
     while todo:
@@ -109,20 +136,7 @@ def tree_eq(a, b) -> bool:
 def tree_hash(t) -> int:
     """A hash of tree `t` that agrees with `tree_eq`; leaves hash with
     `hash`."""
-    kind = type(t)
-    done: list[int] = []  # hashes of the subtrees finished so far
-    todo: list[tuple[object, bool]] = [(t, False)]
-    while todo:
-        t, children_done = todo.pop()
-        if children_done:
-            k = len(done) - len(t.args)
-            done[k:] = [hash((t.op, *done[k:]))]
-        elif isinstance(t, kind):
-            todo.append((t, True))
-            todo += [(a, False) for a in reversed(t.args)]
-        else:
-            done.append(hash(t))
-    return done[0]
+    return fold_tree(t, type(t), hash, lambda x, hashes: hash((x.op, *hashes)))
 
 
 # ---------------------------------------------------------------------------
@@ -313,20 +327,21 @@ CALL_OP = "call"
 
 
 def substitute_atom(t: Term, name: str, repl: Term) -> Term:
-    # iterative, so that nesting depth is not bounded by the recursion limit
-    done: list[Term] = []  # results for the subterms finished so far
-    todo: list[tuple[Term, bool]] = [(t, False)]
-    while todo:
-        x, children_done = todo.pop()
-        if children_done:
-            k = len(done) - len(x.args)
-            done[k:] = [Compound(x.op, tuple(done[k:]))]
-        elif isinstance(x, Compound):
-            todo.append((x, True))
-            todo += [(a, False) for a in reversed(x.args)]
-        else:
-            done.append(repl if isinstance(x, Atom) and x.name == name else x)
-    return done[0]
+    """`t` with `repl` for each atom `name`, except inside a `(lambda name
+    body)`, which binds the name anew."""
+    atom = Atom(name)
+
+    def node(x: Compound, args: list[Term]) -> Term:
+        return x if _binder(x) == atom else Compound(x.op, tuple(args))
+
+    return fold_tree(t, Compound, lambda x: repl if x == atom else x, node)
+
+
+def _binder(x: Compound) -> Optional[Atom]:
+    """The atom that `x` binds, when it is a `(lambda atom body)`."""
+    if x.op == LAMBDA_OP and len(x.args) == 2 and isinstance(x.args[0], Atom):
+        return x.args[0]
+    return None
 
 
 def inline_anonymous(t: Term) -> Optional[Term]:
@@ -334,7 +349,8 @@ def inline_anonymous(t: Term) -> Optional[Term]:
 
     Recognizes (call (lambda x body) arg) and substitutes arg for x in body.
     Malformed lambdas are left alone (returns None), mirroring a guarded
-    combinator wrapper.
+    combinator wrapper, and so is a body with a lambda that binds an atom
+    of arg, which would capture it.
     """
     if not (isinstance(t, Compound) and t.op == CALL_OP and len(t.args) == 2):
         return None
@@ -343,5 +359,11 @@ def inline_anonymous(t: Term) -> Optional[Term]:
         return None
     param, body = fn.args
     if not isinstance(param, Atom):
+        return None
+    leaves: set[Term] = set()
+    fold_tree(actual, Compound, leaves.add, lambda x, _: None)
+    if fold_tree(
+        body, Compound, lambda x: False, lambda x, inner: any(inner) or _binder(x) in leaves
+    ):
         return None
     return substitute_atom(body, param.name, actual)

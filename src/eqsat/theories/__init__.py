@@ -18,7 +18,7 @@ from ..saturation import (
     compile_theory,
     saturate,
 )
-from ..terms import Term, inline_anonymous
+from ..terms import Compound, Term, fold_tree, inline_anonymous
 
 BUNDLED = (
     "comm_monoid",
@@ -81,8 +81,4 @@ def _stream_pipeline() -> tuple[CompiledTheory, Rewriter]:
 
 
 def _astsize(t: Term) -> int:
-    n, todo = 0, [t]
-    while todo:
-        n += 1
-        todo.extend(getattr(todo.pop(), "args", ()))
-    return n
+    return fold_tree(t, Compound, lambda x: 1, lambda x, sizes: 1 + sum(sizes))

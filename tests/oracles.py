@@ -349,10 +349,13 @@ def term_hash(t: Term) -> int:
 
 
 def substitute_atom(t: Term, name: str, repl: Term) -> Term:
-    """`terms.substitute_atom(t, name, repl)`, by recursion on the term."""
+    """`terms.substitute_atom(t, name, repl)`, by recursion on the term. A
+    `(lambda name body)` binds the name anew, so it stays as it is."""
     if isinstance(t, Atom) and t.name == name:
         return repl
     if isinstance(t, Compound):
+        if t.op == "lambda" and len(t.args) == 2 and t.args[0] == Atom(name):
+            return t
         return Compound(t.op, tuple(substitute_atom(a, name, repl) for a in t.args))
     return t
 

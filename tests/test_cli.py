@@ -333,6 +333,13 @@ def test_rewrite_deeper_than_the_recursion_limit(capsys):
     assert "Traceback" not in err
 
 
+def test_optimize_stream_keeps_a_lambda_that_rebinds_the_parameter(capsys):
+    expr = "(call (lambda x (map (lambda x (+ x 1)) x)) (fill 2 3))"
+    code, out, err = run(capsys, "optimize-stream", "--expr", expr)
+    assert code == 0
+    assert out.strip() == "(map (lambda x (+ x 1)) (fill 2 3))"
+
+
 def test_optimize_stream_inlines_a_deep_lambda(capsys):
     body = "(+ " * 1200 + "x" + " 1)" * 1200
     code, out, err = run(

@@ -403,14 +403,27 @@ def test_headline_ends_with_distinct_canonical_enodes():
 
 
 def test_add_and_lookup_term_deep_nesting():
+    def chain(depth, leaf="a", inner="g"):  # `inner` for the middle g only
+        t = Atom(leaf)
+        for k in range(depth):
+            op = inner if k == depth // 2 else "g"
+            t = Compound("f", (t, Lit(k))) if k % 2 else Compound(op, (t,))
+        return t
+
     depth = 5000
-    t = Atom("a")
-    for k in range(depth):
-        t = Compound("f", (t, Lit(k))) if k % 2 else Compound("g", (t,))
+    t = chain(depth)
     g = EGraph()
     root = g.add_term(t)
     assert g.n_enodes == depth + 1 + depth // 2  # and a literal for each f
     assert g.lookup_term(t) == root
-    assert g.lookup_term(Compound("h", (t,))) is None
-    assert g.lookup_term(Compound("h", (Atom("b"), t))) is None
+    version, n_enodes = g.version, g.n_enodes
+    misses = [
+        chain(depth, leaf="b"),  # at a leaf
+        chain(depth, inner="k"),  # at an inner node
+        Compound("h", (t,)),  # at the root
+        Compound("h", (Atom("b"), t)),  # at a leaf and the root
+    ]
+    for miss in misses:
+        assert g.lookup_term(miss) is None
+        assert (g.version, g.n_enodes) == (version, n_enodes)
     assert g.add_term(t) == root

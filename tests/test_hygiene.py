@@ -134,6 +134,34 @@ def self_calling_functions(source: str) -> list[str]:
     return found
 
 
+def stack_walks(source: str) -> list[str]:
+    """Functions, nested ones and methods included, that hand-roll a stack
+    walk: a loop `while name:` in their own body, not in a function nested
+    in it, that calls `name.pop()`. As "line N: name"."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, defs):
+            continue
+        inner = [d for d in ast.walk(fn) if d is not fn and isinstance(d, defs)]
+        nested = {n for d in inner for n in ast.walk(d)}
+        loops = [
+            loop
+            for loop in ast.walk(fn)
+            if isinstance(loop, ast.While)
+            and isinstance(loop.test, ast.Name)
+            and loop not in nested
+        ]
+        if any(
+            isinstance(n, ast.Call) and ast.unparse(n.func) == f"{loop.test.id}.pop"
+            for loop in loops
+            for stmt in loop.body
+            for n in ast.walk(stmt)
+        ):
+            found.append(f"line {fn.lineno}: {fn.name}")
+    return found
+
+
 def functions_naming(source: str, name: str) -> dict[str, list[int]]:
     """Module-level function, or method of a module-level class as
     "Class.method" -> the lines where its body, nested functions and default
@@ -260,6 +288,18 @@ def test_self_calling_functions_finds_recursion():
     assert self_calling_functions(source) == ["line 1: f", "line 3: walk", "line 6: m"]
 
 
+def test_stack_walks_finds_loops_that_pop_what_they_test():
+    source = (
+        "def f(t):\n    todo = [t]\n    while todo:\n        todo.pop()\n"
+        "def g(xs, ys):\n    while xs:\n        xs = ys.pop()\n"
+        "    while True:\n        xs.pop()\n"
+        "def k(t):\n    def walk(u):\n        stack = [u]\n        while True:\n"
+        "            while stack:\n                stack.pop(0)\n    return walk\n"
+        "class C:\n    def m(self):\n        while self.q:\n            self.q.pop()\n"
+    )
+    assert stack_walks(source) == ["line 1: f", "line 11: walk"]
+
+
 def test_functions_naming_finds_names_and_attributes():
     source = (
         "def f(g):\n    def inner(x=g.find): return x\n    return inner\n"
@@ -370,11 +410,12 @@ def test_no_unread_parameters_in_package():
 
 
 def test_only_run_time_matchers_and_the_strategy_parser_recurse():
-    # the text layers, the e-graph's pattern compiler and both backends'
-    # right-hand-side builders walk on stacks, so they take any depth; what
-    # calls itself is the classical matchers' run-time `run` and
-    # `parse_strategy`'s nested `parse` (this check cannot see the mutual
-    # recursion of the classical `_compile_one` and `_compile_seq`)
+    # the text layers and the e-graph's pattern compiler walk on stacks, and
+    # both backends' right-hand-side builders fold with `terms.fold_tree`, so
+    # they take any depth; what calls itself is the classical matchers'
+    # run-time `run` and `parse_strategy`'s nested `parse` (this check cannot
+    # see the mutual recursion of the classical `_compile_one` and
+    # `_compile_seq`)
     found = [
         f"{name} {f.partition(': ')[2]}"
         for name, source in package_sources().items()
@@ -402,3 +443,26 @@ def test_matcher_steps_never_call_find():
     found = functions_naming(package_sources()["machine.py"], "find")
     makers = ("_bind", "_check_lit", "_compare", "_bind_yield", "_yield")
     assert {m: found.get(m) for m in makers} == {m: [] for m in makers}
+
+
+def test_one_tree_fold_in_package():
+    # a post-order walk of a tree goes through `terms.fold_tree`; what keeps
+    # a stack of its own walks two trees at once (`tree_eq`, `mirrored`),
+    # works in pre-order (`print_sexpr`, `compile_pattern`, `Prewalk`'s
+    # `walk`), checks its path for cycles (`extract`) or is no tree walk
+    # (`_propagate`)
+    found = [
+        f"{name} {f.partition(': ')[2]}"
+        for name, source in package_sources().items()
+        for f in stack_walks(source)
+    ]
+    assert found == [
+        "analysis.py extract",
+        "classical.py walk",
+        "egraph.py _propagate",
+        "machine.py compile_pattern",
+        "saturation.py mirrored",
+        "terms.py fold_tree",
+        "terms.py tree_eq",
+        "terms.py print_sexpr",
+    ]

@@ -1,15 +1,20 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from eqsat import theories
+from eqsat.classical import Postwalk
+from eqsat.egraph import EGraph
 from eqsat.errors import SExprSyntaxError, UnknownBuiltin
 from eqsat.terms import (
     Atom,
     Compound,
     Lit,
     eval_builtin,
+    fold_tree,
     inline_anonymous,
     parse_term,
     print_term,
@@ -133,13 +138,21 @@ def test_lit_hash_coherent(a, b):
         assert hash(la) == hash(lb)
 
 
-# few operations and leaves, so that random pairs are often equal
+# few operations and leaves, so that random pairs are often equal; a
+# `(lambda a body)` binds `a`
 small_terms = st.recursive(
     st.sampled_from([Atom("a"), Atom("b"), Lit(1), Lit(1.0), Lit(2), Lit(math.nan)]),
-    lambda ch: st.builds(
-        lambda op, args: Compound(op, tuple(args)),
-        st.sampled_from(["f", "g"]),
-        st.lists(ch, max_size=2),
+    lambda ch: st.one_of(
+        st.builds(
+            lambda op, args: Compound(op, tuple(args)),
+            st.sampled_from(["f", "g", "lambda"]),
+            st.lists(ch, max_size=2),
+        ),
+        st.builds(
+            lambda x, body: Compound("lambda", (x, body)),
+            st.sampled_from([Atom("a"), Atom("b")]),
+            ch,
+        ),
     ),
     max_leaves=6,
 )
@@ -185,6 +198,46 @@ def test_compound_eq_defers_to_other_types():
     t = Compound("f", ())
     assert t.__eq__(Atom("f")) is NotImplemented
     assert t != Atom("f") and Atom("f") != t and t != "f"
+
+
+# -- the tree fold ----------------------------------------------------------
+
+
+def test_fold_tree_folds_children_first_left_to_right():
+    calls = []
+
+    def leaf(x):
+        calls.append(print_term(x))
+        return print_term(x)
+
+    def node(x, values):
+        calls.append(x.op)
+        return f"({' '.join([x.op, *values])})"
+
+    t = parse_term("(f a (g) (h b c))")
+    assert fold_tree(t, Compound, leaf, node) == "(f a (g) (h b c))"
+    assert calls == ["a", "g", "b", "c", "h", "f"]
+    assert fold_tree(Atom("a"), Compound, leaf, node) == "a"
+
+
+def test_tree_walks_take_a_deep_chain_under_a_low_recursion_limit():
+    depth = 20_000
+    t, copy, renamed = _deep_g(depth, "x"), _deep_g(depth, "x"), _deep_g(depth, "y")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert hash(t) == hash(copy)
+        g = EGraph()
+        root = g.add_term(t)
+        assert g.n_enodes == depth + 1
+        assert g.lookup_term(copy) == root
+        assert g.lookup_term(renamed) is None
+        assert Postwalk(lambda x: None)(t) is None
+        assert Postwalk(lambda x: Atom("y") if x == Atom("x") else None)(t) == renamed
+        assert substitute_atom(t, "x", Atom("y")) == renamed
+        assert theories._astsize(t) == depth + 1
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # -- builtin evaluation -----------------------------------------------------
@@ -243,6 +296,18 @@ def test_inline_anonymous():
 def test_inline_anonymous_shadows_nothing_else():
     t = parse_term("(call (lambda x (+ x y)) (g x))")
     assert inline_anonymous(t) == parse_term("(+ (g x) y)")
+
+
+def test_inline_anonymous_keeps_a_lambda_that_rebinds_the_parameter():
+    t = parse_term("(call (lambda x (map (lambda x (+ x 1)) x)) (fill 2 3))")
+    assert inline_anonymous(t) == parse_term("(map (lambda x (+ x 1)) (fill 2 3))")
+
+
+def test_inline_anonymous_refuses_to_capture():
+    t = parse_term("(call (lambda x (lambda y (+ x y))) y)")
+    assert inline_anonymous(t) is None
+    t = parse_term("(call (lambda x (lambda y (+ x y))) z)")
+    assert inline_anonymous(t) == parse_term("(lambda y (+ z y))")
 
 
 @given(small_terms, small_terms)
