@@ -32,9 +32,13 @@ def compile_matcher(lhs: Pattern) -> Callable[[Term], Optional[Substitution]]:
     m = _compile_one(lhs)
 
     def match_root(t: Term) -> Optional[Substitution]:
-        return m(t, {}, lambda b: b)
+        return m(t, {}, _identity)
 
     return match_root
+
+
+def _identity(b: Substitution) -> Substitution:
+    return b
 
 
 def _check_pred(ref, t: Term) -> bool:
@@ -205,10 +209,14 @@ def rule_rewriter(rule: Rule) -> Rewriter:
         raise UnsupportedRuleKind(
             f"{rule.kind.value} rules are not supported by the classical backend"
         )
-    match = compile_matcher(rule.lhs)
-    rhs, fold = rule.rhs, rule.kind is RuleKind.DYNAMIC
+    lhs, rhs, fold = rule.lhs, rule.rhs, rule.kind is RuleKind.DYNAMIC
+    match = compile_matcher(lhs)
+    # the root operator a match needs, tested before the matcher is called
+    op = lhs.op if isinstance(lhs, PatTerm) and isinstance(lhs.op, str) else None
 
     def rewrite(t: Term) -> Optional[Term]:
+        if op is not None and not (isinstance(t, Compound) and t.op == op):
+            return None
         sub = match(t)
         return None if sub is None else instantiate(rhs, sub, fold)
 

@@ -77,6 +77,7 @@ class SaturationParams:
 @dataclass
 class RuleStats:
     name: str  # a label only: unnamed rules of different theories share names
+    # 0.0 for a rule never searched, as a dead one is (see `eqsat_step`)
     search_s: float = 0.0
     apply_s: float = 0.0
     # the matches searches returned; a search stops at search_limit, so a ban
@@ -457,11 +458,16 @@ def eqsat_step(
     """One search/apply/rebuild cycle, adding its times and matches to
     `stats`, on `g` rebuilt first if it changed since its last rebuild. Each
     rule's search builds only the matches newer than its last applied search
-    (`BackoffState.since`). Returns (changed, early stop). Once
+    (`BackoffState.since`). A rule none of whose directions finds every
+    (operator, arity) it binds (`EMatchProgram.ops`) in the graph's index is
+    dead: it has no match, so it is not searched, and it records only what
+    a search finding nothing would, its `since`. A graph's keys only grow,
+    so the rule was dead at every earlier step, and once alive every match
+    it has is newer than that `since`. Returns (changed, early stop). Once
     `time.perf_counter()` is past `deadline`, no further root is searched and
     no further match applied: the step rebuilds the graph and stops with
     `time-limit`, and a search that ran past the deadline is not reported to
-    the scheduler."""
+    the scheduler; a dead rule is passed without looking at the clock."""
     v0 = g.version
     stop: Optional[StopReason] = None
     if len(stats) < len(compiled):  # a run's first step
@@ -474,12 +480,22 @@ def eqsat_step(
     if not g.is_rebuilt():
         g.rebuild()
     searched = g.rebuilds
+    keys = g.nodes_by_op().keys()  # the searches below reuse this index
     # per rule searched and not banned: its index, whether it is a `!=` rule,
     # and per direction the matches its search kept; None stands for a match
     # the rule's last search kept, which was applied
     found: list[tuple[int, bool, list[list[Optional[EMatch]]]]] = []
     for idx, cr in enumerate(compiled):
-        if not cr.directions or not sched.can_search(idx, iteration):
+        for d in cr.directions:
+            if keys >= d.program.ops:
+                break
+        else:
+            # dead, or with no directions: recorded as a search that found
+            # nothing would be
+            if cr.directions and cr.rule.kind is not RuleKind.UNEQUAL:
+                sched.applied(idx, searched)
+            continue
+        if not sched.can_search(idx, iteration):
             continue
         t0 = time.perf_counter()
         limit = sched.search_limit(idx)

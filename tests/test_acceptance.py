@@ -18,7 +18,7 @@ from oracles import (
 )
 from eqsat.analysis import analyze, astsize, extract, sign_analysis
 from eqsat.egraph import EGraph, OpNode
-from eqsat import machine
+from eqsat import machine, saturation
 from eqsat.machine import ematch
 from eqsat.rules import parse_rule, parse_theory
 from eqsat.saturation import (
@@ -106,6 +106,33 @@ def test_criterion_2_sign_analysis():
 
 
 # -- criterion 3: stream fusion ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "src, searches, runs",
+    [
+        ("(map (lambda x (* 7 x)) (fill 3 4))", 28, 28),
+        ("(getindex (map (lambda x (* 7 x)) (fill 3 4)) 1)", 37, 42),
+    ],
+)
+def test_criterion_3_search_work(monkeypatch, src, searches, runs):
+    # a rule whose operators the graph lacks is not searched, and no root of
+    # a search is dropped
+    counts = {"searches": 0, "runs": 0}
+
+    def counting(fn, key):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    search = counting(saturation.ematch_program, "searches")
+    monkeypatch.setattr(saturation, "ematch_program", search)
+    monkeypatch.setattr(machine, "run_program", counting(machine.run_program, "runs"))
+    stream_optimize(parse_term(src))
+    assert counts["searches"] <= searches, counts
+    assert counts["runs"] == runs, counts
 
 
 def test_criterion_3_stream_fusion():

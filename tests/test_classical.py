@@ -313,16 +313,20 @@ def pattern_srcs(draw, depth=3):
     return f"({op} {args})"
 
 
-term_leaves = st.sampled_from([Atom("x"), Atom("y"), Lit(1), Lit(2)])
-small_terms = st.recursive(
-    term_leaves,
-    lambda ch: st.builds(
-        lambda op, args: Compound(op, tuple(args)),
-        st.sampled_from(["f", "g", "+"]),
-        st.lists(ch, min_size=1, max_size=3),
-    ),
-    max_leaves=8,
-)
+def terms_over(ops, leaves, min_args=1):
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda ch: st.builds(
+            lambda op, args: Compound(op, tuple(args)),
+            st.sampled_from(ops),
+            st.lists(ch, min_size=min_args, max_size=3),
+        ),
+        max_leaves=8,
+    )
+
+
+term_leaves = [Atom("x"), Atom("y"), Lit(1), Lit(2)]
+small_terms = terms_over(["f", "g", "+"], term_leaves)
 
 
 @given(pattern_srcs(), small_terms)
@@ -331,6 +335,45 @@ def test_matcher_soundness(pat_src, t):
     s = compile_matcher(rule.lhs)(t)
     if s is not None:
         assert instantiate(rule.lhs, s) == t
+
+
+# A rewriter tests the root operator of a left-hand side rooted at one before
+# it calls the matcher; the terms add an operator that no pattern uses, atoms
+# named as operators, and compounds with no arguments.
+wide_terms = terms_over(
+    ["f", "g", "+", "q"], term_leaves + [Atom("f"), Atom("+")], min_args=0
+)
+
+
+def _rewrite_by_matcher(rule, t):
+    s = compile_matcher(rule.lhs)(t)
+    return None if s is None else instantiate(rule.rhs, s)
+
+
+@given(pattern_srcs(), wide_terms)
+def test_root_operator_test_changes_no_rewrite(pat_src, t):
+    rule = parse_rule(f"{pat_src} --> (k {pat_src})", set())
+    assert rule_rewriter(rule)(t) == _rewrite_by_matcher(rule, t)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "~v --> (k ~v)",  # rooted at a variable
+        "x --> y",  # at a literal
+        "1 --> 2",
+        "(~f ~x) --> (k ~f ~x)",  # at an operator variable
+        "(f) --> a",  # at an operator with no arguments
+    ],
+)
+def test_root_operator_test_fixed_cases(line):
+    rule = parse_rule(line, set())
+    terms = ["f", "(f)", "(f x)", "(g x)", "(+ 1 2)", "x", "1", "(q)"]
+    got = [rule_rewriter(rule)(parse_term(t)) for t in terms]
+    assert got == [_rewrite_by_matcher(rule, parse_term(t)) for t in terms]
+    assert any(r is not None for r in got)
+    if line == "(f) --> a":
+        assert got[:2] == [None, Atom("a")]  # the atom f is no (f)
 
 
 # -- strategy language ------------------------------------------------------

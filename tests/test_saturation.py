@@ -8,6 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     ApplyEveryMatchScheduler,
@@ -17,6 +18,7 @@ from oracles import (
     lookup_pattern,
     subterm_partition,
 )
+from test_ematch import graphs
 from eqsat import machine, saturation, theories
 from eqsat.analysis import astsize, extract
 from eqsat.egraph import EGraph, LitNode, OpNode
@@ -205,7 +207,7 @@ def _three_fs():
 
 def test_timelimit_checked_between_search_roots(monkeypatch):
     g = _three_fs()
-    _clock_passing_deadline_on(monkeypatch, g, "nodes_by_op")
+    _clock_passing_deadline_on(monkeypatch, machine, "run_program")
     compiled = compile_theory(parse_theory(TWO_RULES))
     sched, stats = _RecordingScheduler(len(compiled)), {}
     changed, stop = eqsat_step(g, compiled, sched, 0, stats, 1.0)
@@ -1180,6 +1182,82 @@ def test_a_search_that_builds_nothing_still_records_since():
     eqsat_step(g, compiled, sched, 1, stats)
     assert (stats[0].matches, stats[0].applied) == (4, 2)
     assert [st.since for st in sched.states] == [searched, searched, -1]
+
+
+@st.composite
+def theory_texts(draw, g):
+    """1 to 4 `-->` and `!=` rules over the operators of `graphs()` and over
+    `h`, which those graphs never hold. A left-hand side is drawn at random,
+    or from a path down `g`, which it then matches when its variables do."""
+    nodes = [(op, n) for op in ("f", "g", "+", "h") for n in (1, 2)]
+    leaves = st.sampled_from(["~x", "~y", "a", "1"])
+
+    def pat(depth):
+        if depth == 0 or draw(st.booleans()):
+            return draw(leaves)
+        op, n = draw(st.sampled_from(nodes))
+        return f"({op} {' '.join(pat(depth - 1) for _ in range(n))})"
+
+    def path(cid, depth):
+        ops = [n for n in g.class_nodes(cid) if type(n) is OpNode]
+        if depth == 0 or not ops or depth < 3 and draw(st.booleans()):
+            return draw(st.sampled_from(["~x", "~y"]))
+        op, args = draw(st.sampled_from(ops))
+        return f"({op} {' '.join(path(c, depth - 1) for c in args)})"
+
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            lhs = pat(3)
+        else:
+            lhs = path(draw(st.sampled_from(g.canonical_ids())), 3)
+        rhs = draw(st.sampled_from([v for v in ("~x", "~y") if v in lhs] + ["a", "(g a)"]))
+        lines.append(f"{lhs} {draw(st.sampled_from(['-->', '!=']))} {rhs}")
+    return "\n".join(lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(), st.data())
+def test_a_rule_not_searched_has_no_match(g, data):
+    compiled = compile_theory(parse_theory(data.draw(theory_texts(g))))
+    before = [[ematch_program(g, d.program) for d in cr.directions] for cr in compiled]
+    searched_programs = []
+    real = saturation.ematch_program
+
+    def recording(g, prog, *args):
+        searched_programs.append(prog)
+        return real(g, prog, *args)
+
+    sched, stats = BackoffScheduler([1] * len(compiled), match_limit=None), {}
+    searched = g.rebuilds
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(saturation, "ematch_program", recording)
+        eqsat_step(g, compiled, sched, 0, stats)
+    for idx, cr in enumerate(compiled):
+        ran = [d.program in searched_programs for d in cr.directions]
+        assert all(ms == [] for ms, r in zip(before[idx], ran) if not r)
+        if not any(ran):
+            rs = stats[idx]
+            assert (rs.matches, rs.applied, rs.search_s) == (0, 0, 0.0)
+            unequal = cr.rule.kind is RuleKind.UNEQUAL
+            assert sched.states[idx].since == (-1 if unequal else searched)
+
+
+def test_a_rule_that_comes_alive_builds_every_match():
+    # rule 1 reads (h x), which rule 0 adds in the first step
+    compiled = compile_theory(parse_theory("(f ~x) --> (h ~x)\n(h ~x) --> (k ~x)\n"))
+    g = EGraph()
+    fs = [g.add_term(parse_term(src)) for src in ("(f a)", "(f b)")]
+    g.rebuild()
+    sched, stats = BackoffScheduler([1, 1]), {}
+    searched = g.rebuilds
+    eqsat_step(g, compiled, sched, 0, stats)
+    assert (stats[1].matches, stats[1].applied, stats[1].search_s) == (0, 0, 0.0)
+    assert sched.states[1].since == searched
+    eqsat_step(g, compiled, sched, 1, stats)
+    assert (stats[1].matches, stats[1].applied) == (2, 2)
+    for cid, src in zip(fs, ("(k a)", "(k b)")):
+        assert g.find(g.lookup_term(parse_term(src))) == g.find(cid)
 
 
 def test_a_match_already_in_its_class_merges_nothing(monkeypatch):
