@@ -11,7 +11,6 @@ from .terms import (
     print_term,
 )
 from .rules import (
-    PatLit,
     PatSegment,
     PatTerm,
     PatVar,
@@ -33,7 +32,7 @@ from .classical import (
     instantiate,
     rule_rewriter,
 )
-from .egraph import EGraph, LitNode, OpNode
+from .egraph import EGraph, OpNode
 from .machine import compile_pattern, ematch, run_program
 from .analysis import (
     Analysis,

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .egraph import EGraph, ENode, LitNode, MISSING
+from .egraph import EGraph, ENode, MISSING, OpNode
 from .errors import AnalysisDiverged, Unextractable
 from .terms import Atom, Compound, Lit, Term
 
@@ -82,10 +82,10 @@ def sign_analysis(assumptions: Optional[dict[str, float]] = None) -> Analysis:
     table = dict(DEFAULT_ASSUMPTIONS if assumptions is None else assumptions)
 
     def make(g: EGraph, n: ENode):
-        if isinstance(n, LitNode):
+        if type(n) is Atom:
+            return table.get(n.name)
+        if type(n) is Lit:
             v = n.value
-            if isinstance(v, str):
-                return table.get(v)
             if v == math.inf:
                 return math.inf
             if v == -math.inf:
@@ -153,7 +153,7 @@ def astsize_inv(node: ENode, child_costs: Sequence[float]) -> float:
 
 
 def mult_penalty(node: ENode, child_costs: Sequence[float]) -> float:
-    if isinstance(node, LitNode):
+    if type(node) is not OpNode:
         return 1
     cost = 1 + len(node.children) + sum(child_costs)
     if node.op == "*":
@@ -169,7 +169,7 @@ COST_FUNCTIONS: dict[str, CostFunction] = {
 
 
 def _node_cost(cf: CostFunction, n: ENode, costs: dict[int, float]) -> float:
-    if isinstance(n, LitNode):
+    if type(n) is not OpNode:
         return cf(n, ())
     # the graph is rebuilt, so every child id is canonical
     return cf(n, [costs.get(c, math.inf) for c in n.children])
@@ -231,8 +231,8 @@ def extract(g: EGraph, cf: CostFunction, root: int) -> Term:
         if cid in path:
             raise Unextractable(f"cyclic best-node chain through class c{cid}")
         n = best[cid]
-        if isinstance(n, LitNode):
-            built.append(Atom(n.value) if isinstance(n.value, str) else Lit(n.value))
+        if type(n) is not OpNode:  # a leaf, a term as it is
+            built.append(n)
             continue
         path.add(cid)
         todo.append((cid, n))

@@ -12,7 +12,6 @@ from typing import Callable, Optional, Sequence, Union
 
 from .errors import ContractViolation, UnsupportedRuleKind
 from .rules import (
-    PatLit,
     PatSegment,
     PatTerm,
     PatVar,
@@ -62,11 +61,10 @@ def _compile_one(p: Pattern):
             return k(b2)
 
         return match_var
-    if isinstance(p, PatLit):
-        want: Term = Atom(p.value) if isinstance(p.value, str) else Lit(p.value)
+    if isinstance(p, (Atom, Lit)):
 
         def match_lit(t, b, k):
-            return k(b) if t == want else None
+            return k(b) if t == p else None
 
         return match_lit
     if isinstance(p, PatTerm):
@@ -161,8 +159,8 @@ def instantiate(rhs: Pattern, s: Substitution, fold: bool = False) -> Term:
         raise ContractViolation("segment outside argument position")
 
     def leaf(p):  # a term, or a segment's tuple of terms
-        if isinstance(p, PatLit):
-            return Atom(p.value) if isinstance(p.value, str) else Lit(p.value)
+        if isinstance(p, (Atom, Lit)):
+            return p
         if isinstance(p, PatSegment):
             chunk = s.get(p.index)
             if not isinstance(chunk, tuple):

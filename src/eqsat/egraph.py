@@ -62,36 +62,11 @@ from operator import is_
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import AnalysisDiverged, CapacityExceeded, UnknownId
-from .terms import (
-    Atom, Compound, Lit, Number, Term, fold_tree, num_eq, num_key, print_number
-)
+from .terms import Atom, Compound, Lit, Term, fold_tree, print_term
 
 # Sentinel for "analysis value not computable yet" (distinct from any domain
 # value, including None-as-unknown).
 MISSING = object()
-
-
-class LitNode:
-    """Leaf e-node: a numeric literal or a bare symbol."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Union[Number, str]):
-        self.value = value
-
-    def __eq__(self, other):
-        if not isinstance(other, LitNode):
-            return NotImplemented
-        if isinstance(self.value, str) or isinstance(other.value, str):
-            return self.value == other.value
-        return num_eq(self.value, other.value)
-
-    def __hash__(self):
-        v = self.value
-        return hash(("LitNode", v if isinstance(v, str) else num_key(v)))
-
-    def __repr__(self):
-        return f"LitNode({self.value!r})"
 
 
 class OpNode(NamedTuple):
@@ -102,7 +77,8 @@ class OpNode(NamedTuple):
     children: tuple[int, ...]
 
 
-ENode = Union[LitNode, OpNode]
+# A leaf e-node is the term leaf itself: an `Atom` or a `Lit`.
+ENode = Union[Atom, Lit, OpNode]
 
 
 class EClass:
@@ -219,10 +195,8 @@ class EGraph:
         gives None for some subterm, whose parents are then not placed."""
 
         def leaf(x):
-            if isinstance(x, Atom):
-                return place(LitNode(x.name))
-            if isinstance(x, Lit):
-                return place(LitNode(x.value))
+            if isinstance(x, (Atom, Lit)):
+                return place(x)
             raise TypeError(f"not a term: {x!r}")
 
         def node(x, ids):
@@ -394,8 +368,8 @@ class EGraph:
 
 
 def _node_str(n: ENode) -> str:
-    if isinstance(n, LitNode):
-        return n.value if isinstance(n.value, str) else print_number(n.value)
+    if type(n) is not OpNode:
+        return print_term(n)
     inner = " ".join(f"c{c}" for c in n.children)
     return f"({n.op} {inner})" if inner else f"({n.op})"
 

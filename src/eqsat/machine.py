@@ -61,10 +61,9 @@ from functools import partial
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Union
 
-from .egraph import EGraph, LitNode
+from .egraph import EGraph
 from .errors import SegmentUnsupported
 from .rules import (
-    PatLit,
     PatSegment,
     PatTerm,
     PatVar,
@@ -72,7 +71,7 @@ from .rules import (
     Predicate,
     resolve_predicate,
 )
-from .terms import Number
+from .terms import Atom, Lit
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,8 +121,8 @@ def compile_pattern(p: Pattern) -> EMatchProgram:
                     lifts[pat.index] = pred.lift
                 steps.append(partial(_check_predicate, reg, pred, pat.predicate.params))
             continue
-        if isinstance(pat, PatLit):
-            steps.append(partial(_check_lit, reg, pat.value))
+        if isinstance(pat, (Atom, Lit)):
+            steps.append(partial(_check_lit, reg, pat))
             continue
         if isinstance(pat.op, PatVar):
             raise SegmentUnsupported(
@@ -193,12 +192,11 @@ def _bind(reg: int, op: str, arity: int, base: int, k):
     return bind
 
 
-def _check_lit(reg: int, value: Union[Number, str], k):
-    node = LitNode(value)
-
-    def check_lit(r: _Run, t, reg=reg, node=node, k=k):
+def _check_lit(reg: int, leaf: Union[Atom, Lit], k):
+    # a literal leaf is its own e-node
+    def check_lit(r: _Run, t, reg=reg, leaf=leaf, k=k):
         cls = r.classes[r.regs[reg]]
-        if node in cls.nodes:
+        if leaf in cls.nodes:
             stamp = cls.stamp
             k(r, stamp if stamp > t else t)
 

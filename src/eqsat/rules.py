@@ -15,7 +15,6 @@ from typing import Callable, Optional, Union
 
 from . import terms
 from .analysis import class_sign
-from .egraph import LitNode
 from .errors import (
     InconsistentClass,
     RuleSyntaxError,
@@ -25,12 +24,14 @@ from .errors import (
 )
 from .terms import (
     ATOM_RE,
+    Atom,
     Lit,
     Number,
     Term,
     classify_token,
     print_number,
     print_sexpr,
+    print_term,
     read_sexpr,
     tokenize,
 )
@@ -59,23 +60,6 @@ class PatSegment:
     predicate: Optional[PredicateRef] = None
 
 
-@dataclass(frozen=True)
-class PatLit:
-    # numeric literal or bare symbol literal
-    value: Union[int, float, str]
-
-    def __eq__(self, other):
-        if not isinstance(other, PatLit):
-            return NotImplemented
-        if isinstance(self.value, str) or isinstance(other.value, str):
-            return self.value == other.value
-        return terms.num_eq(self.value, other.value)
-
-    def __hash__(self):
-        v = self.value
-        return hash(("PatLit", v if isinstance(v, str) else terms.num_key(v)))
-
-
 @dataclass(frozen=True, eq=False)
 class PatTerm:
     op: Union[str, PatVar]
@@ -90,7 +74,8 @@ class PatTerm:
         return terms.tree_hash(self)
 
 
-Pattern = Union[PatVar, PatSegment, PatLit, PatTerm]
+# A literal leaf of a pattern is the term leaf it matches: an `Atom` or a `Lit`.
+Pattern = Union[PatVar, PatSegment, Atom, Lit, PatTerm]
 
 
 class RuleKind(Enum):
@@ -168,16 +153,11 @@ def _kind_ok(v, kind: str) -> bool:
 
 
 def class_literals(g, cid, kind: str = "number") -> list:
-    """Distinct literal values of the given kind present in an e-class."""
-    out = []
-    for node in g.class_nodes(cid):
-        if type(node) is not LitNode:
-            continue
-        v = node.value
-        if not isinstance(v, str) and _kind_ok(v, kind):
-            if not any(terms.num_eq(v, w) for w in out):
-                out.append(v)
-    return out
+    """The literal values of the given kind in an e-class. They are distinct:
+    a class's nodes are a set, and a `Lit` compares by value."""
+    return [
+        n.value for n in g.class_nodes(cid) if type(n) is Lit and _kind_ok(n.value, kind)
+    ]
 
 
 def class_literal(g, cid, kind: str = "number"):
@@ -308,10 +288,9 @@ def _leaf_pattern(tok: str, table: _VarTable, allocate: bool) -> Pattern:
         if pred is not None:
             raise RuleSyntaxError(f"predicate attached to non-variable {tok!r}")
         try:
-            t = classify_token(base, 0)
+            return classify_token(base, 0)
         except SExprSyntaxError:
             raise RuleSyntaxError(f"malformed pattern token {tok!r}") from None
-        return PatLit(t.value if isinstance(t, Lit) else t.name)
     if not base or not ATOM_RE.fullmatch(base):
         raise RuleSyntaxError(f"bad variable name in {tok!r}")
     idx = table.index(base, allocate)
@@ -344,8 +323,8 @@ def _read_pattern(toks, table: _VarTable, allocate: bool) -> tuple[Pattern, int]
     def node(head, args, offset):
         if isinstance(head, PatVar):
             return PatTerm(head, tuple(args))
-        if isinstance(head, PatLit) and isinstance(head.value, str):
-            return PatTerm(head.value, tuple(args))
+        if isinstance(head, Atom):
+            return PatTerm(head.name, tuple(args))
         raise RuleSyntaxError(f"bad operation {print_pattern(head)!r} in pattern")
 
     return read_sexpr(toks, leaf, node)
@@ -449,9 +428,9 @@ def print_pattern(p: Pattern) -> str:
     return print_sexpr(p, _print_pattern_leaf)
 
 
-def _print_pattern_leaf(p: Union[PatVar, PatSegment, PatLit]) -> str:
-    if isinstance(p, PatLit):
-        return p.value if isinstance(p.value, str) else print_number(p.value)
+def _print_pattern_leaf(p: Union[PatVar, PatSegment, Atom, Lit]) -> str:
+    if isinstance(p, (Atom, Lit)):
+        return print_term(p)
     sigil = "~~" if isinstance(p, PatSegment) else "~"
     return f"{sigil}{p.name}{_pred_suffix(p.predicate)}"
 

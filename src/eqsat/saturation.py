@@ -10,11 +10,11 @@ from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Callable, Optional, Sequence, Union
 
-from .egraph import EGraph, LitNode, OpNode
+from .egraph import EGraph, OpNode
 from .errors import CapacityExceeded, SegmentUnsupported
 from .machine import EMatch, EMatchProgram, compile_pattern, ematch_program
-from .rules import PatLit, PatTerm, PatVar, Pattern, Rule, RuleKind, Theory, class_literal
-from .terms import BUILTIN_OPS, Term, eval_builtin, fold_tree
+from .rules import PatTerm, PatVar, Pattern, Rule, RuleKind, Theory, class_literal
+from .terms import BUILTIN_OPS, Atom, Lit, Term, eval_builtin, fold_tree
 
 # -- stop reasons -----------------------------------------------------------
 
@@ -283,7 +283,7 @@ def mirrored(lhs: Pattern, rhs: Pattern) -> bool:
                 or pi.setdefault(q.index, p.index) != p.index
             ):
                 return False
-        elif type(p) is PatLit and type(q) is PatLit:
+        elif isinstance(p, (Atom, Lit)) and isinstance(q, (Atom, Lit)):
             if p != q:
                 return False
         elif type(p) is PatTerm and type(q) is PatTerm:
@@ -304,9 +304,9 @@ def mirrored(lhs: Pattern, rhs: Pattern) -> bool:
 # the walk. A run fills one sequence of values: the match's bindings
 # (`m[1]`, the class of variable i at i, read by index in C), then one value
 # per step. A step names each child by its position in that sequence, or
-# holds a literal child as a 1-tuple. Bound variables map directly to their
-# e-class ids; no term is reconstructed from the graph, and nothing
-# recurses, so a right-hand side of any depth runs.
+# holds a literal child, an `Atom` or a `Lit`, which is its own e-node. Bound
+# variables map directly to their e-class ids; no term is reconstructed from
+# the graph, and nothing recurses, so a right-hand side of any depth runs.
 #
 # A plan is lean when every value is a class id: no literal, no lifted
 # variable, so nothing folds. Each step of a lean plan picks its children
@@ -314,9 +314,9 @@ def mirrored(lhs: Pattern, rhs: Pattern) -> bool:
 # code, a longer one in a loop.
 #
 # Every other plan runs in `_run`, where a value is a class id or a literal
-# not yet added to the graph, as a 1-tuple. A literal child is added after
-# all of its siblings, and in a `=>` rule a builtin over two numeric
-# literals folds into one, which is never added. A lifted variable stands
+# not yet added to the graph. A literal child is added after all of its
+# siblings, and in a `=>` rule a builtin over two numeric literals folds
+# into one, which is never added. A lifted variable stands
 # for its class's literal of the kind its guard lifts
 # (`EMatchProgram.lifts`), read at its step: a class only gains nodes, so
 # that is the literal the guard saw, unless the class has gained a second
@@ -330,14 +330,14 @@ def mirrored(lhs: Pattern, rhs: Pattern) -> bool:
 
 def _plan(pat: Pattern, n_vars: int, lifts: Optional[dict[int, str]]):
     """The steps of `pat`'s plan, and its root: the position of its value,
-    or a literal as a 1-tuple. A step is (operator, children, whether a
-    builtin over two literals folds), or (None, variable, kind) for a
-    lifted variable. `lifts` is a `=>` rule's; with None nothing folds."""
+    or a literal. A step is (operator, children, whether a builtin over two
+    literals folds), or (None, variable, kind) for a lifted variable.
+    `lifts` is a `=>` rule's; with None nothing folds."""
     steps: list[tuple] = []
 
     def leaf(p):
-        if isinstance(p, PatLit):
-            return (p.value,)
+        if isinstance(p, (Atom, Lit)):
+            return p
         if isinstance(p, PatVar) and p.index not in (lifts or ()):
             return p.index
         if isinstance(p, PatVar):
@@ -352,7 +352,7 @@ def _plan(pat: Pattern, n_vars: int, lifts: Optional[dict[int, str]]):
             )
         # a builtin folds when both arguments turn out numeric literals,
         # which a symbol never is
-        symbol = any(type(c) is tuple and type(c[0]) is str for c in kids)
+        symbol = Atom in map(type, kids)
         fold = lifts is not None and len(kids) == 2 and p.op in BUILTIN_OPS and not symbol
         steps.append((p.op, tuple(kids), fold))
         return n_vars + len(steps) - 1
@@ -371,8 +371,8 @@ def _compile_builder(
     steps, root = _plan(pat, n_vars, lifts)
     if not steps and type(root) is int:  # a variable
         return lambda g, m, i=root: m[1][i]
-    if type(root) is tuple or any(
-        op is None or tuple in map(type, kids) for op, kids, _ in steps
+    if type(root) is not int or any(
+        op is None or any(type(k) is not int for k in kids) for op, kids, _ in steps
     ):  # a literal, as the root or a child, or a lifted variable
         return lambda g, m, steps=steps, root=root: _run(g, m, steps, root, g.add_enode)
     lean = [(op, _picker(kids)) for op, kids, _ in steps]
@@ -429,19 +429,19 @@ def _run(g: EGraph, m: EMatch, steps: list[tuple], root, place) -> Optional[int]
     vals = list(m[1])
     for op, kids, fold in steps:
         if op is None:  # a lifted variable; `kids` is its index, `fold` its kind
-            vals.append((class_literal(g, vals[kids], fold),))
+            vals.append(Lit(class_literal(g, vals[kids], fold)))
             continue
-        xs = [k if type(k) is tuple else vals[k] for k in kids]
-        if fold and type(xs[0]) is tuple and type(xs[1]) is tuple:
-            vals.append((eval_builtin(op, (xs[0][0], xs[1][0])),))
+        xs = [vals[k] if type(k) is int else k for k in kids]
+        if fold and type(xs[0]) is Lit and type(xs[1]) is Lit:
+            vals.append(Lit(eval_builtin(op, (xs[0].value, xs[1].value))))
             continue
-        xs = [x if type(x) is int else place(LitNode(x[0])) for x in xs]
+        xs = [x if type(x) is int else place(x) for x in xs]
         cid = None if None in xs else place(tuple.__new__(OpNode, (op, tuple(xs))))
         if cid is None:
             return None
         vals.append(cid)
-    r = root if type(root) is tuple else vals[root]
-    return r if type(r) is int else place(LitNode(r[0]))
+    r = vals[root] if type(root) is int else root
+    return r if type(r) is int else place(r)
 
 
 # -- the driver -------------------------------------------------------------
@@ -463,11 +463,13 @@ def eqsat_step(
     dead: it has no match, so it is not searched, and it records only what
     a search finding nothing would, its `since`. A graph's keys only grow,
     so the rule was dead at every earlier step, and once alive every match
-    it has is newer than that `since`. Returns (changed, early stop). Once
-    `time.perf_counter()` is past `deadline`, no further root is searched and
-    no further match applied: the step rebuilds the graph and stops with
-    `time-limit`, and a search that ran past the deadline is not reported to
-    the scheduler; a dead rule is passed without looking at the clock."""
+    it has is newer than that `since`. A dead direction of a live rule is
+    not searched either: it adds no match. Returns (changed, early stop).
+    Once `time.perf_counter()` is past `deadline`, no further root is
+    searched and no further match applied: the step rebuilds the graph and
+    stops with `time-limit`, and a search that ran past the deadline is not
+    reported to the scheduler; a dead rule is passed without looking at the
+    clock."""
     v0 = g.version
     stop: Optional[StopReason] = None
     if len(stats) < len(compiled):  # a run's first step
@@ -513,7 +515,10 @@ def eqsat_step(
             left = None if limit is None else limit - n
             if left == 0 or deadline is not None and time.perf_counter() > deadline:
                 break
-            matches.append(ematch_program(g, d.program, left, deadline, since))
+            if keys >= d.program.ops:
+                matches.append(ematch_program(g, d.program, left, deadline, since))
+            else:  # a dead direction of a live rule
+                matches.append([])
             n += len(matches[-1])
         st = stats[idx]
         st.search_s += time.perf_counter() - t0

@@ -13,9 +13,9 @@ from unittest import mock
 
 from eqsat import saturation
 from eqsat.classical import compile_matcher, instantiate
-from eqsat.egraph import MISSING, EGraph, LitNode, OpNode
+from eqsat.egraph import MISSING, EGraph, OpNode
 from eqsat.errors import InconsistentClass
-from eqsat.rules import PatLit, PatTerm, PatVar, Rule, Theory, class_literals
+from eqsat.rules import PatTerm, PatVar, Rule, Theory, class_literals
 from eqsat.saturation import BackoffScheduler, CompiledTheory
 from eqsat.terms import Atom, Compound, Lit, Term, UnknownBuiltin, eval_builtin
 
@@ -144,10 +144,9 @@ def naive_ematch(g: EGraph, pattern) -> set[tuple[int, tuple[int, ...]]]:
             b2 = dict(binds)
             b2[p.index] = cid
             return [b2]
-        if isinstance(p, PatLit):
-            node = LitNode(p.value)
+        if isinstance(p, (Atom, Lit)):
             for n in g.class_nodes(cid):
-                if n == node:
+                if n == p:
                     return [binds]
             return []
         assert isinstance(p, PatTerm) and isinstance(p.op, str)
@@ -187,28 +186,28 @@ def add_pattern(g: EGraph, pat, m, lifts=None) -> int:
     dynamic = lifts is not None
 
     def lit_id(v) -> int:
-        return g.add_enode(LitNode(v))
+        return g.add_enode(v)
 
     def go(p):
-        # returns ("lit", value) or ("id", class id)
+        # returns ("lit", Atom or Lit) or ("id", class id)
         if isinstance(p, PatVar):
             if dynamic and p.index in lifts:
                 (v, *more) = class_literals(g, bindings[p.index], lifts[p.index])
                 if more:
                     raise InconsistentClass(f"c{bindings[p.index]} holds {v} and {more}")
-                return ("lit", v)
+                return ("lit", Lit(v))
             return ("id", bindings[p.index])
-        if isinstance(p, PatLit):
-            return ("lit", p.value)
+        if isinstance(p, (Atom, Lit)):
+            return ("lit", p)
         assert isinstance(p, PatTerm) and isinstance(p.op, str)
         vals = [go(a) for a in p.args]
         if (
             dynamic
             and len(vals) == 2
-            and all(k == "lit" and not isinstance(v, str) for k, v in vals)
+            and all(k == "lit" and isinstance(v, Lit) for k, v in vals)
         ):
             try:
-                return ("lit", eval_builtin(p.op, [v for _, v in vals]))
+                return ("lit", Lit(eval_builtin(p.op, [v.value for _, v in vals])))
             except UnknownBuiltin:
                 pass
         children = tuple(v if k == "id" else lit_id(v) for k, v in vals)
@@ -225,8 +224,8 @@ def lookup_pattern(g: EGraph, pat, m):
     def go(p):
         if isinstance(p, PatVar):
             return g.find(bindings[p.index])
-        if isinstance(p, PatLit):
-            return g.lookup(LitNode(p.value))
+        if isinstance(p, (Atom, Lit)):
+            return g.lookup(p)
         assert isinstance(p, PatTerm) and isinstance(p.op, str)
         children = []
         for a in p.args:
@@ -412,8 +411,8 @@ def enumerate_terms(g: EGraph, cid: int, depth: int) -> set[Term]:
         return set()
     out: set[Term] = set()
     for n in g.class_nodes(cid):
-        if isinstance(n, LitNode):
-            out.add(Atom(n.value) if isinstance(n.value, str) else Lit(n.value))
+        if not isinstance(n, OpNode):
+            out.add(n)
         else:
             choices: list[list[Term]] = []
             ok = True

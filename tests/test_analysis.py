@@ -18,7 +18,7 @@ from eqsat.analysis import (
     sign_analysis,
     sign_join,
 )
-from eqsat.egraph import EGraph, LitNode, MISSING, OpNode
+from eqsat.egraph import EGraph, MISSING, OpNode
 from eqsat.errors import AnalysisDiverged, Unextractable
 from eqsat.terms import Atom, Compound, Lit, eval_builtin, parse_term, print_term
 
@@ -252,7 +252,7 @@ def test_incremental_sign_matches_naive_fixpoint():
 def test_diverging_analysis_raises():
     # a depth count around a cycle grows without bound
     def make(g, n):
-        if isinstance(n, LitNode):
+        if not isinstance(n, OpNode):
             return 0
         depths = [g.getdata(c, "depth", MISSING) for c in n.children]
         return MISSING if MISSING in depths else 1 + max(depths)
@@ -276,12 +276,12 @@ def test_diverging_analysis_raises():
 
 
 def test_astsize():
-    assert astsize(LitNode("a"), ()) == 1
+    assert astsize(Atom("a"), ()) == 1
     assert astsize(OpNode("*", (0, 1)), [1, 1]) == 3
 
 
 def test_mult_penalty():
-    assert mult_penalty(LitNode(2), ()) == 1
+    assert mult_penalty(Lit(2), ()) == 1
     assert mult_penalty(OpNode("*", (0, 1)), [1, 1]) == 7
     assert mult_penalty(OpNode("+", (0, 1)), [1, 1]) == 5
 

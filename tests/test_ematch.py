@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import enumerate_terms, naive_ematch
 from eqsat.analysis import analyze, sign_analysis
-from eqsat.egraph import EGraph, LitNode, OpNode
+from eqsat.egraph import EGraph, OpNode
 from eqsat.errors import InconsistentClass, SegmentUnsupported
 from eqsat import machine
 from eqsat.machine import (
@@ -19,7 +19,7 @@ from eqsat.machine import (
 )
 from eqsat.rules import PatTerm, PatVar, Theory, class_literal, parse_rule
 from eqsat.saturation import compile_theory
-from eqsat.terms import Atom, Compound, Lit, parse_term
+from eqsat.terms import Atom, Compound, Lit, parse_term, print_term
 
 
 def lhs(line):
@@ -237,9 +237,30 @@ def pattern_lines(draw, depth=3):
     return f"{src} --> 0"
 
 
+@st.composite
+def path_lines(draw, g, depth=3):
+    """A pattern drawn down a path of `g` from a class with an operator node,
+    which matches there when its variables do. A leaf is a literal that its
+    class holds or a variable, ~v or ~w, so that variables repeat."""
+
+    def path(cid, d):
+        nodes = g.class_nodes(cid)
+        ops = [n for n in nodes if type(n) is OpNode]
+        if d == 0 or not ops:
+            leaves = [print_term(n) for n in nodes if type(n) is not OpNode]
+            return draw(st.sampled_from(leaves + ["~v", "~w"]))
+        op, args = draw(st.sampled_from(ops))
+        return f"({op} {' '.join(path(c, d - 1) for c in args)})"
+
+    roots = [c for c in g.canonical_ids() if OpNode in map(type, g.class_nodes(c))]
+    return f"{path(draw(st.sampled_from(roots)), depth)} --> 0"
+
+
 @settings(max_examples=60, deadline=None)
-@given(graphs(), pattern_lines())
-def test_vm_matches_naive_oracle(g, line):
+@given(graphs(), st.data())
+def test_vm_matches_naive_oracle(g, data):
+    # half the patterns run down a path of the graph, so that nested ones match
+    line = data.draw(path_lines(g) if data.draw(st.booleans()) else pattern_lines())
     pattern = lhs(line)
     got = {(m.class_id, m.bindings) for m in ematch(g, pattern)}
     assert got == naive_ematch(g, pattern)
@@ -370,7 +391,7 @@ def test_stamped_search_builds_only_the_new_matches(data):
             g.merge(draw(st.sampled_from(pool)), draw(st.sampled_from(pool)))
         elif step == "literal":  # a class gains a literal by a merge alone
             # a new literal's class has no parents, so the class keeps its id
-            lit = g.add_enode(LitNode(draw(st.sampled_from([1, 2, 3, 3]))))
+            lit = g.add_enode(Lit(draw(st.sampled_from([1, 2, 3, 3]))))
             g.merge(draw(st.sampled_from(pool)), lit)
         elif step == "signs":  # classes change sign in `_propagate` alone
             analyze(g, sign_analysis({"a": draw(_SIGNS), "b": draw(_SIGNS)}))

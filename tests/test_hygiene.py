@@ -466,3 +466,33 @@ def test_one_tree_fold_in_package():
         "terms.py tree_eq",
         "terms.py print_sexpr",
     ]
+
+
+def test_terms_alone_says_what_a_literal_is():
+    # a literal is a `terms.Atom` or `terms.Lit` in every layer: a leaf
+    # e-node and a pattern's literal leaf are the term leaf itself. So value
+    # equality (1 == 1.0, NaN equal to NaN) is written once, in terms.py, and
+    # no other class compares or hashes its own way but `rules.PatTerm`, a
+    # tree that `terms.tree_eq` compares
+    sources = package_sources()
+    assert functions_naming(sources["terms.py"], "num_eq")["Lit.__eq__"]
+    assert functions_naming(sources["terms.py"], "num_key")["Lit.__hash__"]
+    naming, comparing = [], []
+    for path, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            if names & {"num_eq", "num_key"}:
+                naming.append(f"{path} line {node.lineno}")
+            if isinstance(node, ast.ClassDef):
+                defined = set()
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        defined.add(item.name)
+                    elif isinstance(item, ast.Assign):
+                        defined.update(getattr(t, "id", None) for t in item.targets)
+                if defined & {"__eq__", "__hash__"}:
+                    comparing.append(f"{path.removesuffix('.py')}.{node.name}")
+    assert {line.partition(" ")[0] for line in naming} == {"terms.py"}
+    assert sorted(comparing) == ["rules.PatTerm", "terms.Compound", "terms.Lit"]

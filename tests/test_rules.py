@@ -12,7 +12,6 @@ from eqsat.errors import (
     UnknownPredicate,
 )
 from eqsat.rules import (
-    PatLit,
     PatSegment,
     PatTerm,
     PatVar,
@@ -26,7 +25,7 @@ from eqsat.rules import (
     parse_theory,
     resolve_predicate,
 )
-from eqsat.terms import Lit, parse_term
+from eqsat.terms import Atom, Lit, parse_term
 
 
 def test_parse_rewrite_rule():
@@ -56,9 +55,9 @@ def test_declared_vars_without_tilde():
 
 def test_literal_leaves():
     r = parse_rule("(* ~a 1) --> ~a", set())
-    assert r.lhs == PatTerm("*", (PatVar("a", 0), PatLit(1)))
+    assert r.lhs == PatTerm("*", (PatVar("a", 0), Lit(1)))
     r = parse_rule("(f ~a true) --> ~a", set())
-    assert r.lhs.args[1] == PatLit("true")
+    assert r.lhs.args[1] == Atom("true")
 
 
 def test_dense_indices_by_first_lhs_appearance():
@@ -327,6 +326,10 @@ def test_class_literals():
     g.rebuild()
     assert class_literals(g, g.find(a), "number") == [3]
     assert class_literals(g, g.find(a), "real") == []
+    # a literal is its own e-node, equal by value: 3.0 is the node 3, and two
+    # NaNs are one node, so a class holds one literal per value
+    assert g.add_term(Lit(3.0)) == g.find(a)
+    assert g.add_term(Lit(math.nan)) == g.add_term(Lit(float("nan")))
 
 
 def test_class_literal_is_the_one_literal_of_its_kind():
@@ -433,7 +436,7 @@ def test_theory_duplicate_name():
 def test_theory_vars_redeclaration_replaces():
     th = parse_theory("@vars a\n(f a) --> a\n@vars b\n(f b) --> b\n(f a) --> (f a)\n")
     # after the second @vars, `a` is a plain symbol literal again
-    assert th.rules[2].lhs == PatTerm("f", (PatLit("a"),))
+    assert th.rules[2].lhs == PatTerm("f", (Atom("a"),))
 
 
 def test_theory_concatenation():

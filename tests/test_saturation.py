@@ -21,11 +21,10 @@ from oracles import (
 from test_ematch import graphs
 from eqsat import machine, saturation, theories
 from eqsat.analysis import astsize, extract
-from eqsat.egraph import EGraph, LitNode, OpNode
+from eqsat.egraph import EGraph, OpNode
 from eqsat.errors import InconsistentClass
 from eqsat.machine import EMatch, EMatchProgram, ematch_program
 from eqsat.rules import (
-    PatLit,
     PatTerm,
     PatVar,
     PredicateRef,
@@ -47,7 +46,7 @@ from eqsat.saturation import (
     prove_equal,
     saturate,
 )
-from eqsat.terms import BUILTIN_OPS, Lit, parse_term, print_term
+from eqsat.terms import BUILTIN_OPS, Atom, Lit, parse_term, print_term
 from eqsat.theories import load_bundled, stream_optimize
 
 
@@ -251,6 +250,7 @@ def test_every_search_reads_a_rebuilt_graph_and_merges_nothing(monkeypatch):
     g.add_term(parse_term("(/ (* a (* 2 3)) 6)"))
     saturate(g, theory)
     stream_optimize(parse_term("(getindex (map (lambda x (* 7 x)) (fill 3 4)) 1)"))
+    stream_optimize(parse_term("(reverse (map (lambda x (+ x 1)) (cat (fill 2 5) s)))"))
     equal, _ = prove_equal(
         parse_term("(+ a (+ b c))"), parse_term("(+ c (+ b a))"), parse_theory(COMM_ASSOC)
     )
@@ -431,7 +431,7 @@ def test_backoff_banned_rule_contributes_zero_matches():
 # -- compiled right-hand sides ----------------------------------------------
 
 _RHS_VARS = (PatVar("x", 0), PatVar("y", 1), PatVar("z", 2))
-_RHS_LITERALS = (PatLit(0), PatLit(2), PatLit(2.5), PatLit("a"))
+_RHS_LITERALS = (Lit(0), Lit(2), Lit(2.5), Atom("a"))
 
 
 def _random_rhs(rng, depth, literals=_RHS_LITERALS):
@@ -467,7 +467,7 @@ def _builder_kinds(rhs, lifts):
                 lifts is not None and p.op in BUILTIN_OPS and len(p.args) == 2
                 and all(map(literal, p.args))
             )
-        return p.index in lifted if isinstance(p, PatVar) else type(p.value) is not str
+        return p.index in lifted if isinstance(p, PatVar) else type(p) is Lit
 
     kinds = set()
     seen = set()
@@ -490,7 +490,7 @@ def _builder_kinds(rhs, lifts):
                 continue
             plain = sum(map(class_var, p.args))
             n_nodes = sum(isinstance(a, PatTerm) for a in p.args)
-            if any(isinstance(a, PatLit) for a in p.args):
+            if any(isinstance(a, (Atom, Lit)) for a in p.args):
                 kinds.add("literal child")
             elif plain == len(p.args):
                 kinds.add("variables")
@@ -500,7 +500,7 @@ def _builder_kinds(rhs, lifts):
                 kinds.add("nodes")
     if class_var(rhs):
         kinds.add("variable root")
-    elif isinstance(rhs, PatLit):
+    elif isinstance(rhs, (Atom, Lit)):
         kinds.add("constant root")
     elif lean(rhs):
         sizes = {1: "one lean node", 2: "two lean nodes"}
@@ -600,8 +600,8 @@ def test_compiled_builder_matches_interpreted(kind):
 
 
 def test_compiled_builder_folds_nested_literals():
-    rhs = PatTerm("+", (PatTerm("*", (PatVar("x", 0), PatLit(2))),
-                        PatTerm("/", (PatVar("y", 1), PatLit(4)))))
+    rhs = PatTerm("+", (PatTerm("*", (PatVar("x", 0), Lit(2))),
+                        PatTerm("/", (PatVar("y", 1), Lit(4)))))
     g = EGraph()
     three, two = g.add_term(Lit(3)), g.add_term(Lit(2))
     n = g.n_enodes
@@ -630,19 +630,19 @@ def test_compiled_lookup_matches_interpreted():
     found = 0
     drawn = Counter()
     # no graph holds 7 or c, so a literal child may be absent
-    literals = _RHS_LITERALS + (PatLit(7), PatLit("c"))
+    literals = _RHS_LITERALS + (Lit(7), Atom("c"))
     for trial in range(300):
         g, pool = _random_graph(trial)
         # one right-hand side in ten is a literal
         rhs = rng.choice(literals) if trial % 10 == 1 else _random_rhs(rng, 2, literals)
-        drawn["constant root"] += isinstance(rhs, PatLit)
+        drawn["constant root"] += isinstance(rhs, (Atom, Lit))
         todo = [rhs]
         while todo:
             p = todo.pop()
             if isinstance(p, PatTerm):
                 todo += p.args
-                lits = [a for a in p.args if isinstance(a, PatLit)]
-                if any(g.lookup(LitNode(a.value)) is None for a in lits):
+                lits = [a for a in p.args if isinstance(a, (Atom, Lit))]
+                if any(g.lookup(a) is None for a in lits):
                     drawn["absent literal child"] += 1
                     break
         lookup = _instantiator(RuleKind.UNEQUAL, rhs)
@@ -1186,9 +1186,11 @@ def test_a_search_that_builds_nothing_still_records_since():
 
 @st.composite
 def theory_texts(draw, g):
-    """1 to 4 `-->` and `!=` rules over the operators of `graphs()` and over
-    `h`, which those graphs never hold. A left-hand side is drawn at random,
-    or from a path down `g`, which it then matches when its variables do."""
+    """1 to 4 `-->`, `!=` and `==` rules over the operators of `graphs()` and
+    over `h`, which those graphs never hold. A left-hand side is drawn at
+    random, or from a path down `g`, which it then matches when its variables
+    do. An `==` rule's right-hand side is an `h` node of its variables, so
+    its right-to-left direction is dead where its left-to-right one lives."""
     nodes = [(op, n) for op in ("f", "g", "+", "h") for n in (1, 2)]
     leaves = st.sampled_from(["~x", "~y", "a", "1"])
 
@@ -1211,8 +1213,12 @@ def theory_texts(draw, g):
             lhs = pat(3)
         else:
             lhs = path(draw(st.sampled_from(g.canonical_ids())), 3)
-        rhs = draw(st.sampled_from([v for v in ("~x", "~y") if v in lhs] + ["a", "(g a)"]))
-        lines.append(f"{lhs} {draw(st.sampled_from(['-->', '!=']))} {rhs}")
+        kind = draw(st.sampled_from(["-->", "!=", "=="]))
+        if kind == "==":
+            rhs = f"(h {' '.join(v for v in ('~x', '~y') if v in lhs) or 'a'})"
+        else:
+            rhs = draw(st.sampled_from([v for v in ("~x", "~y") if v in lhs] + ["a", "(g a)"]))
+        lines.append(f"{lhs} {kind} {rhs}")
     return "\n".join(lines)
 
 
