@@ -101,6 +101,7 @@ class EGraph:
         self.pending: list[tuple[ENode, int]] = []  # parents to make canonical
         self.analysis_worklist: list[tuple[ENode, int]] = []  # nodes to make again
         self.node_limit = node_limit
+        self.class_limit: Optional[int] = None  # `saturate` sets it for a run
         self.version = 0
         self.analyses: dict[str, object] = {}  # registered analyses, by name
         self._by_op: tuple[int, dict] = (-1, {})  # (version, `nodes_by_op` index)
@@ -154,8 +155,11 @@ class EGraph:
         if cid is not None:
             # a memo id was allocated, so it is in range
             return cid if self._uf[cid] == cid else self.find(cid)
+        # a new node makes a new class: the only place a class is made
         if self.node_limit is not None and len(self.memo) >= self.node_limit:
-            raise CapacityExceeded(f"e-node limit {self.node_limit} reached")
+            raise CapacityExceeded(f"e-node limit {self.node_limit} reached", "enode-limit")
+        if self.class_limit is not None and len(self.classes) >= self.class_limit:
+            raise CapacityExceeded(f"e-class limit {self.class_limit} reached", "eclass-limit")
         cid = self._alloc()
         stamp = self.rebuilds + 1  # a row made since the last rebuild
         cls = EClass(cid, stamp)

@@ -53,7 +53,12 @@ class UnknownId(EqsatError):
 
 
 class CapacityExceeded(EqsatError):
-    pass
+    """A graph reached a size limit; `kind` names the limit, as the stop
+    reason a saturation run gives for it: "enode-limit" or "eclass-limit"."""
+
+    def __init__(self, message: str, kind: str):
+        super().__init__(message)
+        self.kind = kind
 
 
 class SegmentUnsupported(EqsatError):

@@ -9,7 +9,8 @@ occurrence with no guard emits no step, so most patterns end in a bind:
 that leaf bind yields the match of each row it binds itself, one call per
 match fewer than a bind followed by a yield. A search reads a rebuilt
 graph: `ematch_program` and `run_program` first rebuild a graph with pending
-merges or analysis updates, so every e-node's children are canonical ids,
+merges or analysis updates (given a run state, they leave that to its
+maker), so every e-node's children are canonical ids,
 every register holds one, and the search itself merges nothing. A ground
 subpattern compiles like any other subpattern: on a congruence-closed graph a
 class holds a ground term's e-node exactly when a hashcons lookup would find
@@ -23,11 +24,14 @@ arity) its binds read (`EMatchProgram.ops`); in the relational view a join
 with an empty relation is empty, so a search on a graph whose index lacks one
 of them returns no match and runs no root.
 
-One search is one run state: `ematch_program` reads the index once, makes
-one `_Run` and hands it to `run_program` for each root, which only sets the
-root register, the list of the root's matches, its limit and `since`. The
-registers need no reset between roots, as every step writes a register
-before any later step reads it.
+A run state (`RunState`) holds the graph, its index and the registers, and
+one serves every search of a step: `eqsat_step` makes one after its opening
+rebuild, with registers enough for its largest program, and hands it to each
+`ematch_program` call, which hands it to `run_program` for each root. A run
+only sets the root register, the list of the root's matches, its limit and
+`since`. The registers need no reset between roots or programs, as every
+step writes a register before any later step reads it. A search given no
+run state makes its own.
 
 A run yields each match once, with no set to deduplicate them: on a rebuilt
 graph each canonical e-node lies in exactly one class, so a match (its root
@@ -80,7 +84,7 @@ class EMatchProgram:
     equality."""
 
     # the first closure of the chain; it lives as long as the program
-    start: Callable[["_Run"], None] = field(repr=False)
+    start: Callable[["RunState", int], None] = field(repr=False)
     n_regs: int
     root_op: Optional[str]  # the operator the root binds; None for a leaf
     root_arity: int  # the root's number of arguments; 0 for a leaf
@@ -152,16 +156,18 @@ class _Full(Exception):
     """Ends a run that holds as many matches as it was asked for."""
 
 
-class _Run:
-    """The state of the runs of one program on one rebuilt graph, one root
-    class after another; `run_program` sets the per-root fields."""
+class RunState:
+    """The state of the runs of programs of at most `n_regs` registers on
+    one rebuilt graph, one root class after another; `run_program` sets the
+    per-root fields. It reads the graph's index when made, so it serves
+    until the graph next changes."""
 
     __slots__ = ("g", "classes", "index", "regs", "found", "limit", "since")
 
-    def __init__(self, g: EGraph, index, n_regs: int):
+    def __init__(self, g: EGraph, n_regs: int):
         self.g = g
         self.classes = g.classes
-        self.index = index  # `g.nodes_by_op()`
+        self.index = g.nodes_by_op()
         self.regs: list[Optional[int]] = [None] * n_regs
         self.found: list[Optional[EMatch]] = []
         self.limit: Optional[int] = None
@@ -175,7 +181,7 @@ class _Run:
 # holds a canonical class id and no closure calls `find`.
 # A closure gets what it needs as default arguments, not from enclosing
 # cells: every cell is one more object for the cycle collector to track, and
-# each `saturate` call compiles a closure per step of every rule.
+# every compile of a theory makes a closure per step of every rule.
 
 
 def _bind(reg: int, op: str, arity: int, base: int, k):
@@ -183,7 +189,7 @@ def _bind(reg: int, op: str, arity: int, base: int, k):
     end = base + arity
 
     # a run starts only on an index that lists every bind's key (`ops`)
-    def bind(r: _Run, t, reg=reg, key=key, base=base, end=end, k=k):
+    def bind(r: RunState, t, reg=reg, key=key, base=base, end=end, k=k):
         regs = r.regs
         for children, stamp in r.index[key].get(regs[reg], ()):
             regs[base:end] = children
@@ -194,7 +200,7 @@ def _bind(reg: int, op: str, arity: int, base: int, k):
 
 def _check_lit(reg: int, leaf: Union[Atom, Lit], k):
     # a literal leaf is its own e-node
-    def check_lit(r: _Run, t, reg=reg, leaf=leaf, k=k):
+    def check_lit(r: RunState, t, reg=reg, leaf=leaf, k=k):
         cls = r.classes[r.regs[reg]]
         if leaf in cls.nodes:
             stamp = cls.stamp
@@ -204,7 +210,7 @@ def _check_lit(reg: int, leaf: Union[Atom, Lit], k):
 
 
 def _check_predicate(reg: int, pred: Predicate, params: tuple[float, ...], k):
-    def check(r: _Run, t, pred=pred, reg=reg, params=params, k=k):
+    def check(r: RunState, t, pred=pred, reg=reg, params=params, k=k):
         cid = r.regs[reg]
         if pred.egraph(r.g, cid, params):
             # read after the check: a graph's first sign guard registers the
@@ -216,7 +222,7 @@ def _check_predicate(reg: int, pred: Predicate, params: tuple[float, ...], k):
 
 
 def _compare(i: int, j: int, k):
-    def compare(r: _Run, t, i=i, j=j, k=k):
+    def compare(r: RunState, t, i=i, j=j, k=k):
         regs = r.regs
         if regs[i] == regs[j]:
             k(r, t)
@@ -242,7 +248,7 @@ def _bind_yield(reg: int, op: str, arity: int, base: int, var_regs: tuple[int, .
     bindings_of = _bindings_of(var_regs)
 
     def bind_yield(
-        r: _Run, t, reg=reg, key=key, base=base, end=end,
+        r: RunState, t, reg=reg, key=key, base=base, end=end,
         bindings_of=bindings_of, new=tuple.__new__,
     ):
         regs = r.regs
@@ -264,7 +270,7 @@ def _bind_yield(reg: int, op: str, arity: int, base: int, var_regs: tuple[int, .
 def _yield(var_regs: tuple[int, ...]):
     bindings_of = _bindings_of(var_regs)
 
-    def yield_(r: _Run, t, bindings_of=bindings_of, new=tuple.__new__):
+    def yield_(r: RunState, t, bindings_of=bindings_of, new=tuple.__new__):
         found = r.found
         if t > r.since:
             regs = r.regs
@@ -283,7 +289,7 @@ def run_program(
     root: int,
     limit: Optional[int] = None,
     since: int = -1,
-    run: Optional[_Run] = None,
+    run: Optional[RunState] = None,
 ) -> list[Optional[EMatch]]:
     """Depth-first execution from the class of `root`, on the graph rebuilt
     first if it is not; enumeration follows class-node insertion order. No
@@ -300,10 +306,9 @@ def run_program(
             return []
         if root not in g.classes:  # the classes are keyed by their canonical ids
             root = g.find(root)
-        index = g.nodes_by_op()
-        if not index.keys() >= prog.ops:
+        run = RunState(g, prog.n_regs)
+        if not run.index.keys() >= prog.ops:
             return []
-        run = _Run(g, index, prog.n_regs)
     run.regs[0] = root
     run.found = found = []
     run.limit = limit
@@ -329,28 +334,34 @@ def ematch_program(
     limit: Optional[int] = None,
     deadline: Optional[float] = None,
     since: int = -1,
+    run: Optional[RunState] = None,
 ) -> list[Optional[EMatch]]:
     """Every match of `prog`, root classes in id order, on the graph rebuilt
     first if it is not; with a `limit`, the first `limit` of them. A program
     that starts by binding an operator runs only on the classes that
     `nodes_by_op` lists under its operator and arity, and none runs at all
     when the index lacks an (operator, arity) that one of its binds reads.
-    The roots share one run state, each run through `run_program`. Once
+    The roots share one run state, each run through `run_program`: `run`
+    when given, which the caller vouches for (the graph is rebuilt, the
+    run's index is current and lists every key of `prog.ops`, and it has
+    `prog.n_regs` registers or more), else one made here. Once
     `time.perf_counter()` is past `deadline`, no further root is run: the
     matches are then those of the roots run so far. A match whose search
     path is no newer than rebuild `since` (see the module docstring) is
     counted but not built: None stands in its place. With the default -1
     every match is built."""
-    if g.pending or g.analysis_worklist:
-        g.rebuild()
-    index = g.nodes_by_op()
-    if limit == 0 or not index.keys() >= prog.ops:
+    if run is None:
+        if g.pending or g.analysis_worklist:
+            g.rebuild()
+        run = RunState(g, prog.n_regs)
+        if not run.index.keys() >= prog.ops:
+            return []
+    if limit == 0:
         return []
     if prog.root_op is not None:
-        roots = index[prog.root_op, prog.root_arity]
+        roots = run.index[prog.root_op, prog.root_arity]
     else:
         roots = g.canonical_ids()
-    run = _Run(g, index, prog.n_regs)
     out: list[Optional[EMatch]] = []
     for cid in roots:
         # matches of different roots differ in their class, so runs cannot

@@ -101,6 +101,10 @@ class Rule:
 class Theory:
     name: str
     rules: list[Rule] = field(default_factory=list)
+    # what `saturate` compiled of the theory, kept for its later runs: (the
+    # rules it compiled, as a tuple, and the compiled theory). A changed rule
+    # list compiles again.
+    compiled: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __add__(self, other: "Theory") -> "Theory":
         return Theory(f"{self.name}+{other.name}", self.rules + other.rules)

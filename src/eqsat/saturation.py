@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .egraph import EGraph, OpNode
 from .errors import CapacityExceeded, SegmentUnsupported
-from .machine import EMatch, EMatchProgram, compile_pattern, ematch_program
+from .machine import EMatch, EMatchProgram, RunState, compile_pattern, ematch_program
 from .rules import PatTerm, PatVar, Pattern, Rule, RuleKind, Theory, class_literal
 from .terms import BUILTIN_OPS, Atom, Lit, Term, eval_builtin, fold_tree
 
@@ -265,6 +265,15 @@ def compile_theory(theory: Theory) -> CompiledTheory:
     return tuple(compiled)
 
 
+def _compiled(theory: Theory) -> CompiledTheory:
+    """`compile_theory(theory)`, kept on `theory` and made again only when
+    its rules are no longer those compiled (`Rule` compares by identity)."""
+    rules = tuple(theory.rules)
+    if theory.compiled is None or theory.compiled[0] != rules:
+        theory.compiled = (rules, compile_theory(theory))
+    return theory.compiled[1]
+
+
 def mirrored(lhs: Pattern, rhs: Pattern) -> bool:
     """Whether one renaming π of the variables gives π(lhs) = rhs and
     π(rhs) = lhs, predicates included and no operator a variable, as for
@@ -464,7 +473,8 @@ def eqsat_step(
     a search finding nothing would, its `since`. A graph's keys only grow,
     so the rule was dead at every earlier step, and once alive every match
     it has is newer than that `since`. A dead direction of a live rule is
-    not searched either: it adds no match. Returns (changed, early stop).
+    not searched either: it adds no match. Every search of the step shares
+    one run state (`machine.RunState`). Returns (changed, early stop).
     Once `time.perf_counter()` is past `deadline`, no further root is
     searched and no further match applied: the step rebuilds the graph and
     stops with `time-limit`, and a search that ran past the deadline is not
@@ -482,7 +492,12 @@ def eqsat_step(
     if not g.is_rebuilt():
         g.rebuild()
     searched = g.rebuilds
-    keys = g.nodes_by_op().keys()  # the searches below reuse this index
+    # one run state, and its index, for every search below, with registers
+    # for the largest program: the phase adds and merges nothing (a first
+    # sign guard registers its analysis, which changes class data alone)
+    n_regs = max([d.program.n_regs for cr in compiled for d in cr.directions], default=1)
+    run = RunState(g, n_regs)
+    keys = run.index.keys()
     # per rule searched and not banned: its index, whether it is a `!=` rule,
     # and per direction the matches its search kept; None stands for a match
     # the rule's last search kept, which was applied
@@ -516,7 +531,7 @@ def eqsat_step(
             if left == 0 or deadline is not None and time.perf_counter() > deadline:
                 break
             if keys >= d.program.ops:
-                matches.append(ematch_program(g, d.program, left, deadline, since))
+                matches.append(ematch_program(g, d.program, left, deadline, since, run))
             else:  # a dead direction of a live rule
                 matches.append([])
             n += len(matches[-1])
@@ -560,8 +575,8 @@ def eqsat_step(
                 st.apply_s += time.perf_counter() - t0
             if stop is None and not unequal:
                 sched.applied(idx, searched)
-    except CapacityExceeded:
-        stop = StopReason(ENODE_LIMIT)
+    except CapacityExceeded as exc:
+        stop = StopReason(exc.kind)
 
     # Phase 3: rebuild
     g.rebuild()
@@ -574,15 +589,17 @@ def saturate(
     params: Optional[SaturationParams] = None,
 ) -> Report:
     """Saturates `g` with a theory, or with the result of `compile_theory`
-    on one. A `Theory` is compiled for this call alone; a compiled theory
-    is only read, so it can be passed again to later calls."""
+    on one. A `Theory` is compiled on its first run and the result kept with
+    it (`Theory.compiled`), so later runs reuse it until its rule list
+    changes; a compiled theory is only read, so it can be passed again to
+    later calls."""
     params = params or SaturationParams()
-    compiled = compile_theory(theory) if isinstance(theory, Theory) else theory
+    compiled = _compiled(theory) if isinstance(theory, Theory) else theory
     weights = [2 if cr.mirrored else 1 for cr in compiled]
     sched = BackoffScheduler(weights, params.matchlimit)
     stats: dict[int, RuleStats] = {}
-    old_limit = g.node_limit
-    g.node_limit = params.enodelimit
+    old_limits = g.node_limit, g.class_limit
+    g.node_limit, g.class_limit = params.enodelimit, params.eclasslimit
     deadline = None
     if params.timelimit_s is not None:
         deadline = time.perf_counter() + params.timelimit_s
@@ -606,6 +623,8 @@ def saturate(
             if stop is not None:
                 reason = stop
                 break
+            # the step stops at the limit (`EGraph.class_limit`); a graph
+            # that started over it and added no node passes it here
             if g.n_eclasses > params.eclasslimit:
                 reason = StopReason(ECLASS_LIMIT)
                 break
@@ -618,7 +637,7 @@ def saturate(
         if reason is None:
             reason = StopReason(ITERATION_LIMIT)
     finally:
-        g.node_limit = old_limit
+        g.node_limit, g.class_limit = old_limits
     return Report(reason, iterations, g.n_enodes, g.n_eclasses, stats)
 
 
@@ -629,7 +648,9 @@ def prove_equal(
     params: Optional[SaturationParams] = None,
 ) -> tuple[bool, Report]:
     """Whether saturating a graph of `t1` and `t2` with `theory` (a `Theory`
-    or a compiled one, as for `saturate`) puts them in one e-class."""
+    or a compiled one, as for `saturate`) puts them in one e-class. A
+    `Theory` is compiled once, by its first `saturate` run, and kept with
+    it, so proving many pairs with one `Theory` compiles it once."""
     g = EGraph()
     a = g.add_term(t1)
     b = g.add_term(t2)

@@ -18,7 +18,7 @@ from ..saturation import (
     compile_theory,
     saturate,
 )
-from ..terms import Compound, Term, fold_tree, inline_anonymous
+from ..terms import CALL_OP, LAMBDA_OP, Atom, Compound, Term, fold_tree, inline_anonymous
 
 BUNDLED = (
     "comm_monoid",
@@ -77,7 +77,27 @@ def _stream_pipeline() -> tuple[CompiledTheory, Rewriter]:
         for r in th.rules
         if r.kind in (RuleKind.REWRITE, RuleKind.DYNAMIC)
     ]
-    return stream, Fixpoint(Postwalk(Chain([inline_anonymous] + classical_rules)))
+    cleanup = Chain([inline_anonymous, lower_fand] + classical_rules)
+    return stream, Fixpoint(Postwalk(cleanup))
+
+
+def lower_fand(t: Term) -> Optional[Term]:
+    """`(fand f g)` as `(lambda v (and (call f v) (call g v)))`, or None for
+    any other term. The binder `v` is `x`, or else the first of `x1`, `x2`,
+    ... that is not an atom of `f` or `g`, so that it captures none of their
+    free atoms."""
+    if not (isinstance(t, Compound) and t.op == "fand" and len(t.args) == 2):
+        return None
+    f, g = t.args
+    leaves: set[Term] = set()
+    for fn in t.args:
+        fold_tree(fn, Compound, leaves.add, lambda x, _: None)
+    v, i = Atom("x"), 0
+    while v in leaves:
+        i += 1
+        v = Atom(f"x{i}")
+    calls = (Compound(CALL_OP, (f, v)), Compound(CALL_OP, (g, v)))
+    return Compound(LAMBDA_OP, (v, Compound("and", calls)))
 
 
 def _astsize(t: Term) -> int:

@@ -7,6 +7,7 @@ data structures beyond the public Term/EGraph APIs.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 
 from unittest import mock
@@ -432,3 +433,41 @@ def enumerate_terms(g: EGraph, cid: int, depth: int) -> set[Term]:
                     product(i + 1, acc + [c])
             product(0, [])
     return out
+
+
+# -- a stream interpreter, the reference for `stream_optimize` --------------
+
+_STREAM_OPS = {
+    "call": lambda f, v: f(v),
+    "apply": lambda f, v: f(v),
+    "compose": lambda f, g: lambda v: f(g(v)),
+    "fand": lambda f, g: lambda v: f(v) and g(v),
+    "and": lambda a, b: a and b,
+    "ifelse": lambda c, a, b: a if c else b,
+    "<": operator.lt,
+    ">": operator.gt,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "fill": lambda v, n: [v] * n,
+    "map": lambda f, s: [f(v) for v in s],
+    "filter": lambda f, s: [v for v in s if f(v)],
+    "reverse": lambda s: s[::-1],
+    "cat": operator.add,
+    "sum": sum,
+    "length": len,
+}
+
+
+def eval_stream(t: Term, env: dict):
+    """The value of a stream term, by recursion on it: a number or a bool, a
+    list for a stream, a Python callable for a function. An atom is read
+    from `env`, where `true` and `false` are the bools unless bound."""
+    if isinstance(t, Lit):
+        return t.value
+    if isinstance(t, Atom):
+        return {"true": True, "false": False, **env}[t.name]
+    if t.op == "lambda":
+        param, body = t.args
+        return lambda v: eval_stream(body, {**env, param.name: v})
+    return _STREAM_OPS[t.op](*(eval_stream(a, env) for a in t.args))

@@ -450,6 +450,15 @@ def test_optimize_stream(capsys):
     assert out.strip() == "(fill 21 4)"
 
 
+def test_optimize_stream_fuses_filters_without_capturing_a_free_atom(capsys):
+    code, out, _ = run(
+        capsys, "optimize-stream",
+        "--expr", "(filter (lambda y (> y x)) (filter (lambda z (< z 5)) s))",
+    )
+    assert code == 0
+    assert out.strip() == "(filter (lambda x1 (and (> x1 x) (< x1 5))) s)"
+
+
 def test_output_reparseable(capsys):
     code, out, _ = run(
         capsys, "optimize-stream", "--json",

@@ -80,8 +80,23 @@ def test_value_based_literal_identity():
 def test_node_limit():
     g = EGraph(node_limit=3)
     g.add_term(parse_term("(f a b)"))  # exactly 3 nodes
-    with pytest.raises(CapacityExceeded):
+    with pytest.raises(CapacityExceeded) as exc:
         g.add_term(parse_term("c"))
+    assert exc.value.kind == "enode-limit"
+
+
+def test_class_limit():
+    g = EGraph()
+    g.class_limit = 3
+    a, b = g.add_term(Atom("a")), g.add_term(Atom("b"))
+    g.add_term(parse_term("(f a)"))
+    g.merge(a, b)  # a merge frees a class
+    g.add_term(parse_term("(g a)"))
+    assert g.n_eclasses == 3
+    with pytest.raises(CapacityExceeded) as exc:
+        g.add_term(parse_term("c"))
+    assert exc.value.kind == "eclass-limit"
+    assert g.add_term(parse_term("(f b)")) is not None  # no new class
 
 
 # -- lookup -----------------------------------------------------------------

@@ -11,7 +11,7 @@ from eqsat.errors import InconsistentClass, SegmentUnsupported
 from eqsat import machine
 from eqsat.machine import (
     EMatch,
-    _Run,
+    RunState,
     compile_pattern,
     ematch,
     ematch_program,
@@ -620,10 +620,25 @@ def test_shared_run_equals_the_runs_of_single_roots(data):
                 assert every == []
                 continue
             # one run state for every root, each run cut at a limit of its own
-            run = _Run(g, index, prog.n_regs)
+            run = RunState(g, prog.n_regs)
             for i, (cid, ms) in enumerate(zip(g.canonical_ids(), runs)):
                 limit = 1 + i % 3
                 assert run_program(g, prog, cid, limit, s, run) == ms[:limit], src
+    # several programs searched in a row with one run state, as a step
+    # searches, sized for the largest: each finds what it finds alone
+    srcs = draw(st.lists(st.sampled_from(_SHARED_PATTERNS), min_size=2, max_size=6))
+    progs = [compile_pattern(lhs(f"{src} --> 0")) for src in srcs]
+    run = RunState(g, max(p.n_regs for p in progs))
+    for src, prog in zip(srcs, progs):
+        if not run.index.keys() >= prog.ops:
+            continue  # a step searches only a program whose keys are all there
+        limit = draw(st.sampled_from([None, 1, 2, 3, 5]))
+        s = draw(st.sampled_from([-1, since, g.rebuilds]))
+        try:
+            alone = ematch_program(g, prog, limit, since=s)
+        except InconsistentClass:  # two literals share a class
+            continue
+        assert ematch_program(g, prog, limit, since=s, run=run) == alone, (src, limit, s)
 
 
 def _last_step(prog):

@@ -230,6 +230,37 @@ def missing_names(names: list[str]) -> list[str]:
     return missing
 
 
+_CONTAINERS = {
+    "dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque",
+    "WeakKeyDictionary", "WeakValueDictionary",
+}
+
+
+def module_level_state(source: str) -> list[str]:
+    """Where a module can keep state between calls, as "line N: name": a
+    module-level name bound to a mutable container, and a function decorated
+    with `functools.cache` or `lru_cache`, with parameters or none."""
+    tree = ast.parse(source)
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            value = node.value
+            call = value.func if isinstance(value, ast.Call) else None
+            name = getattr(call, "attr", None) or getattr(call, "id", None)
+            if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
+                                  ast.ListComp, ast.SetComp)) or name in _CONTAINERS:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [f"line {node.lineno}: {t.id}" for t in targets if isinstance(t, ast.Name)]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = getattr(target, "attr", None) or getattr(target, "id", None)
+                if name in ("cache", "lru_cache"):
+                    found.append(f"line {node.lineno}: {node.name}")
+    return found
+
+
 def test_unused_imports_finds_unused_names():
     source = "import os\nimport a.b\nfrom c import d, e as f\nprint(a, f)\n"
     assert unused_imports(source) == ["line 1: os", "line 3: d"]
@@ -257,6 +288,19 @@ def test_argument_keyed_caches_finds_cached_functions_with_parameters():
     )
     assert argument_keyed_caches(source) == [
         "line 6: b", "line 8: c", "line 10: d", "line 15: f",
+    ]
+
+
+def test_module_level_state_finds_containers_and_caches():
+    source = (
+        "import collections, functools, weakref\n"
+        "A = {}\nB: list = []\nC = weakref.WeakKeyDictionary()\n"
+        "D = collections.defaultdict(list)\nE = (1, 2)\nF = frozenset()\n"
+        "@functools.cache\ndef g(): pass\n"
+        "def h():\n    cache = {}\n    return cache\n"
+    )
+    assert module_level_state(source) == [
+        "line 2: A", "line 3: B", "line 4: C", "line 5: D", "line 9: g",
     ]
 
 
@@ -395,6 +439,23 @@ def test_no_argument_keyed_caches_in_package():
         name: argument_keyed_caches(source) for name, source in package_sources().items()
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_compile_theory_keeps_no_state():
+    # the oracles that patch what `compile_theory` calls (`compile_two_way`
+    # patches `mirrored`) need each call to compile afresh: the compiled
+    # form a `Theory` keeps is the only cache, and it lives on the `Theory`
+    from eqsat.rules import parse_theory
+    from eqsat.saturation import compile_theory
+
+    assert module_level_state(package_sources()["saturation.py"]) == []
+    theory = parse_theory("(+ ~a ~b) == (+ ~b ~a)\n(f ~x) --> (g ~x)\n")
+    first, second = compile_theory(theory), compile_theory(theory)
+    assert first is not second
+    for a, b in zip(first, second):
+        assert a is not b
+        assert all(x.program is not y.program for x, y in zip(a.directions, b.directions))
+    assert theory.compiled is None
 
 
 def test_no_unread_parameters_in_package():

@@ -102,6 +102,29 @@ def test_enodelimit_respected_eagerly():
     assert g.n_enodes <= 40
 
 
+@pytest.mark.parametrize("limit", [100, 500])
+def test_eclasslimit_respected_inside_the_step(limit):
+    # checked after the step, these stopped at 239 and 797 classes
+    g = EGraph()
+    g.add_term(parse_term("(+ a1 (+ a2 (+ a3 (+ a4 (+ a5 (+ a6 (+ a7 a8)))))))"))
+    params = SaturationParams(timeout=50, matchlimit=None, eclasslimit=limit)
+    report = saturate(g, parse_theory(COMM_ASSOC), params)
+    assert report.stop_reason.kind == "eclass-limit"
+    assert report.n_eclasses == g.n_eclasses <= limit
+
+
+def test_graph_over_eclasslimit_stops_at_its_first_new_class():
+    g, root, report = sat("(+ a (+ b c))", "(+ ~x ~y) == (+ ~y ~x)", eclasslimit=2)
+    assert report.stop_reason.kind == "eclass-limit"
+    assert report.iterations == 1
+    assert g.n_eclasses == 5  # the rule's first new node was refused
+    # a step that adds nothing stops at the check after it
+    g, root, report = sat("(f (g a))", "(h ~x) --> ~x", eclasslimit=2)
+    assert report.stop_reason.kind == "eclass-limit"
+    assert report.iterations == 1
+    assert g.n_eclasses == 3
+
+
 def test_graph_over_enodelimit_saturates_when_nothing_is_added():
     # the limit is checked when a node is added, and no rule adds one here
     g, root, report = sat("(f (g a))", "(h ~x) --> ~x", enodelimit=2)
@@ -291,6 +314,68 @@ def test_eqsat_step_adds_to_the_callers_stats(monkeypatch):
     assert made == ["r0", "r1"]  # one RuleStats per rule, made in the first step
     assert all(stats[i] is first[i] for i in stats)
     assert [st.matches for st in stats.values()] == [2 + 6, 1 + 5]
+
+
+def test_eqsat_step_shares_one_run_state_across_its_searches(monkeypatch):
+    made, searches = [], []
+
+    class Counted(machine.RunState):
+        __slots__ = ()
+
+        def __init__(self, g, n_regs):
+            made.append(n_regs)
+            super().__init__(g, n_regs)
+
+    search = machine.ematch_program
+
+    def counted(*args, **kwargs):
+        searches.append(args[1])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(machine, "RunState", Counted)
+    monkeypatch.setattr(saturation, "RunState", Counted)
+    monkeypatch.setattr(saturation, "ematch_program", counted)
+    g = EGraph()
+    g.add_term(parse_term("(* (* a b) (f c))"))
+    compiled = compile_theory(
+        parse_theory("@vars a b c\n(* a b) == (* b a)\n(* a (* b c)) == (* (* a b) c)\n"
+                     "(f a) --> (g a)\n")
+    )
+    sched = BackoffScheduler([2, 1, 1], match_limit=None)
+    for iteration in range(3):
+        made.clear(), searches.clear()
+        eqsat_step(g, compiled, sched, iteration, {})
+        assert len(searches) >= 3
+        assert made == [max(p.n_regs for p in searches)]
+
+
+def test_a_theory_compiles_on_its_first_run_alone(monkeypatch):
+    calls = []
+    real = saturation.compile_theory
+
+    def counted(theory):
+        calls.append(theory)
+        return real(theory)
+
+    monkeypatch.setattr(saturation, "compile_theory", counted)
+    theory = parse_theory(COMM_ASSOC)
+    for _ in range(2):
+        g = EGraph()
+        g.add_term(parse_term("(+ a (+ b c))"))
+        saturate(g, theory, SaturationParams())
+        assert prove_equal(parse_term("(+ a b)"), parse_term("(+ b a)"), theory)[0]
+    assert calls == [theory]
+    kept = theory.compiled[1]
+    # the field plays no part in comparing or printing a Theory
+    fresh = Theory(theory.name, theory.rules)
+    assert theory == fresh and repr(theory) == repr(fresh)
+    # a changed rule list compiles again
+    theory.rules.append(parse_theory("(f ~x) --> ~x").rules[0])
+    prove_equal(parse_term("(f a)"), parse_term("a"), theory)
+    assert calls == [theory, theory]
+    assert len(theory.compiled[1]) == 3 and theory.compiled[1] is not kept
+    prove_equal(parse_term("(f a)"), parse_term("a"), theory)
+    assert len(calls) == 2
 
 
 # -- prove_equal ------------------------------------------------------------

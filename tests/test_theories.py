@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import eval_stream
 from eqsat.analysis import astsize, extract
 from eqsat.egraph import EGraph
 from eqsat.errors import EqsatError
@@ -13,6 +15,7 @@ from eqsat.theories import (
     BUNDLED,
     bundled_source,
     load_bundled,
+    lower_fand,
     stream_optimize,
 )
 
@@ -115,6 +118,45 @@ def test_stream_length_fill():
 def test_stream_filter_fusion_shrinks():
     out, _ = stream_optimize(parse_term("(filter p (filter q v))"))
     assert astsize_of(out) <= astsize_of(parse_term("(filter p (filter q v))"))
+
+
+def _filter_lambda(draw) -> Compound:
+    """A lambda that compares its parameter with a free `x`, a free `k` or a
+    literal, on either side."""
+    param = Atom(draw(st.sampled_from(["y", "z", "x1"])))
+    other = draw(st.sampled_from([Atom("x"), Atom("k"), Lit(draw(st.integers(0, 9)))]))
+    args = (param, other) if draw(st.booleans()) else (other, param)
+    return Compound("lambda", (param, Compound(draw(st.sampled_from("<>")), args)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_stream_optimize_keeps_the_value_of_fused_filters(data):
+    draw = data.draw
+    t = Compound("filter", (_filter_lambda(draw), Compound("filter", (_filter_lambda(draw), Atom("s")))))
+    wrap = draw(st.sampled_from([None, "sum", "length"]))
+    if wrap is not None:
+        t = Compound(wrap, (t,))
+    env = {
+        "x": draw(st.integers(0, 9)),
+        "k": draw(st.integers(0, 9)),
+        "s": draw(st.lists(st.integers(0, 9), max_size=6)),
+    }
+    out, _ = stream_optimize(t)
+    assert eval_stream(out, env) == eval_stream(t, env), (print_term(t), print_term(out))
+
+
+def test_lower_fand_binds_an_atom_free_in_neither_function():
+    f, g = parse_term("(lambda y (> y x))"), parse_term("(lambda x1 (< x1 k))")
+    out = lower_fand(Compound("fand", (f, g)))
+    assert out == parse_term(
+        "(lambda x2 (and (call (lambda y (> y x)) x2) (call (lambda x1 (< x1 k)) x2)))"
+    )
+    assert lower_fand(parse_term("(fand p q)")) == parse_term(
+        "(lambda x (and (call p x) (call q x)))"
+    )
+    assert lower_fand(parse_term("(fand p)")) is None
+    assert lower_fand(parse_term("(and p q)")) is None
 
 
 def astsize_of(t):
