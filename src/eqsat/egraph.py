@@ -82,12 +82,16 @@ ENode = Union[Atom, Lit, OpNode]
 
 
 class EClass:
-    __slots__ = ("id", "nodes", "parents", "data", "stamp")
+    __slots__ = ("id", "nodes", "lits", "parents", "data", "stamp")
 
     def __init__(self, cid: int, stamp: int):
         self.id = cid
         # insertion-ordered node set, each node mapped to its row's stamp
         self.nodes: dict[ENode, int] = {}
+        # the `Lit` nodes of `nodes`, in their order: a guard reads them with
+        # no scan of the class. Only `add_enode` and `merge` change them, as
+        # a rebuild changes no leaf
+        self.lits: tuple[Lit, ...] = ()
         self.parents: list[tuple[ENode, int]] = []
         self.data: dict[str, object] = {}
         self.stamp = stamp  # see the module docstring
@@ -170,6 +174,8 @@ class EGraph:
             classes = self.classes
             for ch in n.children:  # canonical, so each names its class
                 classes[ch].parents.append((n, cid))
+        elif type(n) is Lit:
+            cls.lits = (n,)
         self.version += 1
         for an in self.analyses.values():
             v = an.make(self, n)
@@ -239,6 +245,8 @@ class EGraph:
             self.analysis_worklist.extend(cb.parents)
         stamp = self.rebuilds + 1
         ca.nodes.update(dict.fromkeys(cb.nodes, stamp))  # new rows of a
+        if cb.lits:  # a literal node lies in one class, so none repeats
+            ca.lits += cb.lits
         ca.stamp = stamp
         ca.parents.extend(cb.parents)
         self.pending.extend(cb.parents)  # their nodes name b, no longer canonical
@@ -351,6 +359,14 @@ class EGraph:
         if not (0 <= cid < len(uf) and uf[cid] == cid):
             cid = self.find(cid)
         return self.classes[cid].nodes.keys()
+
+    def class_lits(self, cid: int) -> tuple[Lit, ...]:
+        """The `Lit` nodes of the class of `cid`, in node order: those of
+        `class_nodes`, kept apart so that a guard need not scan the class."""
+        uf = self._uf
+        if not (0 <= cid < len(uf) and uf[cid] == cid):
+            cid = self.find(cid)
+        return self.classes[cid].lits
 
     def getdata(self, cid: int, name: str, default=None):
         uf = self._uf

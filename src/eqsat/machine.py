@@ -33,14 +33,17 @@ only sets the root register, the list of the root's matches, its limit and
 step writes a register before any later step reads it. A search given no
 run state makes its own.
 
+A match (`EMatch`) is one flat tuple of class ids: the root class, then the
+class of variable i at position 1 + i. A final step builds it from the
+registers with one `itemgetter` call, in C, as one row of ids (egg's `Subst`,
+the rows of relational e-matching). It holds class ids and nothing else: a
+guard only checks its class, and a `=>` rule reads a guarded variable's
+literal from the class when it builds (see `EMatchProgram.lifts`).
+
 A run yields each match once, with no set to deduplicate them: on a rebuilt
-graph each canonical e-node lies in exactly one class, so a match (its root
-class and the classes of its variables) fixes, bottom-up, the class of every
-pattern position and the e-node bound at every operator. A search path is
-thus a function of its match. A match holds class ids and nothing else, as
-egg's `Subst` does: a guard only checks its class, and a `=>` rule reads a
-guarded variable's literal from the class when it builds (see
-`EMatchProgram.lifts`).
+graph each canonical e-node lies in exactly one class, so a match fixes,
+bottom-up, the class of every pattern position and the e-node bound at every
+operator. A search path is thus a function of its match.
 
 A search given `since`, a rebuild count (`EGraph.rebuilds`), builds only the
 matches that are new since then, in the manner of semi-naive evaluation
@@ -53,8 +56,8 @@ same guard results, at a search made when the graph had made `since`
 rebuilds, and as the path fixes the match, that search found the match. Such
 a match is counted but not built: `None` takes its place in the result, so
 that `len` of a result counts every match. A predicate reads only its own
-class's nodes and data (see `rules.py`), so the class's stamp covers it. With
-`since=-1` every match is built.
+class's nodes, literals and data (see `rules.py`), so the class's stamp
+covers it. With `since=-1` every match is built.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Optional, Union
 
 from .egraph import EGraph
 from .errors import SegmentUnsupported
@@ -93,11 +96,9 @@ class EMatchProgram:
     lifts: dict[int, str]
 
 
-class EMatch(NamedTuple):
-    """A tuple, so that hashing and comparing it run in C."""
-
-    class_id: int
-    bindings: tuple[int, ...]  # the class of variable i at position i
+# A match: (root class, class of variable 0, class of variable 1, ...). A
+# plain tuple, built in C, and hashed and compared in C.
+EMatch = tuple[int, ...]
 
 
 def compile_pattern(p: Pattern) -> EMatchProgram:
@@ -230,14 +231,13 @@ def _compare(i: int, j: int, k):
     return compare
 
 
-def _bindings_of(var_regs: tuple[int, ...]):
-    # the bindings tuple, read in C; `itemgetter` of one register gives a
-    # bare value and of none is an error, so those two cases have their own
-    if len(var_regs) > 1:
-        return itemgetter(*var_regs)
+def _match_of(var_regs: tuple[int, ...]):
+    # the match, read from the registers in C; an `itemgetter` of the root
+    # register alone gives a bare value, so a pattern with no variable has its
+    # own reader
     if var_regs:
-        return lambda regs, reg=var_regs[0]: (regs[reg],)
-    return lambda regs: ()
+        return itemgetter(0, *var_regs)
+    return lambda regs: (regs[0],)
 
 
 def _bind_yield(reg: int, op: str, arity: int, base: int, var_regs: tuple[int, ...]):
@@ -245,11 +245,10 @@ def _bind_yield(reg: int, op: str, arity: int, base: int, var_regs: tuple[int, .
     # reads the registers it writes, so it writes them only to build a match
     key = (op, arity)
     end = base + arity
-    bindings_of = _bindings_of(var_regs)
+    match_of = _match_of(var_regs)
 
     def bind_yield(
-        r: RunState, t, reg=reg, key=key, base=base, end=end,
-        bindings_of=bindings_of, new=tuple.__new__,
+        r: RunState, t, reg=reg, key=key, base=base, end=end, match_of=match_of
     ):
         regs = r.regs
         found = r.found
@@ -258,7 +257,7 @@ def _bind_yield(reg: int, op: str, arity: int, base: int, var_regs: tuple[int, .
         for children, stamp in r.index[key].get(regs[reg], ()):
             if t > since or stamp > since:
                 regs[base:end] = children
-                found.append(new(EMatch, (regs[0], bindings_of(regs))))
+                found.append(match_of(regs))
             else:
                 found.append(None)  # found before: counted, not built
             if len(found) == limit:
@@ -268,13 +267,12 @@ def _bind_yield(reg: int, op: str, arity: int, base: int, var_regs: tuple[int, .
 
 
 def _yield(var_regs: tuple[int, ...]):
-    bindings_of = _bindings_of(var_regs)
+    match_of = _match_of(var_regs)
 
-    def yield_(r: RunState, t, bindings_of=bindings_of, new=tuple.__new__):
+    def yield_(r: RunState, t, match_of=match_of):
         found = r.found
         if t > r.since:
-            regs = r.regs
-            found.append(new(EMatch, (regs[0], bindings_of(regs))))
+            found.append(match_of(r.regs))
         else:
             found.append(None)  # found before: counted, not built
         if len(found) == r.limit:

@@ -118,8 +118,9 @@ class Theory:
 # kind a class that passes the e-graph check holds (None = no lifting): the
 # check reads it with `class_literal`, and a `=>` rule builds with it.
 #
-# An e-graph check reads nothing but its own class's nodes (`class_nodes`)
-# and analysis data (`getdata`). The stamped search (see `machine.py`) relies
+# An e-graph check reads nothing but its own class's nodes (`class_nodes`),
+# its literal nodes (`class_lits`, which `class_literals` filters by kind) and
+# its analysis data (`getdata`). The stamped search (see `machine.py`) relies
 # on this: a class's stamp moves whenever its literals or its data change, so
 # a predicate's result on a class whose stamp has not moved is unchanged too.
 
@@ -159,9 +160,7 @@ def _kind_ok(v, kind: str) -> bool:
 def class_literals(g, cid, kind: str = "number") -> list:
     """The literal values of the given kind in an e-class. They are distinct:
     a class's nodes are a set, and a `Lit` compares by value."""
-    return [
-        n.value for n in g.class_nodes(cid) if type(n) is Lit and _kind_ok(n.value, kind)
-    ]
+    return [n.value for n in g.class_lits(cid) if _kind_ok(n.value, kind)]
 
 
 def class_literal(g, cid, kind: str = "number"):

@@ -310,9 +310,9 @@ def mirrored(lhs: Pattern, rhs: Pattern) -> bool:
 # plan, as egg instantiates a pattern from its post-order node list. The
 # plan has one step per operator node, in post-order with children left to
 # right, and in a `=>` rule one step per lifted variable, at its place in
-# the walk. A run fills one sequence of values: the match's bindings
-# (`m[1]`, the class of variable i at i, read by index in C), then one value
-# per step. A step names each child by its position in that sequence, or
+# the walk. A run fills one sequence of values: the match itself (its root
+# class, then the class of variable i at 1 + i, read by index in C), then one
+# value per step. A step names each child by its position in that sequence, or
 # holds a literal child, an `Atom` or a `Lit`, which is its own e-node. Bound
 # variables map directly to their e-class ids; no term is reconstructed from
 # the graph, and nothing recurses, so a right-hand side of any depth runs.
@@ -339,19 +339,20 @@ def mirrored(lhs: Pattern, rhs: Pattern) -> bool:
 
 def _plan(pat: Pattern, n_vars: int, lifts: Optional[dict[int, str]]):
     """The steps of `pat`'s plan, and its root: the position of its value,
-    or a literal. A step is (operator, children, whether a builtin over two
-    literals folds), or (None, variable, kind) for a lifted variable.
-    `lifts` is a `=>` rule's; with None nothing folds."""
+    or a literal. Variable i is at position 1 + i, as in a match, and step k
+    at 1 + `n_vars` + k. A step is (operator, children, whether a builtin over
+    two literals folds), or (None, the variable's position, kind) for a
+    lifted variable. `lifts` is a `=>` rule's; with None nothing folds."""
     steps: list[tuple] = []
 
     def leaf(p):
         if isinstance(p, (Atom, Lit)):
             return p
         if isinstance(p, PatVar) and p.index not in (lifts or ()):
-            return p.index
+            return 1 + p.index
         if isinstance(p, PatVar):
-            steps.append((None, p.index, lifts[p.index]))
-            return n_vars + len(steps) - 1
+            steps.append((None, 1 + p.index, lifts[p.index]))
+            return n_vars + len(steps)
         raise SegmentUnsupported("a segment cannot be instantiated in an e-graph")
 
     def node(p, kids):
@@ -364,7 +365,7 @@ def _plan(pat: Pattern, n_vars: int, lifts: Optional[dict[int, str]]):
         symbol = Atom in map(type, kids)
         fold = lifts is not None and len(kids) == 2 and p.op in BUILTIN_OPS and not symbol
         steps.append((p.op, tuple(kids), fold))
-        return n_vars + len(steps) - 1
+        return n_vars + len(steps)
 
     root = fold_tree(pat, PatTerm, leaf, node)
     return steps, root
@@ -373,13 +374,13 @@ def _plan(pat: Pattern, n_vars: int, lifts: Optional[dict[int, str]]):
 def _compile_builder(
     pat: Pattern, n_vars: int, lifts: Optional[dict[int, str]] = None
 ) -> Callable[[EGraph, EMatch], int]:
-    """Adds the instantiation of `pat` under a match of `n_vars` bindings
+    """Adds the instantiation of `pat` under a match of `n_vars` variables
     and returns its class. With `lifts`, those of a `=>` rule's left-hand
     side, a lifted variable stands for its literal, and a builtin over two
     numeric literals folds into one."""
     steps, root = _plan(pat, n_vars, lifts)
     if not steps and type(root) is int:  # a variable
-        return lambda g, m, i=root: m[1][i]
+        return lambda g, m, i=root: m[i]
     if type(root) is not int or any(
         op is None or any(type(k) is not int for k in kids) for op, kids, _ in steps
     ):  # a literal, as the root or a child, or a lifted variable
@@ -388,24 +389,22 @@ def _compile_builder(
     if len(lean) == 1:
         ((op, pick),) = lean
         return lambda g, m, op=op, pick=pick, new=tuple.__new__: g.add_enode(
-            new(OpNode, (op, pick(m[1])))
+            new(OpNode, (op, pick(m)))
         )
     if len(lean) == 2:  # as in `(+ ~a (+ ~b ~c))`
         (op0, pick0), (op1, pick1) = lean
 
         def two_nodes(g, m, op0=op0, pick0=pick0, op1=op1, pick1=pick1,
                       new=tuple.__new__):
-            b = m[1]
-            cid = g.add_enode(new(OpNode, (op0, pick0(b))))
-            return g.add_enode(new(OpNode, (op1, pick1(b + (cid,)))))
+            cid = g.add_enode(new(OpNode, (op0, pick0(m))))
+            return g.add_enode(new(OpNode, (op1, pick1(m + (cid,)))))
 
         return two_nodes
 
     def nodes(g, m, lean=lean, new=tuple.__new__):
-        vals = m[1]
         for op, pick in lean:
-            vals += (g.add_enode(new(OpNode, (op, pick(vals)))),)
-        return vals[-1]
+            m += (g.add_enode(new(OpNode, (op, pick(m)))),)
+        return m[-1]
 
     return nodes
 
@@ -414,10 +413,10 @@ def _compile_lookup(
     pat: Pattern, n_vars: int
 ) -> Callable[[EGraph, EMatch], Optional[int]]:
     """Resolves the instantiation of `pat` under a match of `n_vars`
-    bindings by lookup only (no graph growth): its class, or None."""
+    variables by lookup only (no graph growth): its class, or None."""
     steps, root = _plan(pat, n_vars, None)
     if not steps and type(root) is int:  # a variable
-        return lambda g, m, i=root: g.find(m[1][i])
+        return lambda g, m, i=root: g.find(m[i])
     return lambda g, m, steps=steps, root=root: _run(g, m, steps, root, g.lookup)
 
 
@@ -435,9 +434,9 @@ def _run(g: EGraph, m: EMatch, steps: list[tuple], root, place) -> Optional[int]
     """Runs a plan that is not lean under `m`, with `place` adding an e-node
     (`g.add_enode`) or looking it up (`g.lookup`): the class of the root, or
     None once `place` finds no node."""
-    vals = list(m[1])
+    vals = list(m)
     for op, kids, fold in steps:
-        if op is None:  # a lifted variable; `kids` is its index, `fold` its kind
+        if op is None:  # a lifted variable; `kids` is its position, `fold` its kind
             vals.append(Lit(class_literal(g, vals[kids], fold)))
             continue
         xs = [vals[k] if type(k) is int else k for k in kids]
@@ -551,7 +550,7 @@ def eqsat_step(
         for idx, unequal, matches in found:
             if stop is not None:
                 break
-            # an EMatch is a non-empty tuple, a match not built None
+            # a match is a non-empty tuple, a match not built None
             if any(map(any, matches)):
                 cr = compiled[idx]
                 st = stats[idx]
@@ -565,11 +564,11 @@ def eqsat_step(
                         st.applied += 1
                         rid = instantiate(g, m)
                         if unequal:
-                            if rid is not None and g.find(rid) == g.find(m.class_id):
+                            if rid is not None and g.find(rid) == g.find(m[0]):
                                 stop = StopReason(CONTRADICTION, cr.rule.name)
                                 break
-                        elif rid != m.class_id:  # most right-hand sides are there
-                            merge(m.class_id, rid)
+                        elif rid != m[0]:  # most right-hand sides are there
+                            merge(m[0], rid)
                     if stop is not None:
                         break
                 st.apply_s += time.perf_counter() - t0

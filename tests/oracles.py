@@ -6,6 +6,7 @@ data structures beyond the public Term/EGraph APIs.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import deque
@@ -129,10 +130,10 @@ def analysis_fixpoint(g: EGraph, analysis) -> dict[int, object]:
 # -- naive e-matching -------------------------------------------------------
 
 
-def naive_ematch(g: EGraph, pattern) -> set[tuple[int, tuple[int, ...]]]:
-    """All (class, bindings) pairs for a predicate-free pattern, by recursion
-    over every node of every class; bindings hold the class of each variable
-    in variable order, as `EMatch.bindings` does."""
+def naive_ematch(g: EGraph, pattern) -> set[tuple[int, ...]]:
+    """All matches of a predicate-free pattern, by recursion over every node
+    of every class, each in the shape of `machine.EMatch`: the class, then
+    the class of each variable in variable order."""
 
     results = set()
 
@@ -169,7 +170,7 @@ def naive_ematch(g: EGraph, pattern) -> set[tuple[int, tuple[int, ...]]]:
 
     for cid in g.canonical_ids():
         for b in match_in_class(pattern, cid, {}):
-            results.add((g.find(cid), tuple(b[i] for i in sorted(b))))
+            results.add((g.find(cid), *(b[i] for i in sorted(b))))
     return results
 
 
@@ -183,7 +184,7 @@ def add_pattern(g: EGraph, pat, m, lifts=None) -> int:
     `=>` rule's {variable: literal kind}, a lifted variable stands for its
     class's one literal of that kind, and nodes fold builtins over literals
     bottom-up."""
-    bindings = dict(enumerate(m.bindings))
+    bindings = dict(enumerate(m[1:]))
     dynamic = lifts is not None
 
     def lit_id(v) -> int:
@@ -220,7 +221,7 @@ def add_pattern(g: EGraph, pat, m, lifts=None) -> int:
 
 def lookup_pattern(g: EGraph, pat, m):
     """Resolve a pattern instantiation by lookup only (no graph growth)."""
-    bindings = dict(enumerate(m.bindings))
+    bindings = dict(enumerate(m[1:]))
 
     def go(p):
         if isinstance(p, PatVar):
@@ -437,6 +438,28 @@ def enumerate_terms(g: EGraph, cid: int, depth: int) -> set[Term]:
 
 # -- a stream interpreter, the reference for `stream_optimize` --------------
 
+
+def _getindex(s: list, i):
+    """The item at the 1-based index `i` of `s`; an index out of range is an
+    error, not a count from the end."""
+    if not (type(i) is int and 1 <= i <= len(s)):
+        raise IndexError(f"index {i} out of 1..{len(s)}")
+    return s[i - 1]
+
+
+def _divide(a, b):
+    """`a / b`, where division by zero follows the sign of `a` and 0/0 is
+    NaN."""
+    if b != 0:
+        return a / b
+    return math.nan if a == 0 or math.isnan(a) else math.copysign(math.inf, a)
+
+
+def _foldr(g, s: list):
+    """`g(s[0], g(s[1], ... g(s[-2], s[-1])))` over a non-empty list."""
+    return functools.reduce(lambda acc, v: g(v, acc), reversed(s))
+
+
 _STREAM_OPS = {
     "call": lambda f, v: f(v),
     "apply": lambda f, v: f(v),
@@ -449,6 +472,7 @@ _STREAM_OPS = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
+    "/": _divide,
     "fill": lambda v, n: [v] * n,
     "map": lambda f, s: [f(v) for v in s],
     "filter": lambda f, s: [v for v in s if f(v)],
@@ -456,6 +480,15 @@ _STREAM_OPS = {
     "cat": operator.add,
     "sum": sum,
     "length": len,
+    "getindex": _getindex,
+    # reduce and the folds take a binary function and a non-empty list; a
+    # reduce runs left to right, and each map variant maps `f` first
+    "reduce": functools.reduce,
+    "foldl": functools.reduce,
+    "foldr": _foldr,
+    "mapreduce": lambda f, g, s: functools.reduce(g, map(f, s)),
+    "mapfoldl": lambda f, g, s: functools.reduce(g, map(f, s)),
+    "mapfoldr": lambda f, g, s: _foldr(g, [f(v) for v in s]),
 }
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import congruence_closure, enumerate_terms, subterm_partition
 from eqsat.egraph import EGraph, OpNode
-from eqsat.errors import CapacityExceeded, UnknownId
+from eqsat.errors import CapacityExceeded, InconsistentClass, UnknownId
+from eqsat.rules import class_literal
 from eqsat.saturation import SaturationParams, saturate
 from eqsat.terms import Atom, Compound, Lit, parse_term
 from eqsat.theories import load_bundled
@@ -378,6 +380,51 @@ def test_memo_probe_with_stale_nodes_matches_canonical_probe(pool, data):
     for i in range(len(universe)):
         for j in range(len(universe)):
             assert (rep[i] == rep[j]) == (classes[i] == classes[j])
+
+
+# -- literal nodes kept beside the node set --------------------------------
+
+# 2.0 is the node 2, and -0.0 the node 0
+_LITERALS = [Lit(v) for v in (0, 1, 2, 2.0, 0.5, -0.0, math.nan, math.inf)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_class_lits_are_the_literal_nodes_of_the_class(data):
+    # exact at every moment, not only after a rebuild, as a `=>` build reads
+    # them while it adds and merges
+    draw = data.draw
+    g = EGraph()
+    pool = [g.add_term(t) for t in (Atom("a"), Atom("b"))]
+    kinds = {"number": (int, float), "int": int, "real": float}
+
+    def check():
+        for cid, cls in g.classes.items():
+            lits = tuple(n for n in cls.nodes if type(n) is Lit)
+            assert cls.lits == lits == g.class_lits(cid)
+            for kind, types in kinds.items():
+                of_kind = [n for n in lits if isinstance(n.value, types)]
+                if len(of_kind) > 1:  # distinct: the nodes of a class are a set
+                    with pytest.raises(InconsistentClass):
+                        class_literal(g, cid, kind)
+                else:
+                    got = class_literal(g, cid, kind)
+                    assert [Lit(got)] == of_kind if of_kind else got is None
+        for i in range(len(g._uf)):  # any id, canonical or not
+            assert g.class_lits(i) == g.classes[g.find(i)].lits
+
+    for _ in range(draw(st.integers(1, 12))):
+        step = draw(st.sampled_from(["literal", "node", "merge", "merge", "rebuild"]))
+        if step == "literal":
+            pool.append(g.add_enode(draw(st.sampled_from(_LITERALS))))
+        elif step == "node":
+            args = tuple(draw(st.sampled_from(pool)) for _ in range(draw(st.integers(1, 2))))
+            pool.append(g.add_enode(OpNode(draw(st.sampled_from(["f", "+"])), args)))
+        elif step == "merge":
+            g.merge(draw(st.sampled_from(pool)), draw(st.sampled_from(pool)))
+        else:
+            g.rebuild()
+        check()
 
 
 def test_classes_stay_in_increasing_id_order():

@@ -51,8 +51,8 @@ def test_compile_golden():
     assert prog.n_regs == 3  # the root, then one register per argument
     g, (i, _, j) = build("(* x 1)", "(* y 2)", "(* z 1.0)")
     assert ematch_program(g, prog) == [
-        EMatch(g.find(i), (g.lookup_term(Atom("x")),)),
-        EMatch(g.find(j), (g.lookup_term(Atom("z")),)),
+        (g.find(i), g.lookup_term(Atom("x"))),
+        (g.find(j), g.lookup_term(Atom("z"))),
     ]
 
 
@@ -61,18 +61,18 @@ def test_compile_bare_variable():
     assert prog.root_op is None
     assert prog.n_regs == 1
     g, (i,) = build("a")
-    assert ematch_program(g, prog) == [EMatch(i, (i,))]
+    assert ematch_program(g, prog) == [(i, i)]
 
 
 def test_compile_repeated_var_compares():
     prog = compile_pattern(lhs("(* (sin ~x) (cos ~x)) --> ~x"))
     g, (i, j) = build("(* (sin a) (cos a))", "(* (sin a) (cos b))")
     a = g.lookup_term(Atom("a"))
-    assert ematch_program(g, prog) == [EMatch(g.find(i), (a,))]
+    assert ematch_program(g, prog) == [(g.find(i), a)]
     g.merge(a, g.lookup_term(Atom("b")))
     g.rebuild()  # the two products are now congruent
     assert g.find(i) == g.find(j)
-    assert ematch_program(g, prog) == [EMatch(g.find(i), (g.find(a),))]
+    assert ematch_program(g, prog) == [(g.find(i), g.find(a))]
 
 
 def test_compile_predicate():
@@ -81,7 +81,7 @@ def test_compile_predicate():
     assert prog.lifts == {0: "number"}  # the literal kind the guard checks
     g, (i, _) = build("(+ 2 x)", "(+ y x)")
     x = g.lookup_term(Atom("x"))
-    assert ematch_program(g, prog) == [EMatch(g.find(i), (g.lookup_term(Lit(2)), x))]
+    assert ematch_program(g, prog) == [(g.find(i), g.lookup_term(Lit(2)), x)]
 
 
 def test_compile_ground_subterm():
@@ -90,9 +90,7 @@ def test_compile_ground_subterm():
     assert prog.root_op == "f"
     assert prog.n_regs == 5
     g, (i, _, _) = build("(f (g 1 2) a)", "(f (g 1 3) b)", "(f (h 1 2) c)")
-    assert ematch_program(g, prog) == [
-        EMatch(g.find(i), (g.lookup_term(Atom("a")),))
-    ]
+    assert ematch_program(g, prog) == [(g.find(i), g.lookup_term(Atom("a")))]
 
 
 def test_compile_rejects_segments_and_var_ops():
@@ -121,8 +119,7 @@ def test_run_simple_match():
     matches = ematch(g, lhs("(* ~a 1) --> ~a"))
     assert len(matches) == 1
     m = matches[0]
-    assert m.class_id == g.find(i)
-    assert dict(enumerate(m.bindings)) == {0: g.lookup_term(Atom("x"))}
+    assert m == (g.find(i), g.lookup_term(Atom("x")))
 
 
 def test_bare_variable_matches_every_class():
@@ -133,7 +130,7 @@ def test_bare_variable_matches_every_class():
 def test_ground_pattern():
     g, (i, _) = build("(f a)", "(g b)")
     matches = ematch(g, lhs("(f a) --> done"))
-    assert [m.class_id for m in matches] == [g.find(i)]
+    assert matches == [(g.find(i),)]
     assert ematch(g, lhs("(f zzz) --> done")) == []
 
 
@@ -195,9 +192,10 @@ def test_determinism():
 def test_match_soundness_by_enumeration():
     g, _ = build("(* (sin q) (cos q))", "(* x 1)")
     for m in ematch(g, lhs("(* ~a ~b) --> (* ~b ~a)")):
-        a_terms = enumerate_terms(g, m.bindings[0], 4)
-        b_terms = enumerate_terms(g, m.bindings[1], 4)
-        rep = enumerate_terms(g, m.class_id, 5)
+        root, a, b = m
+        a_terms = enumerate_terms(g, a, 4)
+        b_terms = enumerate_terms(g, b, 4)
+        rep = enumerate_terms(g, root, 5)
         assert any(
             Compound("*", (ta, tb)) in rep for ta in a_terms for tb in b_terms
         )
@@ -262,8 +260,9 @@ def test_vm_matches_naive_oracle(g, data):
     # half the patterns run down a path of the graph, so that nested ones match
     line = data.draw(path_lines(g) if data.draw(st.booleans()) else pattern_lines())
     pattern = lhs(line)
-    got = {(m.class_id, m.bindings) for m in ematch(g, pattern)}
-    assert got == naive_ematch(g, pattern)
+    got = ematch(g, pattern)
+    _assert_match_shapes(g, pattern, got)
+    assert set(got) == naive_ematch(g, pattern)
 
 
 # -- operator index ---------------------------------------------------------
@@ -422,8 +421,8 @@ def test_stamped_search_sees_a_literal_gained_by_a_merge():
     two = g.add_term(Lit(2))
     assert g.merge(x, two) == x  # x keeps its id, so the row (f x) is an old one
     g.rebuild()
-    assert ematch_program(g, progs[0], since=since) == [EMatch(fx, (x,))]
-    assert ematch_program(g, progs[1], since=since) == [EMatch(fx, ())]
+    assert ematch_program(g, progs[0], since=since) == [(fx, x)]
+    assert ematch_program(g, progs[1], since=since) == [(fx,)]
     assert built(g, "(f ~v::number) => (+ ~v 1)", since) == [3]
 
 
@@ -435,7 +434,7 @@ def test_stamped_search_sees_a_sign_set_by_propagation():
     assert ematch_program(g, prog) == []
     since = g.rebuilds
     analyze(g, sign_analysis({"a": 1}))  # no row changes, only a's data
-    assert ematch_program(g, prog, since=since) == [EMatch(fa, (a,))]
+    assert ematch_program(g, prog, since=since) == [(fa, a)]
 
 
 # rooted at a variable, a literal, a symbol, a ground term, and an operator
@@ -464,12 +463,14 @@ def _variables(p) -> dict[int, str]:
     return out
 
 
-def _assert_match_shapes(p, got) -> None:
+def _assert_match_shapes(g, p, got) -> None:
+    """Each match is a plain tuple of 1 + n_vars canonical class ids: its
+    root class, then the class of each variable."""
     variables = _variables(p)
     assert compile_pattern(p).lifts == {i: k for i, k in variables.items() if k}
     for m in got:
-        assert type(m) is EMatch
-        assert type(m.bindings) is tuple and len(m.bindings) == len(variables)
+        assert type(m) is tuple and len(m) == 1 + len(variables)
+        assert all(type(c) is int and g.find(c) == c for c in m)
 
 
 def test_indexed_ematch_matches_naive_oracle():
@@ -491,25 +492,25 @@ def test_indexed_ematch_matches_naive_oracle():
             for src in srcs:
                 p = lhs(f"{src} --> 0")
                 got = ematch(g, p)
-                assert [m.class_id for m in got] == sorted(m.class_id for m in got)
+                assert [m[0] for m in got] == sorted(m[0] for m in got)
                 assert len(set(got)) == len(got)
-                assert {(m.class_id, m.bindings) for m in got} == naive_ematch(g, p), src
-                _assert_match_shapes(p, got)
-                shapes.update(len(m.bindings) for m in got)
+                assert set(got) == naive_ematch(g, p), src
+                _assert_match_shapes(g, p, got)
+                shapes.update(len(m) - 1 for m in got)
             for src in _LIFTING_PATTERNS:
                 p = lhs(f"{src} --> 0")
                 try:
                     got = ematch(g, p)
                 except InconsistentClass:  # the literals 1 and 2 share a class
                     continue
-                assert [m.class_id for m in got] == sorted(m.class_id for m in got)
+                assert [m[0] for m in got] == sorted(m[0] for m in got)
                 assert len(set(got)) == len(got), src
-                _assert_match_shapes(p, got)
-                shapes.update(len(m.bindings) for m in got)
+                _assert_match_shapes(g, p, got)
+                shapes.update(len(m) - 1 for m in got)
                 lifted = compile_pattern(p).lifts
                 for m in got:
                     for i in lifted:
-                        nodes = g.class_nodes(m.bindings[i])
+                        nodes = g.class_nodes(m[1 + i])
                         mixed += any(isinstance(n, OpNode) for n in nodes)
     assert mixed >= 500
     assert {0, 1, 2} <= shapes
@@ -521,7 +522,7 @@ def test_ground_pattern_on_unrebuilt_graph():
     assert len(ematch(g, lhs("(f ~x) --> 0"))) == 1
     assert not g.pending  # a variable pattern rebuilds first too
     (m,) = ematch(g, lhs("(f a) --> 0"))
-    assert m.class_id == g.find(g.lookup_term(parse_term("(f b)")))
+    assert m == (g.find(g.lookup_term(parse_term("(f b)"))),)
     assert not g.pending
 
 
@@ -532,7 +533,7 @@ def test_ematch_after_growth_sees_new_classes():
     assert len(ematch(g, lhs("(f ~x) --> ~x"))) == 1
     hb = g.add_term(parse_term("(h b)"))
     (m,) = ematch(g, pattern)
-    assert m.class_id == hb
+    assert m[0] == hb
     g.add_term(parse_term("(f b)"))
     assert len(ematch(g, lhs("(f ~x) --> ~x"))) == 2
 
@@ -544,10 +545,10 @@ def test_ematch_program_stops_at_limit():
     prog = compile_pattern(lhs("(f ~x) --> ~x"))
     every = ematch_program(g, prog)
     assert len(every) == 5
-    assert every[0].class_id == every[1].class_id
+    assert every[0][0] == every[1][0]
     for limit in range(7):
         assert ematch_program(g, prog, limit) == every[:limit]
-    root = every[0].class_id
+    root = every[0][0]
     assert run_program(g, prog, root, limit=1) == every[:1]
     assert run_program(g, prog, root, limit=0) == []
 
@@ -559,7 +560,7 @@ def test_run_program_yields_each_match_once():
     g.merge(a, b)
     root = g.merge(fa, fb)  # not rebuilt: both f nodes match with ~x = a
     prog = compile_pattern(lhs("(f ~x) --> ~x"))
-    assert run_program(g, prog, root) == [EMatch(root, (g.find(a),))]
+    assert run_program(g, prog, root) == [(root, g.find(a))]
 
 
 # -- one run state per search ----------------------------------------------
@@ -679,8 +680,8 @@ def test_leaf_bind_stops_inside_its_rows():
     for src in ("(f ~v)", "(g (f ~v))"):
         prog = compile_pattern(lhs(f"{src} --> 0"))
         every = ematch_program(g, prog)
-        assert [m.bindings for m in every] == [(a,), (b,), (c,)], src
-        (root,) = {m.class_id for m in every}
+        (root,) = {m[0] for m in every}
+        assert every == [(root, a), (root, b), (root, c)], src
         for limit in (1, 2, 3, 4):
             assert ematch_program(g, prog, limit) == every[:limit], src
             assert run_program(g, prog, root, limit) == every[:limit], src
@@ -719,7 +720,7 @@ def test_absent_operator_runs_no_root(monkeypatch):
     calls.clear()
     fhc = g.add_term(parse_term("(f (h c))"))
     c = g.lookup_term(Atom("c"))
-    assert ematch_program(g, prog) == [EMatch(fhc, (c,))] and len(calls) == 3
+    assert ematch_program(g, prog) == [(fhc, c)] and len(calls) == 3
 
 
 def test_every_root_is_one_run_program_call(monkeypatch):
@@ -748,12 +749,20 @@ def test_every_root_is_one_run_program_call(monkeypatch):
         assert [m for _, out in runs for m in out] == found, src
 
 
-def test_ematch_is_a_tuple_with_its_dicts():
-    m = EMatch(4, (2, 3))
-    assert EMatch._fields == ("class_id", "bindings")  # class ids, nothing else
-    assert m == (4, (2, 3)) and hash(m) == hash(tuple(m))
-    assert m.class_id == 4
-    assert dict(enumerate(m.bindings)) == {0: 2, 1: 3}
+def test_a_match_is_one_flat_tuple_of_class_ids():
+    # (root class, class of variable 0, class of variable 1, ...): class ids,
+    # nothing else, in a plain tuple that hashes and compares in C
+    assert EMatch == tuple[int, ...]
+    g, (i, _) = build("(+ x (f y))", "(+ x 1)")
+    x, y = g.lookup_term(Atom("x")), g.lookup_term(Atom("y"))
+    for line, want in [
+        ("(+ ~a (f ~b)) --> 0", [(g.find(i), x, y)]),  # ends in a leaf bind
+        ("(+ ~a (f y)) --> 0", [(g.find(i), x)]),  # ends in a literal check
+        ("(+ x (f y)) --> 0", [(g.find(i),)]),  # no variable
+    ]:
+        (m,) = ematch(g, lhs(line))
+        assert [m] == want and type(m) is tuple, line
+        assert hash(m) == hash(want[0])
 
 
 def test_guarded_search_on_a_rebuilt_graph_calls_no_find(monkeypatch):

@@ -162,10 +162,9 @@ def stack_walks(source: str) -> list[str]:
     return found
 
 
-def functions_naming(source: str, name: str) -> dict[str, list[int]]:
-    """Module-level function, or method of a module-level class as
-    "Class.method" -> the lines where its body, nested functions and default
-    arguments included, names `name` as a variable or an attribute."""
+def module_functions(source: str) -> list[tuple[str, ast.AST]]:
+    """Each module-level function as (name, node), then each method of a
+    module-level class as ("Class.method", node)."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     body = ast.parse(source).body
     functions = [(node.name, node) for node in body if isinstance(node, defs)]
@@ -176,6 +175,13 @@ def functions_naming(source: str, name: str) -> dict[str, list[int]]:
         for node in cls.body
         if isinstance(node, defs)
     ]
+    return functions
+
+
+def functions_naming(source: str, name: str) -> dict[str, list[int]]:
+    """Module-level function, or method of a module-level class as
+    "Class.method" -> the lines where its body, nested functions and default
+    arguments included, names `name` as a variable or an attribute."""
     return {
         qualname: [
             n.lineno
@@ -183,8 +189,22 @@ def functions_naming(source: str, name: str) -> dict[str, list[int]]:
             if (isinstance(n, ast.Name) and n.id == name)
             or (isinstance(n, ast.Attribute) and n.attr == name)
         ]
-        for qualname, node in functions
+        for qualname, node in module_functions(source)
     }
+
+
+def attribute_writers(source: str, attr: str) -> list[str]:
+    """Module-level functions, or methods of module-level classes as
+    "Class.method", whose body assigns to an attribute named `attr`, as in
+    `x.attr = ...` or `x.attr += ...`."""
+    return [
+        qualname
+        for qualname, node in module_functions(source)
+        if any(
+            isinstance(n, ast.Attribute) and n.attr == attr and isinstance(n.ctx, ast.Store)
+            for n in ast.walk(node)
+        )
+    ]
 
 
 def raised_names(source: str) -> set[str]:
@@ -344,6 +364,16 @@ def test_stack_walks_finds_loops_that_pop_what_they_test():
     assert stack_walks(source) == ["line 1: f", "line 11: walk"]
 
 
+def test_attribute_writers_finds_assignments_not_reads():
+    source = (
+        "def f(c):\n    c.lits += (1,)\n"
+        "def g(c):\n    return c.lits\n"
+        "def h(lits):\n    lits = ()\n"
+        "class C:\n    def __init__(self):\n        self.lits = ()\n"
+    )
+    assert attribute_writers(source, "lits") == ["f", "C.__init__"]
+
+
 def test_functions_naming_finds_names_and_attributes():
     source = (
         "def f(g):\n    def inner(x=g.find): return x\n    return inner\n"
@@ -407,6 +437,31 @@ def test_only_apply_and_congruence_merge_classes():
         if lines
     }
     assert found == {"saturation.eqsat_step", "egraph.EGraph.rebuild"}
+
+
+def test_only_add_enode_and_merge_change_a_class_literals():
+    # `EClass.lits` is exact at every moment because a class gains a literal
+    # node only where it is made or merged; a rebuild changes no leaf
+    found = {
+        f"{path.removesuffix('.py')}.{qualname}"
+        for path, source in package_sources().items()
+        for qualname in attribute_writers(source, "lits")
+    }
+    assert found == {"egraph.EClass.__init__", "egraph.EGraph.add_enode", "egraph.EGraph.merge"}
+
+
+def test_literal_guards_read_no_node_set():
+    # a literal guard reads the class's literal nodes, not a scan of the class
+    found = functions_naming(package_sources()["rules.py"], "class_nodes")
+    assert found.get("class_literals") == []
+    assert functions_naming(package_sources()["rules.py"], "class_lits")["class_literals"]
+
+
+def test_machine_defines_no_match_class():
+    # a match is a plain tuple of class ids (`machine.EMatch`), built in C
+    tree = ast.parse(package_sources()["machine.py"])
+    classes = {n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+    assert classes == {"EMatchProgram", "RunState", "_Full"}
 
 
 def test_only_rules_raises_inconsistent_class():

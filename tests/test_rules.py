@@ -260,7 +260,7 @@ def test_egraph_predicate_checks():
 
 
 class _OneClassView:
-    """The two readers of a class that an e-graph predicate may use, for
+    """The three readers of a class that an e-graph predicate may use, for
     one class only; any other read fails."""
 
     def __init__(self, g, cid):
@@ -270,6 +270,10 @@ class _OneClassView:
     def class_nodes(self, cid):
         assert cid == self._cid
         return self._g.class_nodes(cid)
+
+    def class_lits(self, cid):
+        assert cid == self._cid
+        return self._g.class_lits(cid)
 
     def getdata(self, cid, name, default=None):
         assert cid == self._cid

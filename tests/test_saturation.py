@@ -23,7 +23,7 @@ from eqsat import machine, saturation, theories
 from eqsat.analysis import astsize, extract
 from eqsat.egraph import EGraph, OpNode
 from eqsat.errors import InconsistentClass
-from eqsat.machine import EMatch, EMatchProgram, ematch_program
+from eqsat.machine import EMatchProgram, ematch_program
 from eqsat.rules import (
     PatTerm,
     PatVar,
@@ -618,7 +618,7 @@ def _random_match(rng, g, pool, lifts):
         kind = lifts.get(i)
         return rng.choice([c for c in pool if kind is None or class_literals(g, c, kind)])
 
-    return EMatch(rng.choice(pool), tuple(bind(i) for i in range(3)))
+    return (rng.choice(pool), *(bind(i) for i in range(3)))
 
 
 def _instantiator(kind, rhs, guards=(None, None, None)):
@@ -673,8 +673,8 @@ def test_compiled_builder_matches_interpreted(kind):
             got = build(got_g, m)
             assert got == want, rhs
             assert got_g.dump() == want_g.dump(), rhs
-            want_g.merge(m.class_id, want)
-            got_g.merge(m.class_id, got)
+            want_g.merge(m[0], want)
+            got_g.merge(m[0], got)
     assert kind is RuleKind.REWRITE or inconsistent > 10
     kinds = ["variables", "variables and nodes", "nodes", "literal child", "repeated"]
     kinds += ["variable root", "constant root", "one lean node", "two lean nodes"]
@@ -690,7 +690,7 @@ def test_compiled_builder_folds_nested_literals():
     g = EGraph()
     three, two = g.add_term(Lit(3)), g.add_term(Lit(2))
     n = g.n_enodes
-    m = EMatch(three, (three, two, two))
+    m = (three, three, two, two)
     cid = _instantiator(RuleKind.DYNAMIC, rhs, ("number", "int", None))(g, m)
     assert g.n_enodes == n + 1  # the folded 6.5 alone
     assert g.lookup_term(Lit(6.5)) == cid
@@ -1234,7 +1234,7 @@ def test_one_directions_applied_match_never_skips_the_others():
     g.rebuild()
     a, b = g.lookup_term(parse_term("a")), g.lookup_term(parse_term("b"))
     sched, stats = BackoffScheduler([1], match_limit=None), {}
-    m = EMatch(c, (a, b))
+    m = (c, a, b)
     eqsat_step(g, wrapped, sched, 0, stats)
     assert applied == [[m], []]
     searched = g.rebuilds

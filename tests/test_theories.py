@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import eval_stream
 from eqsat.analysis import astsize, extract
+from eqsat.classical import instantiate
 from eqsat.egraph import EGraph
 from eqsat.errors import EqsatError
-from eqsat.rules import RuleKind, parse_theory
+from eqsat.rules import PatTerm, PatVar, RuleKind, parse_theory
 from eqsat.saturation import SaturationParams, saturate
 from eqsat import theories
 from eqsat.terms import Atom, Compound, Lit, parse_term, print_term
@@ -144,6 +146,112 @@ def test_stream_optimize_keeps_the_value_of_fused_filters(data):
     }
     out, _ = stream_optimize(t)
     assert eval_stream(out, env) == eval_stream(t, env), (print_term(t), print_term(out))
+
+
+# The sort of each argument of a stream operator, for the rule check below: a
+# unary or a binary function, a non-empty number list, a count of `fill`, a
+# 1-based index, or a number. A variable takes the sort of the positions it
+# fills; a count or an index that is also an argument of `+` is a number of
+# that kind.
+_ARG_SORTS = {
+    "fill": ("number", "count"),
+    "getindex": ("list", "index"),
+    "map": ("fn1", "list"),
+    "filter": ("fn1", "list"),
+    "reverse": ("list",),
+    "cat": ("list", "list"),
+    "sum": ("list",),
+    "length": ("list",),
+    "reduce": ("fn2", "list"),
+    "foldl": ("fn2", "list"),
+    "foldr": ("fn2", "list"),
+    "mapreduce": ("fn1", "fn2", "list"),
+    "mapfoldl": ("fn1", "fn2", "list"),
+    "mapfoldr": ("fn1", "fn2", "list"),
+    "apply": ("fn1", "number"),
+    "call": ("fn1", "number"),
+    "compose": ("fn1", "fn1"),
+    "fand": ("fn1", "fn1"),
+    "ifelse": ("bool", "list", "list"),
+    "and": ("bool", "bool"),
+    **{op: ("number", "number") for op in ("+", "-", "*", "/")},
+}
+
+
+def _variable_sorts(rule) -> dict[int, str]:
+    """Variable index -> the sort of the positions it fills in `rule`."""
+    sorts: dict[int, str] = {}
+    todo = [(rule.lhs, None), (rule.rhs, None)]
+    while todo:
+        p, sort = todo.pop()
+        if isinstance(p, PatVar):
+            if sort is not None and sorts.get(p.index) in (None, "number"):
+                sorts[p.index] = sort
+        elif isinstance(p, PatTerm):
+            todo += zip(p.args, _ARG_SORTS[p.op])
+    return sorts
+
+
+# dyadic values, so that sums and products of a few are exact
+_NUMBERS = st.sampled_from([0, 1, 2, -3, 5, 0.5, -2.5])
+
+
+def _draw_function(draw, arity):
+    c = draw(_NUMBERS)
+    if arity == 1:
+        return draw(st.sampled_from([
+            lambda v: v + c, lambda v: v * c, lambda v: c - v,
+            lambda v: v > c, lambda v: v < c,
+        ]))
+    # neither associative nor commutative, so that a fold's direction shows
+    return draw(st.sampled_from([
+        lambda a, b: a - b, lambda a, b: 2 * a + b, lambda a, b: a * b + c,
+    ]))
+
+
+def _same_value(a, b) -> bool:
+    """Equality of stream values, with NaN equal to NaN."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same_value, a, b))
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b):
+        return True
+    return a == b
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_every_stream_rule_keeps_the_value(data):
+    # each rule of `stream`, `normalize` and `fold`, its variables filled with
+    # random closed values of their sorts, gives both sides one value under
+    # the stream interpreter; a `=>` right-hand side folds its builtins first,
+    # as the engine does
+    draw = data.draw
+    rules = [r for name in ("stream", "normalize", "fold") for r in load_bundled(name).rules]
+    for rule in rules:
+        sorts = _variable_sorts(rule)
+        values = {}
+        for i, sort in sorted(sorts.items(), key=lambda item: item[1] == "index"):
+            if sort in ("fn1", "fn2"):
+                values[i] = _draw_function(draw, int(sort[-1]))
+            elif sort == "list":
+                values[i] = draw(st.lists(_NUMBERS, min_size=1, max_size=4))
+            elif sort == "count":
+                values[i] = draw(st.integers(1, 4))
+            elif sort == "index":
+                # in range of every list and every `fill` of the rule
+                lengths = [len(v) if isinstance(v, list) else v
+                           for j, v in values.items() if sorts[j] in ("list", "count")]
+                values[i] = draw(st.integers(1, min(lengths)))
+            else:
+                values[i] = draw(_NUMBERS)
+        names = rule.patvar_names
+        s = {i: Lit(v) if sorts[i] in ("number", "count", "index") else Atom(names[i])
+             for i, v in values.items()}
+        env = {names[i]: v for i, v in values.items()}
+        lhs = instantiate(rule.lhs, s)
+        rhs = instantiate(rule.rhs, s, fold=rule.kind is RuleKind.DYNAMIC)
+        want, got = eval_stream(lhs, env), eval_stream(rhs, env)
+        assert _same_value(want, got), (str(rule), print_term(lhs), env, want, got)
 
 
 def test_lower_fand_binds_an_atom_free_in_neither_function():
