@@ -28,8 +28,8 @@ from .classical import (
     Postwalk,
     Prewalk,
     apply_rule,
-    compile_matcher,
     instantiate,
+    match,
     rule_rewriter,
 )
 from .egraph import EGraph, OpNode

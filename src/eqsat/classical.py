@@ -1,9 +1,10 @@
 """Classical (syntactic) rewriting.
 
-The matcher compiler turns a pattern into a chain of per-node matcher
-procedures linked by continuation callbacks, in the style of Sussman's
-flexible pattern matcher. Segment variables enumerate splits left to right,
-shortest first; the first successful substitution wins.
+`match` walks a pattern and a term together on an explicit stack of
+pending pairs. A segment variable is a choice point that a failed walk
+returns to, where Sussman's flexible pattern matcher calls a continuation.
+Segments enumerate splits left to right, shortest first; the first
+successful substitution wins.
 """
 
 from __future__ import annotations
@@ -26,125 +27,80 @@ Substitution = dict[int, Union[Term, tuple[Term, ...]]]
 Rewriter = Callable[[Term], Optional[Term]]
 
 
-def compile_matcher(lhs: Pattern) -> Callable[[Term], Optional[Substitution]]:
-    """Compile a pattern into a root matcher returning the first substitution."""
-    m = _compile_one(lhs)
-
-    def match_root(t: Term) -> Optional[Substitution]:
-        return m(t, {}, _identity)
-
-    return match_root
-
-
-def _identity(b: Substitution) -> Substitution:
-    return b
-
-
 def _check_pred(ref, t: Term) -> bool:
     if ref is None:
         return True
     return resolve_predicate(ref).classical(t, ref.params)
 
 
-def _compile_one(p: Pattern):
-    """Matcher for a single term position: fn(term, bindings, succeed)."""
-    if isinstance(p, PatVar):
-        idx, pred = p.index, p.predicate
+def match(lhs: Pattern, t: Term) -> Optional[Substitution]:
+    """The first substitution under which `lhs` matches `t`, or None.
 
-        def match_var(t, b, k):
-            if idx in b:
-                return k(b) if b[idx] == t else None
-            if not _check_pred(pred, t):
-                return None
-            b2 = dict(b)
-            b2[idx] = t
-            return k(b2)
-
-        return match_var
-    if isinstance(p, (Atom, Lit)):
-
-        def match_lit(t, b, k):
-            return k(b) if t == p else None
-
-        return match_lit
-    if isinstance(p, PatTerm):
-        seq = _compile_seq(p.args)
-        op = p.op
-        if isinstance(op, PatVar):
-            op_idx = op.index
-
-            def match_term_varop(t, b, k):
-                if not isinstance(t, Compound):
-                    return None
-                bound = Atom(t.op)
-                if op_idx in b:
-                    if b[op_idx] != bound:
-                        return None
-                    b2 = b
+    Walks the pattern and the term together on a stack of pending pairs,
+    binding variables left to right: a variable's first occurrence is the
+    one whose guard is checked, and later ones only compare. A pair is a
+    pattern and a term, or an argument list that holds a segment and the
+    terms it has still to cover. An unbound segment is a choice point that
+    keeps the stack and the bindings; a walk that fails resumes from the
+    last choice point with that segment one term longer, so splits are
+    tried shortest first and the first substitution wins."""
+    if isinstance(lhs, PatSegment):
+        raise ContractViolation("segment pattern outside argument position")
+    b: Substitution = {}
+    todo: list = [(lhs, t)]
+    # per choice point: [stack, bindings, segment, patterns after it, terms
+    # from it on, length of its next split]
+    choices = []
+    while todo:
+        p, x = todo.pop()
+        if type(p) is tuple:  # an argument list that holds a segment
+            if not p:
+                ok = not x
+            elif isinstance(p[0], PatSegment):
+                bound = b.get(p[0].index)
+                if bound is None:
+                    choices.append([todo, b, p[0], p[1:], x, 0])
+                    ok = False  # resumes below with the shortest split
                 else:
-                    b2 = dict(b)
-                    b2[op_idx] = bound
-                return seq(t.args, 0, b2, lambda i, b3: k(b3) if i == len(t.args) else None)
-
-            return match_term_varop
-
-        def match_term(t, b, k):
-            if not isinstance(t, Compound) or t.op != op:
-                return None
-            return seq(t.args, 0, b, lambda i, b2: k(b2) if i == len(t.args) else None)
-
-        return match_term
-    raise ContractViolation("segment pattern outside argument position")
-
-
-def _compile_seq(pats: Sequence[Pattern]):
-    """Matcher over a run of sibling terms: fn(terms, i, bindings, succeed)."""
-    matchers = []
-    for p in pats:
-        if isinstance(p, PatSegment):
-            matchers.append(_segment_matcher(p))
+                    ok = x[: len(bound)] == bound
+                    todo.append((p[1:], x[len(bound) :]))
+            else:
+                ok = len(x) > 0
+                if ok:
+                    todo += ((p[1:], x[1:]), (p[0], x[0]))
+        elif isinstance(p, PatVar):
+            if p.index in b:
+                ok = b[p.index] == x
+            else:
+                ok = _check_pred(p.predicate, x)
+                b[p.index] = x
+        elif isinstance(p, PatTerm):
+            ok = isinstance(x, Compound) and (
+                x.op == p.op
+                if isinstance(p.op, str)
+                else b.setdefault(p.op.index, Atom(x.op)) == Atom(x.op)
+            )
+            if ok and any(isinstance(a, PatSegment) for a in p.args):
+                todo.append((p.args, x.args))
+            elif ok:
+                ok = len(p.args) == len(x.args)
+                todo += zip(reversed(p.args), reversed(x.args))
         else:
-            matchers.append(_element_matcher(_compile_one(p)))
-
-    def run(ts, i, b, k, js=0):
-        if js == len(matchers):
-            return k(i, b)
-        return matchers[js](ts, i, b, lambda i2, b2: run(ts, i2, b2, k, js + 1))
-
-    return run
-
-
-def _element_matcher(m):
-    def match_elem(ts, i, b, k):
-        if i >= len(ts):
-            return None
-        return m(ts[i], b, lambda b2: k(i + 1, b2))
-
-    return match_elem
-
-
-def _segment_matcher(p: PatSegment):
-    idx, pred = p.index, p.predicate
-
-    def match_seg(ts, i, b, k):
-        if idx in b:
-            bound = b[idx]
-            n = len(bound)
-            if ts[i : i + n] == bound:
-                return k(i + n, b)
-            return None
-        for n in range(0, len(ts) - i + 1):  # shortest split first
-            chunk = tuple(ts[i : i + n])
-            if pred is not None and not all(_check_pred(pred, t) for t in chunk):
+            ok = x == p
+        while not ok:
+            if not choices:
+                return None
+            choice = choices[-1]
+            saved, b, seg, rest, xs, n = choice
+            if n > len(xs) or n and not _check_pred(seg.predicate, xs[n - 1]):
+                choices.pop()
                 continue
-            b2 = dict(b)
-            b2[idx] = chunk
-            r = k(i + n, b2)
-            if r is not None:
-                return r
-        return None
-
-    return match_seg
+            choice[-1] = n + 1
+            b = dict(b)
+            b[seg.index] = xs[:n]
+            todo = saved + [(rest, xs[n:])]
+            ok = True
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -193,29 +149,25 @@ def instantiate(rhs: Pattern, s: Substitution, fold: bool = False) -> Term:
 
 
 def apply_rule(rule: Rule, t: Term) -> Optional[Term]:
-    """Apply a rewrite or dynamic rule at the root; None when not matching.
-
-    Compiles the rule's matcher on each call: to apply one rule many times,
-    build its rewriter once with `rule_rewriter`."""
+    """Apply a rewrite or dynamic rule at the root; None when not matching."""
     return rule_rewriter(rule)(t)
 
 
 def rule_rewriter(rule: Rule) -> Rewriter:
-    """Rewriter applying a rewrite or dynamic rule at the root. The rule's
-    matcher is compiled once and lives as long as the rewriter."""
+    """Rewriter applying a rewrite or dynamic rule at the root: it tests the
+    left-hand side's root operator, then calls `match`."""
     if rule.kind not in (RuleKind.REWRITE, RuleKind.DYNAMIC):
         raise UnsupportedRuleKind(
             f"{rule.kind.value} rules are not supported by the classical backend"
         )
     lhs, rhs, fold = rule.lhs, rule.rhs, rule.kind is RuleKind.DYNAMIC
-    match = compile_matcher(lhs)
     # the root operator a match needs, tested before the matcher is called
     op = lhs.op if isinstance(lhs, PatTerm) and isinstance(lhs.op, str) else None
 
     def rewrite(t: Term) -> Optional[Term]:
         if op is not None and not (isinstance(t, Compound) and t.op == op):
             return None
-        sub = match(t)
+        sub = match(lhs, t)
         return None if sub is None else instantiate(rhs, sub, fold)
 
     return rewrite

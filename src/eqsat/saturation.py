@@ -468,12 +468,12 @@ def eqsat_step(
     rule's search builds only the matches newer than its last applied search
     (`BackoffState.since`). A rule none of whose directions finds every
     (operator, arity) it binds (`EMatchProgram.ops`) in the graph's index is
-    dead: it has no match, so it is not searched, and it records only what
-    a search finding nothing would, its `since`. A graph's keys only grow,
-    so the rule was dead at every earlier step, and once alive every match
-    it has is newer than that `since`. A dead direction of a live rule is
-    not searched either: it adds no match. Every search of the step shares
-    one run state (`machine.RunState`). Returns (changed, early stop).
+    dead: it has no match, so it is not searched and records nothing. A
+    graph's keys only grow, so the rule was dead at every earlier step, and
+    its `since` is still -1, which builds every match once it comes alive.
+    A dead direction of a live rule is not searched either: it adds no
+    match. Every search of the step shares one run state
+    (`machine.RunState`). Returns (changed, early stop).
     Once `time.perf_counter()` is past `deadline`, no further root is
     searched and no further match applied: the step rebuilds the graph and
     stops with `time-limit`, and a search that ran past the deadline is not
@@ -505,11 +505,7 @@ def eqsat_step(
         for d in cr.directions:
             if keys >= d.program.ops:
                 break
-        else:
-            # dead, or with no directions: recorded as a search that found
-            # nothing would be
-            if cr.directions and cr.rule.kind is not RuleKind.UNEQUAL:
-                sched.applied(idx, searched)
+        else:  # dead, or with no directions
             continue
         if not sched.can_search(idx, iteration):
             continue

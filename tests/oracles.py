@@ -14,10 +14,18 @@ from collections import deque
 from unittest import mock
 
 from eqsat import saturation
-from eqsat.classical import compile_matcher, instantiate
+from eqsat.classical import instantiate, match
 from eqsat.egraph import MISSING, EGraph, OpNode
 from eqsat.errors import InconsistentClass
-from eqsat.rules import PatTerm, PatVar, Rule, Theory, class_literals
+from eqsat.rules import (
+    PatSegment,
+    PatTerm,
+    PatVar,
+    Rule,
+    Theory,
+    class_literals,
+    resolve_predicate,
+)
 from eqsat.saturation import BackoffScheduler, CompiledTheory
 from eqsat.terms import Atom, Compound, Lit, Term, UnknownBuiltin, eval_builtin
 
@@ -361,6 +369,63 @@ def substitute_atom(t: Term, name: str, repl: Term) -> Term:
     return t
 
 
+# -- classical matching -------------------------------------------------------
+
+
+def substitutions(p, t: Term):
+    """Every substitution under which pattern `p` matches `t`, by recursion,
+    in the order `classical.match` tries them: left to right, each
+    segment's splits shortest first. A variable's guard is checked where it
+    is first bound; a later occurrence only compares."""
+    return _match_one(p, t, {})
+
+
+def _guard(ref, t: Term) -> bool:
+    return ref is None or resolve_predicate(ref).classical(t, ref.params)
+
+
+def _match_one(p, t: Term, binds: dict):
+    if isinstance(p, PatVar):
+        if p.index in binds:
+            if binds[p.index] == t:
+                yield binds
+        elif _guard(p.predicate, t):
+            yield {**binds, p.index: t}
+    elif isinstance(p, PatTerm):
+        if not isinstance(t, Compound):
+            return
+        if isinstance(p.op, PatVar):
+            op = Atom(t.op)
+            if binds.get(p.op.index, op) != op:
+                return
+            binds = {**binds, p.op.index: op}
+        elif p.op != t.op:
+            return
+        yield from _match_args(p.args, t.args, binds)
+    elif t == p:  # a literal
+        yield binds
+
+
+def _match_args(ps: tuple, ts: tuple, binds: dict):
+    if not ps:
+        if not ts:
+            yield binds
+        return
+    p, rest = ps[0], ps[1:]
+    if not isinstance(p, PatSegment):
+        if ts:
+            for b in _match_one(p, ts[0], binds):
+                yield from _match_args(rest, ts[1:], b)
+    elif p.index in binds:
+        n = len(binds[p.index])
+        if ts[:n] == binds[p.index]:
+            yield from _match_args(rest, ts[n:], binds)
+    else:
+        for n in range(len(ts) + 1):
+            if all(_guard(p.predicate, x) for x in ts[:n]):
+                yield from _match_args(rest, ts[n:], {**binds, p.index: ts[:n]})
+
+
 # -- BFS prover over classical rewriting ------------------------------------
 
 
@@ -370,7 +435,7 @@ def rewrite_neighbors(t: Term, rules: list[Rule]) -> list[Term]:
 
     def at(node, rebuild):
         for rule in rules:
-            s = compile_matcher(rule.lhs)(node)
+            s = match(rule.lhs, node)
             if s is not None:
                 out.append(rebuild(instantiate(rule.rhs, s)))
         if isinstance(node, Compound):

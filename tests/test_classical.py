@@ -2,7 +2,7 @@ import gc
 import weakref
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 
@@ -13,13 +13,13 @@ from eqsat.classical import (
     Postwalk,
     Prewalk,
     apply_rule,
-    compile_matcher,
     instantiate,
+    match,
     parse_strategy,
     rule_rewriter,
 )
 from eqsat.errors import ContractViolation, UnsupportedRuleKind
-from eqsat.rules import PatSegment, parse_rule, parse_theory
+from eqsat.rules import PatSegment, PatTerm, PatVar, parse_rule, parse_theory
 from eqsat.terms import Atom, Compound, Lit, parse_term, print_term
 
 FOLDER = parse_theory(
@@ -27,60 +27,60 @@ FOLDER = parse_theory(
 )
 
 
-def match(lhs_line, term_src):
+def match_line(lhs_line, term_src):
     rule = parse_rule(lhs_line, set())
-    return compile_matcher(rule.lhs)(parse_term(term_src)), rule
+    return match(rule.lhs, parse_term(term_src)), rule
 
 
 # -- matching ---------------------------------------------------------------
 
 
 def test_match_simple():
-    s, rule = match("(* ~a 1) --> ~a", "(* x 1)")
+    s, rule = match_line("(* ~a 1) --> ~a", "(* x 1)")
     assert s == {0: Atom("x")}
 
 
 def test_match_repeated_variable_consistency():
-    s, _ = match("(* ~a ~a) --> ~a", "(* x y)")
+    s, _ = match_line("(* ~a ~a) --> ~a", "(* x y)")
     assert s is None
-    s, _ = match("(* ~a ~a) --> ~a", "(* x x)")
+    s, _ = match_line("(* ~a ~a) --> ~a", "(* x x)")
     assert s == {0: Atom("x")}
 
 
 def test_match_literal_value_based():
-    s, _ = match("(* ~a 1) --> ~a", "(* x 1.0)")
+    s, _ = match_line("(* ~a 1) --> ~a", "(* x 1.0)")
     assert s == {0: Atom("x")}
-    s, _ = match("(* ~a 1) --> ~a", "(* x 2)")
+    s, _ = match_line("(* ~a 1) --> ~a", "(* x 2)")
     assert s is None
 
 
 def test_match_segments_shortest_split_first():
-    s, _ = match("(f ~~pre 3 ~~post) --> (f ~~pre ~~post)", "(f 1 2 3 4)")
+    s, _ = match_line("(f ~~pre 3 ~~post) --> (f ~~pre ~~post)", "(f 1 2 3 4)")
     assert s == {0: (Lit(1), Lit(2)), 1: (Lit(4),)}
 
 
 def test_match_empty_segment():
-    s, _ = match("(f ~~s) --> (f ~~s)", "(f)")
+    s, _ = match_line("(f ~~s) --> (f ~~s)", "(f)")
     assert s == {0: ()}
 
 
 def test_match_variable_operation():
-    s, rule = match("(~f ~x) --> (~f (~f ~x))", "(g a)")
+    s, rule = match_line("(~f ~x) --> (~f (~f ~x))", "(g a)")
     assert s == {0: Atom("g"), 1: Atom("a")}
     assert instantiate(rule.rhs, s) == parse_term("(g (g a))")
 
 
 def test_match_predicate_gate():
-    s, _ = match("(+ ~a::number ~b) --> ~b", "(+ 1 x)")
+    s, _ = match_line("(+ ~a::number ~b) --> ~b", "(+ 1 x)")
     assert s == {0: Lit(1), 1: Atom("x")}
-    s, _ = match("(+ ~a::number ~b) --> ~b", "(+ y x)")
+    s, _ = match_line("(+ ~a::number ~b) --> ~b", "(+ y x)")
     assert s is None
 
 
 def test_match_segment_predicate():
-    s, _ = match("(f ~~xs::number) --> (f ~~xs)", "(f 1 2)")
+    s, _ = match_line("(f ~~xs::number) --> (f ~~xs)", "(f 1 2)")
     assert s == {0: (Lit(1), Lit(2))}
-    s, _ = match("(f ~~xs::number) --> (f ~~xs)", "(f 1 y)")
+    s, _ = match_line("(f ~~xs::number) --> (f ~~xs)", "(f 1 y)")
     assert s is None
 
 
@@ -89,7 +89,7 @@ def test_match_segment_predicate():
 
 def test_instantiate_nested():
     rule = parse_rule("(sin (* 2 ~x)) --> (* 2 (* (sin ~x) (cos ~x)))", set())
-    s = compile_matcher(rule.lhs)(parse_term("(sin (* 2 z))"))
+    s = match(rule.lhs, parse_term("(sin (* 2 z))"))
     assert instantiate(rule.rhs, s) == parse_term("(* 2 (* (sin z) (cos z)))")
 
 
@@ -332,9 +332,58 @@ small_terms = terms_over(["f", "g", "+"], term_leaves)
 @given(pattern_srcs(), small_terms)
 def test_matcher_soundness(pat_src, t):
     rule = parse_rule(f"{pat_src} --> 0", set())
-    s = compile_matcher(rule.lhs)(t)
+    s = match(rule.lhs, t)
     if s is not None:
         assert instantiate(rule.lhs, s) == t
+
+
+# -- matcher against the recursive reference --------------------------------
+
+segment_srcs = st.sampled_from(["~~s", "~~t::number", "~~u"])
+guarded_leaf_srcs = st.sampled_from(["~x", "~y", "~v::number", "1", "2", "a"])
+# zero-argument compounds, and 1.5, which is a number and no int
+match_terms = terms_over(["f", "g"], term_leaves + [Lit(1.5)], min_args=0)
+
+
+@st.composite
+def segment_pattern_srcs(draw, depth=3):
+    """Patterns with segments, guarded segments and variables, an operator
+    variable `~o`, repeated variables and literals."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(guarded_leaf_srcs)
+    op = draw(st.sampled_from(["f", "g", "~o"]))
+    arg = st.one_of(segment_srcs, segment_pattern_srcs(depth=depth - 1))
+    return f"({' '.join([op, *draw(st.lists(arg, max_size=3))])})"
+
+
+def _instance(draw, p, chosen):
+    """A term that `p` matches when `chosen` holds the values of its
+    variables, except that one part in ten is drawn afresh and an operator
+    variable's operator is drawn at each occurrence, so that some terms are
+    misses."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(match_terms)
+    if isinstance(p, PatVar):
+        return chosen.setdefault(p.index, draw(match_terms))
+    if not isinstance(p, PatTerm):
+        return p
+    op = p.op if isinstance(p.op, str) else draw(st.sampled_from(["f", "g"]))
+    args = []
+    for a in p.args:
+        if isinstance(a, PatSegment):
+            args += chosen.setdefault(a.index, tuple(draw(st.lists(match_terms, max_size=2))))
+        else:
+            args.append(_instance(draw, a, chosen))
+    return Compound(op, tuple(args))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(segment_pattern_srcs(), st.data())
+def test_match_is_the_first_reference_substitution(pat_src, data):
+    rule = parse_rule(f"{pat_src} --> 0", set())
+    t = _instance(data.draw, rule.lhs, {})
+    first = next(oracles.substitutions(rule.lhs, t), None)
+    assert match(rule.lhs, t) == first
 
 
 # A rewriter tests the root operator of a left-hand side rooted at one before
@@ -346,7 +395,7 @@ wide_terms = terms_over(
 
 
 def _rewrite_by_matcher(rule, t):
-    s = compile_matcher(rule.lhs)(t)
+    s = match(rule.lhs, t)
     return None if s is None else instantiate(rule.rhs, s)
 
 

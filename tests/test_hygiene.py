@@ -526,18 +526,17 @@ def test_no_unread_parameters_in_package():
 
 
 def test_only_run_time_matchers_and_the_strategy_parser_recurse():
-    # the text layers and the e-graph's pattern compiler walk on stacks, and
-    # both backends' right-hand-side builders fold with `terms.fold_tree`, so
-    # they take any depth; what calls itself is the classical matchers'
-    # run-time `run` and `parse_strategy`'s nested `parse` (this check cannot
-    # see the mutual recursion of the classical `_compile_one` and
-    # `_compile_seq`)
+    # the text layers, the e-graph's pattern compiler and the classical
+    # matcher walk on stacks, and both backends' right-hand-side builders
+    # fold with `terms.fold_tree`, so they take any depth; what calls itself
+    # is `parse_strategy`'s nested `parse` (the e-graph matcher's run-time
+    # chain of closures recurses too, which this check cannot see)
     found = [
         f"{name} {f.partition(': ')[2]}"
         for name, source in package_sources().items()
         for f in self_calling_functions(source)
     ]
-    assert found == ["classical.py run", "classical.py parse"]
+    assert found == ["classical.py parse"]
 
 
 def test_text_layers_do_not_recurse():
@@ -563,10 +562,10 @@ def test_matcher_steps_never_call_find():
 
 def test_one_tree_fold_in_package():
     # a post-order walk of a tree goes through `terms.fold_tree`; what keeps
-    # a stack of its own walks two trees at once (`tree_eq`, `mirrored`),
-    # works in pre-order (`print_sexpr`, `compile_pattern`, `Prewalk`'s
-    # `walk`), checks its path for cycles (`extract`) or is no tree walk
-    # (`_propagate`)
+    # a stack of its own walks two trees at once (`tree_eq`, `mirrored`,
+    # `match`), works in pre-order (`print_sexpr`, `compile_pattern`,
+    # `Prewalk`'s `walk`), checks its path for cycles (`extract`) or is no
+    # tree walk (`_propagate`)
     found = [
         f"{name} {f.partition(': ')[2]}"
         for name, source in package_sources().items()
@@ -574,6 +573,7 @@ def test_one_tree_fold_in_package():
     ]
     assert found == [
         "analysis.py extract",
+        "classical.py match",
         "classical.py walk",
         "egraph.py _propagate",
         "machine.py compile_pattern",

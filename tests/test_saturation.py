@@ -1252,11 +1252,11 @@ def test_a_search_that_builds_nothing_still_records_since():
     for src in ("(f a)", "(f b)", "c"):
         g.add_term(parse_term(src))
     g.rebuild()
-    # rule 0 is banned; rules 1 and 2 find nothing; `!=` rules never record
+    # rule 0 is banned; rules 1 and 2 are dead (the graph holds no h), so
+    # they are not searched and keep -1, as a `!=` rule always does
     sched, stats = BackoffScheduler([1, 1, 1], match_limit=1), {}
-    searched = g.rebuilds
     eqsat_step(g, compiled, sched, 0, stats)
-    assert [st.since for st in sched.states] == [-1, searched, -1]
+    assert [st.since for st in sched.states] == [-1, -1, -1]
     assert [st.times_banned for st in sched.states] == [1, 0, 0]
     assert [(st.matches, st.applied) for st in stats.values()] == [(2, 0), (0, 0), (0, 0)]
     # a search whose every match was applied before builds none, and records
@@ -1266,7 +1266,7 @@ def test_a_search_that_builds_nothing_still_records_since():
     searched = g.rebuilds
     eqsat_step(g, compiled, sched, 1, stats)
     assert (stats[0].matches, stats[0].applied) == (4, 2)
-    assert [st.since for st in sched.states] == [searched, searched, -1]
+    assert [st.since for st in sched.states] == [searched, -1, -1]
 
 
 @st.composite
@@ -1320,7 +1320,6 @@ def test_a_rule_not_searched_has_no_match(g, data):
         return real(g, prog, *args)
 
     sched, stats = BackoffScheduler([1] * len(compiled), match_limit=None), {}
-    searched = g.rebuilds
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(saturation, "ematch_program", recording)
         eqsat_step(g, compiled, sched, 0, stats)
@@ -1330,8 +1329,7 @@ def test_a_rule_not_searched_has_no_match(g, data):
         if not any(ran):
             rs = stats[idx]
             assert (rs.matches, rs.applied, rs.search_s) == (0, 0, 0.0)
-            unequal = cr.rule.kind is RuleKind.UNEQUAL
-            assert sched.states[idx].since == (-1 if unequal else searched)
+            assert sched.states[idx].since == -1  # a dead rule records nothing
 
 
 def test_a_rule_that_comes_alive_builds_every_match():
@@ -1341,10 +1339,9 @@ def test_a_rule_that_comes_alive_builds_every_match():
     fs = [g.add_term(parse_term(src)) for src in ("(f a)", "(f b)")]
     g.rebuild()
     sched, stats = BackoffScheduler([1, 1]), {}
-    searched = g.rebuilds
     eqsat_step(g, compiled, sched, 0, stats)
     assert (stats[1].matches, stats[1].applied, stats[1].search_s) == (0, 0, 0.0)
-    assert sched.states[1].since == searched
+    assert sched.states[1].since == -1
     eqsat_step(g, compiled, sched, 1, stats)
     assert (stats[1].matches, stats[1].applied) == (2, 2)
     for cid, src in zip(fs, ("(k a)", "(k b)")):
@@ -1391,10 +1388,11 @@ def test_headline_records_since_for_every_unbanned_rule(made):
         1859, 139, 2138, 0, 0, 0, 0, 0, 198, 1419, 3,
     ]
     # the last step searched at one rebuild fewer than the graph has made;
-    # the banned rules 2 and 9 keep -1
+    # the banned rules 2 and 9 keep -1, and so do rules 3-7, which read `+`
+    # or `-` and are dead at every step
     last = g.rebuilds - 1
     states = made[0].states
-    assert [st.since for st in states] == [last] * 2 + [-1] + [last] * 6 + [-1, last]
+    assert [st.since for st in states] == [last] * 2 + [-1] * 6 + [last, -1, last]
     assert [st.times_banned for st in states] == [0, 0, 1] + [0] * 6 + [1, 0]
 
 

@@ -122,6 +122,21 @@ def test_stream_filter_fusion_shrinks():
     assert astsize_of(out) <= astsize_of(parse_term("(filter p (filter q v))"))
 
 
+@pytest.mark.parametrize(
+    "src, want",
+    [
+        ("(filter f (filter g s))", "(filter (fand f g) s)"),
+        ("(sum (filter f (filter g s)))", "(sum (filter (fand f g) s))"),
+    ],
+    ids=["bare", "under-sum"],
+)
+def test_stream_keeps_fand_where_lowering_grows_the_term(src, want):
+    # cleanup lowers the 5-node (filter (fand f g) s) to an 11-node lambda
+    # of opaque calls, so the size guard keeps the extracted form
+    out, _ = stream_optimize(parse_term(src))
+    assert out == parse_term(want)
+
+
 def _filter_lambda(draw) -> Compound:
     """A lambda that compares its parameter with a free `x`, a free `k` or a
     literal, on either side."""
